@@ -213,7 +213,7 @@ def cmd_check_closure(args) -> int:
     elif "DRLOCI_HURWITZ_CAP" in os.environ:
         bounds.hurwitz_cap = int(os.environ["DRLOCI_HURWITZ_CAP"])
     certs = search(graph, mu, bounds)
-    verdicts = [verify_certificate(graph, mu, c) for c in certs]
+    verdicts = [verify_certificate(graph, mu, c, bounds.hurwitz_cap) for c in certs]
     payload = {
         "command": "check-closure",
         "member": "yes" if certs else "no-within-bounds",

@@ -3,13 +3,28 @@
 A stable marked dual graph lies in the closure exactly when some level
 structure carries an inequality-form decoration whose evaluation system
 vanishes identically, with every component's ramification data realizable.
-The search enumerates normalized level structures, then all admissible
-half-edge order assignments within degree bounds (poles only on strictly
-lower ends, order sums >= -2, per-vertex divisor balance and order
-deficit), solves each symbolic evaluation system exactly, compiles the
-forced value coincidences into per-component Hurwitz problems, and keeps
-the candidates that pass the oracles.  Genus-0-only candidates are
-upgraded to exact certificates when explicit rational witnesses exist.
+The search computes each quantity once, at the stage it depends on:
+
+1. Per normalized level structure, the admissible half-edge order
+   assignments within degree bounds (poles only on strictly lower ends,
+   order sums >= -2, per-vertex divisor balance and order deficit).  The
+   cuts of ``_decorations`` drop only branches without an admissible
+   completion, so candidates arrive in the order of the plain enumeration
+   and the certificate kept per isomorphism class does not change.
+2. Per zero pattern (which node preimages are nodal zeros), the exact
+   solution space of the evaluation system and the test that no regular
+   node value is forced to zero.  Pole sites sit on the lower ends of
+   vertical edges, which the level restriction never evaluates, so the
+   system reads a decoration only through its zero marks.
+3. Per candidate, the forced value coincidences, compiled into
+   per-component Hurwitz problems; each distinct problem is decided once
+   per search.  Genus-0-only candidates are upgraded to exact
+   certificates when explicit rational witnesses exist.
+
+Every candidate the enumeration yields passes ``validate_twr`` by
+construction, except on a lone vertex without half-edges, whose missing
+pole the component check rejects; ``verify_certificate`` re-runs it, and
+every other check, on each certificate.
 
 Completeness boundary: node multiplicities are capped by the total
 positive mu mass (or an explicit bound), and component realizability
@@ -27,7 +42,7 @@ from .exact import AffineSubspace, format_rational
 from .graphs import (LevelStructure, MarkedDualGraph, canonical_key,
                      enumerate_level_structures, half_edge_id, validate)
 from .homology import evaluation_system
-from .hurwitz import (DegreeCapExceeded, Genus0Realization,
+from .hurwitz import (DegreeCapExceeded, Genus0Realization, HurwitzProblem,
                       InfeasibleComponent, component_problem, exists, rh_check)
 from .witnesses import ComponentShape, realize_component
 
@@ -133,90 +148,129 @@ def _edge_options(graph: MarkedDualGraph, levels: LevelStructure, e: str,
 
 def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
                  max_deg: int):
-    """All admissible decorations, pruned by per-vertex divisor budgets."""
-    edges = [e for e, _ in graph.edges]
-    leg_zero: dict[str, int] = {}
-    leg_pole: dict[str, int] = {}
-    leg_ord: dict[str, int] = {}
-    marked: dict[str, bool] = {}
-    remaining: dict[str, int] = {}
-    for v, g in graph.vertices:
-        leg_zero[v] = sum(m for _, m in graph.legs_of(v) if m > 0)
-        leg_pole[v] = sum(-m for _, m in graph.legs_of(v) if m < 0)
-        leg_ord[v] = sum(m - 1 for _, m in graph.legs_of(v))
-        marked[v] = any(m > 0 for _, m in graph.legs_of(v))
-        remaining[v] = len(graph.edges_at(v))
-    pole_sum = {v: 0 for v in leg_zero}
-    zero_sum = {v: 0 for v in leg_zero}
-    ord_sum = {v: 0 for v in leg_zero}
-    assignment: dict[str, tuple[int, bool]] = {}
+    """All admissible decorations as (orders, zero marks), edge by edge.
+
+    Per vertex the enumeration tracks the pole mass P and the zero mass Z
+    (legs included), the order sum O (a leg of mu m counts m - 1), the
+    half-edges still open, and how many of those can still be poles (the
+    lower ends of vertical edges).  Regular orders are >= 0 and a pole of
+    mass m adds -(m+1) to O, so a vertex can no longer close, and the
+    branch is cut, when P > max_deg or Z > max_deg; when no pole can come
+    and P < 1, Z > P or O > 2g-2; when poles can still come but even the
+    remaining pole budget B = max_deg - P spent on min(open poles, B)
+    poles leaves O - B - min(open poles, B) > 2g-2; and, once closed,
+    when a vertex with a marked zero has Z != P.  Each cut removes only
+    branches without an admissible completion, so the yields, and their
+    order, are those of the plain product over edges in graph order.
+    """
+    index = {v: i for i, v in enumerate(graph.vertex_ids)}
+    n = len(index)
+    top = [2 * g - 2 for _, g in graph.vertices]
+    pole_mass, zero_mass, order_sum = [0] * n, [0] * n, [0] * n
+    marked = [False] * n
+    for _, v, m in graph.legs:
+        i = index[v]
+        if m < 0:
+            pole_mass[i] -= m
+        else:
+            zero_mass[i] += m
+        marked[i] = marked[i] or m > 0
+        order_sum[i] += m - 1
+
+    def side(opt: tuple[int, bool, bool]):
+        o, pole, zmark = opt
+        return (o, pole), zmark, o, -o - 1 if pole else 0, o + 1 if zmark else 0
+
+    # walking the edges backwards, count per vertex the half-edges on the
+    # edges placed after the current one, and how many of them can be poles
+    later_all, later_poles = [0] * n, [0] * n
+    plan = []
+    for e, (a, b) in reversed(graph.edges):
+        ia, ib = index[a], index[b]
+        options = [(side(s0), side(s1)) for s0, s1 in _edge_options(graph, levels, e, max_deg)]
+        plan.append((ia, ib, half_edge_id(e, 0), half_edge_id(e, 1),
+                     (later_all[ia], later_poles[ia]), (later_all[ib], later_poles[ib]), options))
+        later_all[ia] += 1
+        later_all[ib] += 1
+        if levels.of[a] != levels.of[b]:
+            later_poles[ib if levels.of[a] > levels.of[b] else ia] += 1
+    plan.reverse()
+
+    def viable(i: int, still_open: tuple[int, int]) -> bool:
+        p, z, o = pole_mass[i], zero_mass[i], order_sum[i]
+        if p > max_deg or z > max_deg:
+            return False
+        n_open, n_poles = still_open
+        if n_poles:
+            budget = max_deg - p
+            return o - budget - min(n_poles, budget) <= top[i]
+        if p < 1 or z > p or o > top[i]:
+            return False
+        return n_open > 0 or z == p or not marked[i]
+
+    orders: dict[str, tuple[int, bool]] = {}
     zero_marks: set[str] = set()
 
-    def vertex_ok_partial(v: str) -> bool:
-        return (leg_pole[v] + pole_sum[v] <= max_deg
-                and leg_zero[v] + zero_sum[v] <= max_deg)
-
-    def vertex_ok_final(v: str, g: int) -> bool:
-        p = leg_pole[v] + pole_sum[v]
-        z = leg_zero[v] + zero_sum[v]
-        if p < 1 or p > max_deg:
-            return False
-        if marked[v] and z != p:
-            return False
-        if z > p:
-            return False
-        return leg_ord[v] + ord_sum[v] <= 2 * g - 2
-
-    genus = dict(graph.vertices)
-
-    def place(side_v: str, hid: str, opt: tuple[int, bool, bool], sign: int):
-        o, pole, zmark = opt
-        ord_sum[side_v] += sign * o
-        if pole:
-            pole_sum[side_v] += sign * (-o - 1)
-        if zmark:
-            zero_sum[side_v] += sign * (o + 1)
-        remaining[side_v] += -sign
-        if sign > 0:
-            assignment[hid] = (o, pole)
-            if zmark:
-                zero_marks.add(hid)
-        else:
-            assignment.pop(hid, None)
-            zero_marks.discard(hid)
-
-    def rec(idx: int):
-        if idx == len(edges):
-            yield dict(assignment), set(zero_marks)
+    def rec(k: int):
+        if k == len(plan):
+            yield dict(orders), set(zero_marks)
             return
-        e = edges[idx]
-        a, b = graph.edge_ends[e]
-        for s0, s1 in _edge_options(graph, levels, e, max_deg):
-            place(a, half_edge_id(e, 0), s0, +1)
-            place(b, half_edge_id(e, 1), s1, +1)
-            ok = vertex_ok_partial(a) and vertex_ok_partial(b)
-            if ok and remaining[a] == 0:
-                ok = vertex_ok_final(a, genus[a])
-            if ok and remaining[b] == 0 and b != a:
-                ok = vertex_ok_final(b, genus[b])
-            if ok:
-                yield from rec(idx + 1)
-            place(b, half_edge_id(e, 1), s1, -1)
-            place(a, half_edge_id(e, 0), s0, -1)
+        a, b, h0, h1, open_a, open_b, options = plan[k]
+        for (e0, z0, do0, dp0, dz0), (e1, z1, do1, dp1, dz1) in options:
+            order_sum[a] += do0
+            pole_mass[a] += dp0
+            zero_mass[a] += dz0
+            order_sum[b] += do1
+            pole_mass[b] += dp1
+            zero_mass[b] += dz1
+            if viable(a, open_a) and (a == b or viable(b, open_b)):
+                orders[h0] = e0
+                orders[h1] = e1
+                if z0:
+                    zero_marks.add(h0)
+                if z1:
+                    zero_marks.add(h1)
+                yield from rec(k + 1)
+                zero_marks.discard(h0)
+                zero_marks.discard(h1)
+            order_sum[a] -= do0
+            pole_mass[a] -= dp0
+            zero_mass[a] -= dz0
+            order_sum[b] -= do1
+            pole_mass[b] -= dp1
+            zero_mass[b] -= dz1
 
     yield from rec(0)
 
 
-def _forced_groups(graph: MarkedDualGraph, dec: TwrDecoration,
-                   space: AffineSubspace) -> list[list[str]]:
-    """Partition of the free node-value sites into forced-equal groups."""
-    free_sites = []
-    for e, _ in graph.edges:
-        for s in (0, 1):
+def _free_sites(graph: MarkedDualGraph, dec: TwrDecoration) -> list[str]:
+    """Site keys of the node preimages that are neither poles nor zeros."""
+    out = []
+    for e, ends in graph.edges:
+        for s, v in enumerate(ends):
             hid = half_edge_id(e, s)
-            v = graph.edge_ends[e][s]
             if not dec.is_pole(hid) and not dec.is_zero_site(v, hid):
-                free_sites.append(site_key(v, hid))
+                out.append(site_key(v, hid))
+    return out
+
+
+def _solution_space(graph: MarkedDualGraph, levels: LevelStructure,
+           dec: TwrDecoration) -> AffineSubspace | None:
+    """Solution space of the evaluation system; None when it is inconsistent
+    or forces a regular node value to zero (a different stratum).
+
+    Depends on ``dec`` only through its zero marks: pole sites sit on the
+    lower ends of vertical edges, which the level restriction never
+    evaluates, so every symbol of the system is a free site.
+    """
+    space = evaluation_system(graph, levels, dec).solution_space()
+    if space is None or any(space.forces_value(s) == 0 for s in space.symbols):
+        return None
+    return space
+
+
+def _forced_groups(free_sites: list[str], space: AffineSubspace) -> list[list[str]]:
+    """Partition of the free node-value sites into forced-equal groups."""
     parent = {s: s for s in free_sites}
 
     def find(x):
@@ -326,7 +380,13 @@ def _attempt_witnesses(graph: MarkedDualGraph, dec: TwrDecoration,
 
 
 def _component_verdicts(graph: MarkedDualGraph, dec: TwrDecoration,
-                        groups: list[list[str]], cap: int) -> dict[str, dict] | None:
+                        groups: list[list[str]], cap: int,
+                        decided: dict[HurwitzProblem, bool | None]) -> dict[str, dict] | None:
+    """Per-component oracle verdicts, or None when some component fails.
+
+    ``decided`` memoizes ``exists`` under ``cap`` (None: cap exceeded); the
+    caller owns it and must not share it across caps.
+    """
     out: dict[str, dict] = {}
     for v, _ in graph.vertices:
         try:
@@ -336,16 +396,16 @@ def _component_verdicts(graph: MarkedDualGraph, dec: TwrDecoration,
         ok_rh = rh_check(problem)
         if not ok_rh:
             return None
-        cap_hit = False
-        verdict: bool | None
-        try:
-            verdict = exists(problem, cap)
-        except DegreeCapExceeded:
-            cap_hit = True
-            verdict = None
+        if problem not in decided:
+            try:
+                decided[problem] = exists(problem, cap)
+            except DegreeCapExceeded:
+                decided[problem] = None
+        verdict = decided[problem]
         if verdict is False:
             return None
-        out[v] = {"problem": problem, "rh": ok_rh, "exists": verdict, "cap_hit": cap_hit}
+        out[v] = {"problem": problem, "rh": ok_rh, "exists": verdict,
+                  "cap_hit": verdict is None}
     return out
 
 
@@ -367,31 +427,21 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
     max_deg = bounds.max_degree or max(1, positive)
 
     found: dict[tuple, ClosureCertificate] = {}
+    decided: dict[HurwitzProblem, bool | None] = {}
     for levels in enumerate_level_structures(graph, cap=bounds.level_cap):
+        solved: dict[frozenset[str], AffineSubspace | None] = {}
         for orders, zero_marks in _decorations(graph, levels, max_deg):
-            values = {}
-            for hid in zero_marks:
-                eid, s = hid.rsplit(".", 1)
-                v = graph.edge_ends[eid][int(s)]
-                values[site_key(v, hid)] = Fraction(0)
-            dec = TwrDecoration.build(orders, values)
-            if not validate_twr(graph, levels, dec).ok:
-                continue
-            system = evaluation_system(graph, levels, dec)
-            space = system.solution_space()
+            dec = TwrDecoration.build(orders, {
+                site_key(graph.half_edge_vertex(hid), hid): Fraction(0) for hid in zero_marks})
+            pattern = frozenset(zero_marks)
+            if pattern not in solved:
+                solved[pattern] = _solution_space(graph, levels, dec)
+            space = solved[pattern]
             if space is None:
                 continue
-            free_syms = []
-            for e, _ in graph.edges:
-                for s in (0, 1):
-                    hid = half_edge_id(e, s)
-                    v = graph.edge_ends[e][s]
-                    if not dec.is_pole(hid) and not dec.is_zero_site(v, hid):
-                        free_syms.append(site_key(v, hid))
-            if any(s in space.symbols and space.forces_value(s) == 0 for s in free_syms):
-                continue  # a regular node value pinched to zero: different stratum
-            groups = _forced_groups(graph, dec, space)
-            comps = _component_verdicts(graph, dec, groups, bounds.hurwitz_cap)
+            free = _free_sites(graph, dec)
+            groups = _forced_groups(free, space)
+            comps = _component_verdicts(graph, dec, groups, bounds.hurwitz_cap, decided)
             if comps is None:
                 continue
             witness = _attempt_witnesses(graph, dec, space, groups)
@@ -402,7 +452,7 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
                 notes = []
             else:
                 realizations = None
-                sample = _sample_point(space, free_syms)
+                sample = _sample_point(space, free)
                 verdict = "accepted-modulo-genericity"
                 notes = ["no exact realization witness; component existence by "
                          "Hurwitz oracle and value-genericity"]
@@ -421,8 +471,10 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
 
 
 def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
-                       cert: ClosureCertificate) -> dict:
-    """Re-run every check of a certificate; verdicts: accepted-exact,
+                       cert: ClosureCertificate,
+                       hurwitz_cap: int = DEFAULT_HURWITZ_CAP) -> dict:
+    """Re-run every check of a certificate, deciding components under the
+    Hurwitz cap the search ran with; verdicts: accepted-exact,
     accepted-modulo-genericity, or rejected with reasons."""
     reasons: list[str] = []
     rep = validate(graph)
@@ -449,17 +501,12 @@ def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
         sub = row.substitute(cert.sample)
         if not (sub.is_constant and sub.const == 0):
             reasons.append(f"sample does not satisfy {row.render()}")
-    for e, _ in graph.edges:
-        for s in (0, 1):
-            hid = half_edge_id(e, s)
-            v = graph.edge_ends[e][s]
-            site = site_key(v, hid)
-            if (not cert.decoration.is_pole(hid)
-                    and not cert.decoration.is_zero_site(v, hid)
-                    and cert.sample.get(site, Fraction(1)) == 0):
-                reasons.append(f"regular node value vanishes at {site}")
-    groups = _forced_groups(graph, cert.decoration, space)
-    comps = _component_verdicts(graph, cert.decoration, groups, DEFAULT_HURWITZ_CAP)
+    free = _free_sites(graph, cert.decoration)
+    for site in free:
+        if cert.sample.get(site, Fraction(1)) == 0:
+            reasons.append(f"regular node value vanishes at {site}")
+    groups = _forced_groups(free, space)
+    comps = _component_verdicts(graph, cert.decoration, groups, hurwitz_cap, {})
     if comps is None:
         reasons.append("component ramification data infeasible")
     if reasons:

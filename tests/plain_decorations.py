@@ -1,0 +1,88 @@
+"""The unpruned decoration enumeration: the reference that the pruned
+``closure._decorations`` must reproduce yield for yield.
+
+Edges are placed in graph order, each over all of its admissible option
+pairs; a vertex is checked against its degree bounds after every
+placement and against the closing conditions only once all of its
+half-edges are placed.
+"""
+
+from __future__ import annotations
+
+from drloci.closure import _edge_options
+from drloci.graphs import LevelStructure, MarkedDualGraph, half_edge_id
+
+
+def plain_decorations(graph: MarkedDualGraph, levels: LevelStructure,
+                      max_deg: int):
+    edges = [e for e, _ in graph.edges]
+    leg_zero: dict[str, int] = {}
+    leg_pole: dict[str, int] = {}
+    leg_ord: dict[str, int] = {}
+    marked: dict[str, bool] = {}
+    remaining: dict[str, int] = {}
+    for v, g in graph.vertices:
+        leg_zero[v] = sum(m for _, m in graph.legs_of(v) if m > 0)
+        leg_pole[v] = sum(-m for _, m in graph.legs_of(v) if m < 0)
+        leg_ord[v] = sum(m - 1 for _, m in graph.legs_of(v))
+        marked[v] = any(m > 0 for _, m in graph.legs_of(v))
+        remaining[v] = len(graph.edges_at(v))
+    pole_sum = {v: 0 for v in leg_zero}
+    zero_sum = {v: 0 for v in leg_zero}
+    ord_sum = {v: 0 for v in leg_zero}
+    assignment: dict[str, tuple[int, bool]] = {}
+    zero_marks: set[str] = set()
+
+    def vertex_ok_partial(v: str) -> bool:
+        return (leg_pole[v] + pole_sum[v] <= max_deg
+                and leg_zero[v] + zero_sum[v] <= max_deg)
+
+    def vertex_ok_final(v: str, g: int) -> bool:
+        p = leg_pole[v] + pole_sum[v]
+        z = leg_zero[v] + zero_sum[v]
+        if p < 1 or p > max_deg:
+            return False
+        if marked[v] and z != p:
+            return False
+        if z > p:
+            return False
+        return leg_ord[v] + ord_sum[v] <= 2 * g - 2
+
+    genus = dict(graph.vertices)
+
+    def place(side_v: str, hid: str, opt: tuple[int, bool, bool], sign: int):
+        o, pole, zmark = opt
+        ord_sum[side_v] += sign * o
+        if pole:
+            pole_sum[side_v] += sign * (-o - 1)
+        if zmark:
+            zero_sum[side_v] += sign * (o + 1)
+        remaining[side_v] += -sign
+        if sign > 0:
+            assignment[hid] = (o, pole)
+            if zmark:
+                zero_marks.add(hid)
+        else:
+            assignment.pop(hid, None)
+            zero_marks.discard(hid)
+
+    def rec(idx: int):
+        if idx == len(edges):
+            yield dict(assignment), set(zero_marks)
+            return
+        e = edges[idx]
+        a, b = graph.edge_ends[e]
+        for s0, s1 in _edge_options(graph, levels, e, max_deg):
+            place(a, half_edge_id(e, 0), s0, +1)
+            place(b, half_edge_id(e, 1), s1, +1)
+            ok = vertex_ok_partial(a) and vertex_ok_partial(b)
+            if ok and remaining[a] == 0:
+                ok = vertex_ok_final(a, genus[a])
+            if ok and remaining[b] == 0 and b != a:
+                ok = vertex_ok_final(b, genus[b])
+            if ok:
+                yield from rec(idx + 1)
+            place(b, half_edge_id(e, 1), s1, -1)
+            place(a, half_edge_id(e, 0), s0, -1)
+
+    yield from rec(0)

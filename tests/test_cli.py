@@ -100,6 +100,23 @@ def test_check_closure_negative(capsys, tmp_path):
     assert out["member"] == "no-within-bounds"
 
 
+def test_check_closure_verifies_under_the_search_cap(capsys, dollar_files, monkeypatch):
+    from drloci import closure
+    caps = []
+    real_exists = closure.exists
+
+    def spy(problem, cap):
+        caps.append(cap)
+        return real_exists(problem, cap)
+
+    monkeypatch.setattr(closure, "exists", spy)
+    gpath, _ = dollar_files
+    code, doc = run(capsys, "check-closure", "--graph", gpath, "--hurwitz-cap", "4")
+    assert code == 0 and doc["verification"]
+    # the search and every verification decide components under cap 4
+    assert caps and set(caps) == {4}
+
+
 def test_twist_stabilize_round_trip_via_cli(capsys, dollar_files, tmp_path):
     gpath, dpath = dollar_files
     code, twisted = run(capsys, "twist", "--graph", gpath, "--decoration", dpath)

@@ -73,6 +73,20 @@ def test_unsatisfiable_distribution_yields_empty():
     assert search(g, (1, 1, 1, -3)) == []
 
 
+def test_chain4_yields_empty():
+    g = MarkedDualGraph.build(
+        [("a", 1), ("b", 0), ("c", 0), ("d", 1)],
+        [("e1", ("a", "b")), ("e2", ("b", "c")), ("e3", ("c", "d")), ("e4", ("b", "c"))],
+        [("z1", "b", 2), ("z2", "c", 1), ("p", "a", -3)])
+    assert search(g, g.mu) == []
+
+
+def test_poleless_lone_vertex_yields_empty():
+    # no half-edges, so only the component check sees the missing pole
+    g = MarkedDualGraph.build([("v", 2)], [], [("z", "v", 0)])
+    assert search(g, g.mu) == []
+
+
 def test_monotone_in_bounds():
     g = load_graph("dollar_unmarked_zeros")
     small = search(g, g.mu, SearchBounds(max_degree=3))
