@@ -8,8 +8,9 @@ Exit codes: 0 for success or a positive verdict, 1 for a negative
 verdict, 2 for malformed input or internal errors.
 
 The Hurwitz degree cap can be set with the DRLOCI_HURWITZ_CAP
-environment variable; `check-closure` accepts `--bounds key=value`
-(max_degree, hurwitz_cap, level_cap).
+environment variable; an explicit `hurwitz --cap` or `check-closure
+--hurwitz-cap` overrides it.  `check-closure` also accepts `--bounds
+key=value` (max_degree, hurwitz_cap, level_cap).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .fixtures import fixture_names
 from .graphs import (EnumerationCapExceeded, LevelStructure, MarkedDualGraph,
                      enumerate_level_structures, validate)
 from .homology import evaluation_system
-from .hurwitz import DegreeCapExceeded, HurwitzProblem, exists, rh_check
+from .hurwitz import (DEFAULT_DEGREE_CAP, DegreeCapExceeded, HurwitzProblem,
+                      exists, rh_check)
 from .twisting import TwistError, stabilize, twist
 
 SCHEMA_VERSION = 1
@@ -157,11 +159,22 @@ def cmd_stabilize(args) -> int:
     return 0
 
 
-class _ProfileAction(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, self.dest) or []
-        items.append(tuple(int(x) for x in values.split(",")))
-        setattr(namespace, self.dest, items)
+def _profile(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"malformed profile {text!r}: expected comma-separated integers") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 class _CountAction(argparse.Action):
@@ -169,13 +182,16 @@ class _CountAction(argparse.Action):
         items = getattr(namespace, "profile") or []
         if not items:
             raise argparse.ArgumentError(self, "--count must follow a --profile")
-        items.extend([items[-1]] * (int(values) - 1))
+        items.extend([items[-1]] * (values - 1))
         setattr(namespace, "profile", items)
 
 
 def cmd_hurwitz(args) -> int:
     problem = HurwitzProblem.build(args.degree, args.genus, args.profile or [])
-    cap = int(os.environ.get("DRLOCI_HURWITZ_CAP", args.cap))
+    if args.cap is not None:
+        cap = args.cap
+    else:
+        cap = int(os.environ.get("DRLOCI_HURWITZ_CAP", DEFAULT_DEGREE_CAP))
     payload = {"command": "hurwitz", "problem": problem.to_json(),
                "rh": rh_check(problem), "cap_hit": False}
     try:
@@ -272,14 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels")
     p.set_defaults(func=cmd_stabilize)
 
-    p = sub.add_parser("hurwitz", help="brute-force Hurwitz existence")
+    p = sub.add_parser("hurwitz", help="Hurwitz existence by a memoized search "
+                                       "over permutation factorizations")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--profile", action=_ProfileAction, default=None,
+    p.add_argument("--profile", action="append", type=_profile, default=None,
                    help="comma-separated partition of the degree; repeatable")
-    p.add_argument("--count", action=_CountAction,
+    p.add_argument("--count", action=_CountAction, type=_positive_int,
                    help="repeat the preceding --profile this many times total")
-    p.add_argument("--cap", type=int, default=6)
+    p.add_argument("--cap", type=int, default=None,
+                   help=f"degree cap; overrides DRLOCI_HURWITZ_CAP "
+                        f"(default {DEFAULT_DEGREE_CAP})")
     p.set_defaults(func=cmd_hurwitz)
 
     p = sub.add_parser("cover", help="validate an admissible cover")

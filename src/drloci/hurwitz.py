@@ -1,13 +1,18 @@
-"""Brute-force Hurwitz existence oracle and exact genus-0 realization.
+"""Hurwitz existence oracle and exact genus-0 realization.
 
 A component of a decorated graph poses a covering problem: does a curve
 of the given genus carry a degree-d rational function with the
 prescribed fibers over 0, infinity, the forced finite fibers, and simple
 branching elsewhere?  By Riemann existence this is a permutation
 factorization question: permutations of the prescribed cycle types
-multiplying to the identity and generating a transitive group.  Degrees
-in scope are tiny, so the oracle searches conjugacy classes directly,
-fixing the first factor to one class representative.
+multiplying to the identity and generating a transitive group.  The
+oracle fixes the largest class to one representative, lets the product
+determine the last factor, and chooses the others depth first from
+their conjugacy classes.  What a partial choice leaves open depends only
+on its product and the orbits it generates, and only up to relabelling
+the points, so each such state found dead is remembered and never
+entered again: the answer is exact and the work is bounded by the
+number of states, not by the product of the class sizes.
 
 Genus-0 components admit explicit realizations: a rational function is
 determined by its divisor up to scale, so exact values at query points
@@ -17,6 +22,7 @@ come from evaluating c * prod (z - a)^m / prod (z - b)^n.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -81,8 +87,41 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _class_size(d: int, ctype: tuple[int, ...]) -> int:
+    """d! / z_ctype, the number of permutations of the cycle type."""
+    size = math.factorial(d)
+    for length in set(ctype):
+        k = ctype.count(length)
+        size //= length ** k * math.factorial(k)
+    return size
+
+
+@lru_cache(maxsize=None)
 def _conjugacy_class(d: int, ctype: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(p for p in itertools.permutations(range(d)) if _cycle_type(p) == ctype)
+    """The permutations of cycle type ctype, in lexicographic order.
+
+    Each is built once: the cycle through the smallest unplaced point
+    takes one of the remaining lengths and an ordered choice of the
+    other points of the cycle."""
+    out = []
+    perm = list(range(d))
+
+    def place(free: tuple[int, ...], lengths: tuple[int, ...]):
+        if not free:
+            out.append(tuple(perm))
+            return
+        head, rest = free[0], free[1:]
+        for length in set(lengths):
+            left = list(lengths)
+            left.remove(length)
+            for tail in itertools.permutations(rest, length - 1):
+                cycle = (head, *tail)
+                for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                    perm[x] = y
+                place(tuple(x for x in rest if x not in tail), tuple(left))
+
+    place(tuple(range(d)), ctype)
+    return tuple(sorted(out))
 
 
 def _canonical_of_type(d: int, ctype: tuple[int, ...]) -> tuple[int, ...]:
@@ -97,36 +136,56 @@ def _canonical_of_type(d: int, ctype: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return out and tuple(out)
+def _join(blocks: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The partition ``blocks`` joined with the cycles of ``perm``; each
+    point is labelled by the least point of its block."""
+    labels = list(blocks)
+    for i, j in enumerate(perm):
+        a, b = labels[i], labels[j]
+        if a != b:
+            low, high = min(a, b), max(a, b)
+            labels = [low if x == high else x for x in labels]
+    return tuple(labels)
 
 
 def _transitive(perms: list[tuple[int, ...]], d: int) -> bool:
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    blocks = tuple(range(d))
     for p in perms:
-        for i in range(d):
-            a, b = find(i), find(p[i])
-            if a != b:
-                parent[a] = b
-    return len({find(i) for i in range(d)}) == 1
+        blocks = _join(blocks, p)
+    return set(blocks) == {0}
+
+
+def _shape(perm: tuple[int, ...], blocks: tuple[int, ...]) -> tuple:
+    """A permutation and an invariant partition up to simultaneous
+    relabelling: the sorted cycle types of the permutation on the blocks."""
+    seen = [False] * len(perm)
+    cycles: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        if not seen[i]:
+            n, j = 0, i
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                n += 1
+            cycles.setdefault(block, []).append(n)
+    return tuple(sorted(tuple(sorted(c)) for c in cycles.values()))
 
 
 def exists(problem: HurwitzProblem, cap: int = DEFAULT_DEGREE_CAP) -> bool:
     """Transitive permutation factorization of the identity with the given
-    cycle types.  Implies rh_check; refuses degrees beyond the cap."""
+    cycle types.  Implies rh_check; refuses degrees beyond the cap.
+
+    The largest class is fixed to one representative and the last factor
+    is determined by the others: it is the inverse of their product, so
+    it has that product's cycle type and adds nothing to the group they
+    generate.  The middle factors are chosen depth first.  A state is the
+    number of factors chosen, their product and the orbit partition they
+    generate, which is all a completion depends on; conjugating a state
+    does not change whether it completes, so states are kept up to
+    relabelling, and a state found dead is never entered again."""
     d = problem.degree
     if d > cap:
         raise DegreeCapExceeded(d, cap)
@@ -134,32 +193,31 @@ def exists(problem: HurwitzProblem, cap: int = DEFAULT_DEGREE_CAP) -> bool:
         return False
     if d == 1:
         return True
-    nontrivial = [p for p in problem.profiles if any(x > 1 for x in p)]
+    nontrivial = [p for p in problem.profiles if max(p) > 1]
     if not nontrivial:
         return False  # trivial monodromy is intransitive for d > 1
-    classes = sorted(nontrivial, key=lambda t: len(_conjugacy_class(d, t)))
+    classes = sorted(nontrivial, key=lambda t: _class_size(d, t))
     # fix the largest class canonically, determine the second largest
     first = classes[-1]
     rest = classes[:-1]
-    determined = rest.pop() if rest else None
+    determined = rest.pop() if rest else (1,) * d
     sigma1 = _canonical_of_type(d, first)
     pools = [_conjugacy_class(d, t) for t in rest]
-    for middle in itertools.product(*pools):
-        prod = sigma1
-        for m in middle:
-            prod = _compose(prod, m)
-        if determined is None:
-            if prod != tuple(range(d)):
-                continue
-            tup = [sigma1, *middle]
-        else:
-            last = _invert(prod)
-            if _cycle_type(last) != determined:
-                continue
-            tup = [sigma1, *middle, last]
-        if _transitive(tup, d):
-            return True
-    return False
+    dead: set = set()
+
+    def completes(i: int, prod: tuple[int, ...], blocks: tuple[int, ...]) -> bool:
+        if i == len(pools):
+            return _cycle_type(prod) == determined and not any(blocks)
+        state = (i, _shape(prod, blocks))
+        if state in dead:
+            return False
+        for m in pools[i]:
+            if completes(i + 1, _compose(prod, m), _join(blocks, m)):
+                return True
+        dead.add(state)
+        return False
+
+    return completes(0, sigma1, _join(tuple(range(d)), sigma1))
 
 
 class InfeasibleComponent(ValueError):

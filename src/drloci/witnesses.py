@@ -20,7 +20,6 @@ Anything else returns None and the caller downgrades the verdict to
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,23 +49,56 @@ class ComponentShape:
         return sum(self.poles.values())
 
 
-def _expand(roots: list[int]) -> list[Fraction]:
+def _times_root(coeffs: list[int], r: int) -> list[int]:
+    """(z - r) times the polynomial; low-degree coefficients first."""
+    return [a - r * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+
+
+def _expand(roots: list[int]) -> list[int]:
     """Monic polynomial with the given roots; low-degree coefficients first."""
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for r in roots:
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            new[i + 1] += c
-            new[i] -= Fraction(r) * c
-        coeffs = new
+        coeffs = _times_root(coeffs, r)
     return coeffs
 
 
-def _eval_poly(coeffs: list[Fraction], x: Fraction) -> Fraction:
+def _eval_poly(coeffs: list[int], x: Fraction) -> Fraction:
     out = Fraction(0)
     for c in reversed(coeffs):
         out = out * x + c
     return out
+
+
+def _root_tuples(mults: tuple[int, ...], bound: int):
+    """Distinct roots in [-bound, bound], one per multiplicity, in
+    lexicographic order, skipping tuples that only permute roots of equal
+    multiplicity: within each multiplicity the roots strictly increase, so
+    each polynomial prod (z - r_i)^{m_i} comes once, as the lexicographically
+    first tuple that gives it.  Yields (roots, coefficients)."""
+    n = len(mults)
+    if n == 0:
+        yield (), [1]
+        return
+    # the earlier position of the same multiplicity, whose root must be smaller
+    prev = [max((j for j in range(i) if mults[j] == mults[i]), default=-1)
+            for i in range(n)]
+    roots = [0] * n
+
+    def place(i: int, coeffs: list[int], used: frozenset):
+        lo = roots[prev[i]] + 1 if prev[i] >= 0 else -bound
+        for r in range(lo, bound + 1):
+            if r in used:
+                continue
+            roots[i] = r
+            c = coeffs
+            for _ in range(mults[i]):
+                c = _times_root(c, r)
+            if i + 1 == n:
+                yield tuple(roots), c
+            else:
+                yield from place(i + 1, c, used | {r})
+
+    yield from place(0, [1], frozenset())
 
 
 @lru_cache(maxsize=None)
@@ -74,25 +106,30 @@ def split_shift_pair(zero_mults: tuple[int, ...], fiber_mults: tuple[int, ...],
                      bound: int = 8) -> tuple[tuple[int, ...], tuple[int, ...], Fraction] | None:
     """Distinct integer root lists R, S such that the monic polynomials
     P = prod (z-R_i)^{zero_mults_i} and Q = prod (z-S_j)^{fiber_mults_j}
-    differ by a nonzero constant k = P - Q; returns (R, S, k)."""
+    differ by a nonzero constant k = P - Q; returns (R, S, k).
+
+    S is the lexicographically first root tuple in [-bound, bound] that
+    has a partner, and R the lexicographically first partner of S."""
     if sum(zero_mults) != sum(fiber_mults):
         return None
-    pool = range(-bound, bound + 1)
-    by_sig: dict[tuple, tuple[tuple[int, ...], list[Fraction]]] = {}
-    for roots in itertools.permutations(pool, len(zero_mults)):
-        expanded = [r for r, m in zip(roots, zero_mults) for _ in range(m)]
-        coeffs = _expand(expanded)
-        by_sig.setdefault(tuple(coeffs[1:]), (roots, coeffs))
-    for roots in itertools.permutations(pool, len(fiber_mults)):
-        expanded = [r for r, m in zip(roots, fiber_mults) for _ in range(m)]
-        coeffs = _expand(expanded)
+    # the fiber's signatures, when they are the fewer, bound the zero table
+    wanted = None
+    if len(fiber_mults) < len(zero_mults):
+        wanted = {tuple(c[1:]) for _, c in _root_tuples(fiber_mults, bound)}
+    # non-constant coefficients -> the first zero roots and constant term
+    by_sig: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    for roots, coeffs in _root_tuples(zero_mults, bound):
+        sig = tuple(coeffs[1:])
+        if wanted is None or sig in wanted:
+            by_sig.setdefault(sig, (roots, coeffs[0]))
+    for roots, coeffs in _root_tuples(fiber_mults, bound):
         hit = by_sig.get(tuple(coeffs[1:]))
         if hit is None:
             continue
-        zroots, zcoeffs = hit
-        k = zcoeffs[0] - coeffs[0]
+        zroots, zconst = hit
+        k = zconst - coeffs[0]
         if k != 0:
-            return zroots, roots, k
+            return zroots, roots, Fraction(k)
     return None
 
 

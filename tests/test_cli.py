@@ -75,6 +75,30 @@ def test_hurwitz_profile_count(capsys):
     assert len(doc["problem"]["profiles"]) == 6
 
 
+@pytest.mark.parametrize("extra", [
+    ["--profile", "2,x"],
+    ["--profile", "2,1", "--count", "x"],
+    ["--profile", "2,1", "--count", "0"],
+    ["--count", "2"],
+])
+def test_hurwitz_malformed_profile_or_count_exit_2(capsys, extra):
+    # exit 1 would read as a negative verdict
+    with pytest.raises(SystemExit) as exc:
+        main(["hurwitz", "--degree", "3", "--genus", "0", *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_hurwitz_cap_flag_overrides_env(capsys, monkeypatch):
+    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "2")
+    argv = ["hurwitz", "--degree", "3", "--genus", "0", "--profile", "3", "--profile", "3"]
+    code, doc = run(capsys, *argv)
+    assert code == 2 and doc["cap_hit"] is True and doc["exists"] is None
+    code, doc = run(capsys, *argv, "--cap", "3")
+    assert code == 0 and doc["cap_hit"] is False and doc["exists"] is True
+
+
 def test_check_closure_member(capsys, dollar_files):
     gpath, _ = dollar_files
     code, doc = run(capsys, "check-closure", "--graph", gpath, "--mu", "1,1,1,-3")
