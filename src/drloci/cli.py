@@ -7,10 +7,14 @@ keys are sorted and no timestamps or environment data are embedded.
 Exit codes: 0 for success or a positive verdict, 1 for a negative
 verdict, 2 for malformed input or internal errors.
 
+Usage errors that argparse detects print the same JSON error document
+on stderr as other malformed input.
+
 The Hurwitz degree cap can be set with the DRLOCI_HURWITZ_CAP
-environment variable; an explicit `hurwitz --cap` or `check-closure
---hurwitz-cap` overrides it.  `check-closure` also accepts `--bounds
-key=value` (max_degree, hurwitz_cap, level_cap).
+environment variable; an explicit `hurwitz --cap` overrides it.
+`check-closure` also accepts `--bounds key=value` (max_degree,
+hurwitz_cap, level_cap); its cap is, by increasing precedence, the
+environment variable, `--bounds hurwitz_cap=N`, then `--hurwitz-cap`.
 """
 
 from __future__ import annotations
@@ -37,6 +41,19 @@ SCHEMA_VERSION = 1
 
 class CliError(Exception):
     pass
+
+
+def _print_error(message: str) -> None:
+    print(json.dumps({"version": SCHEMA_VERSION, "error": message}, sort_keys=True),
+          file=sys.stderr)
+
+
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Reports usage errors as the JSON error document; subparsers inherit it."""
+
+    def error(self, message):
+        _print_error(f"{self.prog}: {message}")
+        self.exit(2)
 
 
 def _load_json(path: str) -> dict:
@@ -223,11 +240,13 @@ def cmd_cover(args) -> int:
 def cmd_check_closure(args) -> int:
     graph, _ = _load_graph(args.graph)
     mu = _mu(args.mu) if args.mu else graph.mu
-    bounds = SearchBounds.from_strings(args.bounds)
+    # later items win: the environment, then --bounds, then --hurwitz-cap
+    items = list(args.bounds)
+    if "DRLOCI_HURWITZ_CAP" in os.environ:
+        items.insert(0, f"hurwitz_cap={os.environ['DRLOCI_HURWITZ_CAP']}")
     if args.hurwitz_cap is not None:
-        bounds.hurwitz_cap = args.hurwitz_cap
-    elif "DRLOCI_HURWITZ_CAP" in os.environ:
-        bounds.hurwitz_cap = int(os.environ["DRLOCI_HURWITZ_CAP"])
+        items.append(f"hurwitz_cap={args.hurwitz_cap}")
+    bounds = SearchBounds.from_strings(items)
     certs = search(graph, mu, bounds)
     verdicts = [verify_certificate(graph, mu, c, bounds.hurwitz_cap) for c in certs]
     payload = {
@@ -250,7 +269,7 @@ def cmd_fixtures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="drloci",
         description="Exact membership tests for closures of double ramification loci")
     parser.add_argument("--pretty", action="store_true",
@@ -327,13 +346,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(json.dumps({"version": SCHEMA_VERSION, "error": str(exc)}, sort_keys=True),
-              file=sys.stderr)
-        return 2
-    except (EnumerationCapExceeded, TwistError, ValueError) as exc:
-        print(json.dumps({"version": SCHEMA_VERSION, "error": str(exc)}, sort_keys=True),
-              file=sys.stderr)
+    except (CliError, EnumerationCapExceeded, TwistError, ValueError) as exc:
+        _print_error(str(exc))
         return 2
 
 

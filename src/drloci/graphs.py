@@ -13,6 +13,7 @@ the level is cut in the middle.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,6 +58,23 @@ class MarkedDualGraph:
     @cached_property
     def edge_ends(self) -> dict[str, tuple[str, str]]:
         return {e: ends for e, ends in self.edges}
+
+    @cached_property
+    def neighbours(self) -> dict[str, tuple[str, ...]]:
+        """Far end of every half-edge at each vertex; a self-loop counts twice."""
+        out: dict[str, list[str]] = {v: [] for v in self.vertex_ids}
+        for _, (a, b) in self.edges:
+            out[a].append(b)
+            out[b].append(a)
+        return {v: tuple(ns) for v, ns in out.items()}
+
+    @cached_property
+    def leg_mus(self) -> dict[str, tuple[int, ...]]:
+        """Sorted mu-labels of the legs at each vertex."""
+        out: dict[str, list[int]] = {v: [] for v in self.vertex_ids}
+        for _, v, m in self.legs:
+            out[v].append(m)
+        return {v: tuple(sorted(ms)) for v, ms in out.items()}
 
     @cached_property
     def leg_info(self) -> dict[str, tuple[str, int]]:
@@ -319,27 +337,44 @@ def subcomplex_eq(graph: MarkedDualGraph, levels: LevelStructure, i: int) -> Lev
 
 def _vertex_colors(graph: MarkedDualGraph, levels: LevelStructure | None,
                    extra: dict[str, tuple] | None) -> dict[str, tuple]:
-    colors = {}
-    for v, g in graph.vertices:
-        mus = tuple(sorted(m for _, m in graph.legs_of(v)))
-        lv = levels.of[v] if levels else 0
-        colors[v] = (g, lv, mus, len(graph.edges_at(v)),
-                     extra.get(v, ()) if extra else ())
-    return colors
+    nbrs, mus = graph.neighbours, graph.leg_mus
+    return {v: (g, levels.of[v] if levels else 0, mus[v], len(nbrs[v]),
+                extra.get(v, ()) if extra else ())
+            for v, g in graph.vertices}
 
 
-def _refine(graph: MarkedDualGraph, colors: dict[str, tuple]) -> dict[str, tuple]:
+def _ranks(colors: dict) -> tuple[dict, int]:
+    """Each key's position among the sorted distinct values, and their count."""
+    index = {c: i for i, c in enumerate(sorted(set(colors.values())))}
+    return {v: index[c] for v, c in colors.items()}, len(index)
+
+
+def _refine(graph: MarkedDualGraph,
+            colors: dict[str, tuple]) -> tuple[int, dict[str, tuple], dict[str, int]]:
+    """Colour refinement: each round replaces the colour c of v by
+    (c, sorted colours of v's neighbours), until a round splits no class.
+
+    Returns the number of rounds, the colours (nested once per round) and
+    each vertex's rank among the sorted distinct colours.  A round sorts
+    (rank, sorted neighbour ranks), which orders the new colours as the
+    nested tuples would, so nested colours are never compared.
+    """
+    nbrs = graph.neighbours
+    rank, classes = _ranks(colors)
+    rounds = 0
     for _ in range(len(graph.vertices)):
-        new = {}
-        for v in graph.vertex_ids:
-            nb = sorted(colors[graph.edge_ends[e][1 - s]] for e, s in graph.edges_at(v))
-            new[v] = (colors[v], tuple(nb))
-        if len(set(new.values())) == len(set(colors.values())) and all(
-                (new[a] == new[b]) == (colors[a] == colors[b])
-                for a in graph.vertex_ids for b in graph.vertex_ids):
+        if classes == len(rank):  # discrete: nothing left to split
             break
-        colors = new
-    return colors
+        sig = {v: (r, tuple(sorted(rank[u] for u in nbrs[v]))) for v, r in rank.items()}
+        new, new_classes = _ranks(sig)
+        # each new class lies inside an old one: equal counts, equal partitions
+        if new_classes == classes:
+            break
+        colors = {v: (colors[v], tuple(colors[u] for u in sorted(nbrs[v], key=rank.get)))
+                  for v in rank}
+        rank, classes = new, new_classes
+        rounds += 1
+    return rounds, colors, rank
 
 
 def canonical_key(graph: MarkedDualGraph, levels: LevelStructure | None = None,
@@ -348,35 +383,37 @@ def canonical_key(graph: MarkedDualGraph, levels: LevelStructure | None = None,
 
     ``edge_data(edge_id, side) -> hashable`` attaches per-half-edge data
     (decorations) to the key; ``vertex_data(v) -> hashable`` likewise.
-    Brute force over color-respecting labelings; dual graphs in scope are
-    small, and color refinement collapses most symmetry up front.
+    The key is (refinement rounds, vertex row, edge row, leg row).  The
+    round count is an isomorphism invariant that also fixes how deeply the
+    colours in the vertex row are nested, so any two keys compare.
+    Brute force over the labelings that number the colour classes in
+    colour order; dual graphs in scope are small, and colour refinement
+    collapses most symmetry up front.  The vertex and leg rows are the same
+    under all these labelings (a class shares its colour, hence its legs),
+    so only the edge row is minimised.
     """
     extra = {v: (vertex_data(v),) for v in graph.vertex_ids} if vertex_data else None
-    colors = _refine(graph, _vertex_colors(graph, levels, extra))
-    classes: dict[tuple, list[str]] = {}
-    for v in graph.vertex_ids:
-        classes.setdefault(colors[v], []).append(v)
-    ordered_classes = [sorted(classes[c]) for c in sorted(classes)]
+    rounds, colors, rank = _refine(graph, _vertex_colors(graph, levels, extra))
+    classes: list[list[str]] = [[] for _ in set(rank.values())]
+    for v in sorted(graph.vertex_ids):
+        classes[rank[v]].append(v)
+    first = {v: i for i, v in enumerate(itertools.chain.from_iterable(classes))}
+    vrow = tuple((i, colors[v]) for v, i in first.items())
+    lrow = tuple(sorted((first[v], m) for _, v, m in graph.legs))
+    ends = [(a, b, edge_data(e, 0), edge_data(e, 1)) if edge_data else (a, b, (), ())
+            for e, (a, b) in graph.edges]
 
     best = None
-    for perms in itertools.product(*[itertools.permutations(c) for c in ordered_classes]):
-        label: dict[str, int] = {}
-        for cls in perms:
-            for v in cls:
-                label[v] = len(label)
-        vrow = tuple(sorted((label[v], colors[v]) for v in graph.vertex_ids))
+    for perms in itertools.product(*[itertools.permutations(c) for c in classes]):
+        label = {v: i for i, v in enumerate(itertools.chain.from_iterable(perms))}
         erow = []
-        for e, (a, b) in graph.edges:
-            d0 = edge_data(e, 0) if edge_data else ()
-            d1 = edge_data(e, 1) if edge_data else ()
-            s0 = (label[a], d0)
-            s1 = (label[b], d1)
-            erow.append(tuple(sorted((s0, s1))))
-        lrow = tuple(sorted((label[v], m) for _, v, m in graph.legs))
-        key = (vrow, tuple(sorted(erow)), lrow)
-        if best is None or key < best:
-            best = key
-    return best
+        for a, b, d0, d1 in ends:
+            s0, s1 = (label[a], d0), (label[b], d1)
+            erow.append((s1, s0) if s1 < s0 else (s0, s1))
+        erow = tuple(sorted(erow))
+        if best is None or erow < best:
+            best = erow
+    return rounds, vrow, best, lrow
 
 
 def isomorphic(a: MarkedDualGraph, b: MarkedDualGraph,
@@ -389,18 +426,75 @@ def isomorphic(a: MarkedDualGraph, b: MarkedDualGraph,
     return canonical_key(a, levels_a) == canonical_key(b, levels_b)
 
 
+def _automorphism_generators(graph: MarkedDualGraph) -> list[tuple[int, ...]]:
+    """Generators of the graph's vertex automorphisms: the permutations
+    preserving genus, the leg mu-labels at each vertex and the number of
+    edges between every two vertices, as index tuples over ``vertex_ids``.
+
+    For each vertex i and each later vertex j, one automorphism (if any)
+    that fixes the vertices before i and sends i to j.  These coset
+    representatives along the chain of pointwise stabilizers generate the
+    group.  Images are searched within the refined colour classes of the
+    graph, which every automorphism preserves.
+    """
+    vs = graph.vertex_ids
+    n = len(vs)
+    index = {v: i for i, v in enumerate(vs)}
+    mult = [[0] * n for _ in range(n)]
+    for _, (a, b) in graph.edges:
+        i, j = index[a], index[b]
+        mult[i][j] += 1
+        if i != j:
+            mult[j][i] += 1
+    _, _, rank = _refine(graph, _vertex_colors(graph, None, None))
+    color = [rank[v] for v in vs]
+
+    def fits(image: list[int], j: int) -> bool:
+        i = len(image)
+        return (color[j] == color[i] and j not in image and mult[j][j] == mult[i][i]
+                and all(mult[i][k] == mult[j][image[k]] for k in range(i)))
+
+    def extend(image: list[int]) -> tuple[int, ...] | None:
+        if len(image) == n:
+            return tuple(image)
+        for j in range(n):
+            if fits(image, j):
+                found = extend(image + [j])
+                if found is not None:
+                    return found
+        return None
+
+    gens = []
+    for i in range(n):
+        fixed = list(range(i))
+        for j in range(i + 1, n):
+            if fits(fixed, j):
+                perm = extend(fixed + [j])
+                if perm is not None:
+                    gens.append(perm)
+    return gens
+
+
 def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = None,
                                cap: int = 200_000) -> list[LevelStructure]:
     """All normalized level structures up to levelled-graph isomorphism.
 
     Candidates are the ordered set partitions of the vertex set (top class
-    first); deduplication is by canonical labeling respecting genus,
-    mu-labels and levels.  Deterministic order: sorted canonical keys.
+    first), walked in a fixed order.  Two candidates are isomorphic exactly
+    when a vertex automorphism of the graph maps one onto the other.  So
+    the first candidate reached in each automorphism orbit is kept, its
+    whole orbit is marked covered, and later members of the orbit are
+    skipped; every candidate still counts toward ``cap``.  Deterministic
+    order: sorted canonical keys, one computed per kept structure.
     """
     vs = list(graph.vertex_ids)
     limit = max_levels if max_levels is not None else len(vs)
+    index = {v: i for i, v in enumerate(vs)}
+    # a generator exists only with >= 2 vertices, so each getter returns a tuple
+    moves = [operator.itemgetter(*p) for p in _automorphism_generators(graph)]
 
-    seen: dict[tuple, LevelStructure] = {}
+    covered: set[tuple[int, ...]] = set()
+    kept: dict[tuple, LevelStructure] = {}
     count = 0
 
     def assign(remaining: list[str], classes: list[tuple[str, ...]]):
@@ -408,17 +502,28 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
         if not remaining:
             if not classes:
                 return
-            mapping = {}
-            for depth, cls in enumerate(classes):
-                for v in cls:
-                    mapping[v] = -depth
             count += 1
             if count > cap:
                 raise EnumerationCapExceeded(cap)
-            ls = LevelStructure.build(mapping)
-            key = canonical_key(graph, ls)
-            if key not in seen:
-                seen[key] = ls
+            level = [0] * len(vs)
+            for depth, cls in enumerate(classes):
+                for v in cls:
+                    level[index[v]] = -depth
+            level = tuple(level)
+            if level in covered:
+                return
+            # earlier orbits are closed, so an image already covered is in this one
+            covered.add(level)
+            frontier = [level]
+            while frontier:
+                current = frontier.pop()
+                for move in moves:
+                    image = move(current)
+                    if image not in covered:
+                        covered.add(image)
+                        frontier.append(image)
+            ls = LevelStructure.build(dict(zip(vs, level)))
+            kept.setdefault(canonical_key(graph, ls), ls)
             return
         if len(classes) == limit:
             return
@@ -429,4 +534,4 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
                 assign(rest, classes + [subset])
 
     assign(vs, [])
-    return [seen[k] for k in sorted(seen)]
+    return [kept[k] for k in sorted(kept)]

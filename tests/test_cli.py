@@ -87,7 +87,8 @@ def test_hurwitz_malformed_profile_or_count_exit_2(capsys, extra):
         main(["hurwitz", "--degree", "3", "--genus", "0", *extra])
     assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "error:" in captured.err
+    assert captured.out == ""
+    assert json.loads(captured.err)["version"] == 1
 
 
 def test_hurwitz_cap_flag_overrides_env(capsys, monkeypatch):
@@ -189,3 +190,47 @@ def test_byte_identical_output(capsys, dollar_files):
     main(["ev", "--all", "--graph", gpath, "--decoration", dpath])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_check_closure_on_stable_4_cycle_is_a_verdict(capsys, tmp_path):
+    # colour refinement runs 0 or 1 rounds on its level structures, whose
+    # keys once failed to sort: exit 1 with a traceback
+    doc = {
+        "vertices": [{"id": v, "genus": 0} for v in "abcd"],
+        "edges": [{"id": f"e{i}", "ends": [a, b]}
+                  for i, (a, b) in enumerate(["ab", "bc", "cd", "da"])],
+        "legs": [{"id": l, "vertex": v, "mu": m}
+                 for l, v, m in [("z", "a", 1), ("p", "b", -1), ("x", "c", 0), ("y", "d", 0)]],
+    }
+    p = tmp_path / "cycle4.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, "check-closure", "--graph", str(p))
+    assert code in (0, 1)
+    assert out["member"] == ("yes" if code == 0 else "no-within-bounds")
+
+
+def test_check_closure_bounds_cap_overrides_env(capsys, dollar_files, monkeypatch):
+    gpath, _ = dollar_files
+    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "6")
+    code, doc = run(capsys, "check-closure", "--graph", gpath, "--bounds", "hurwitz_cap=2")
+    comps = [c for cert in doc["certificates"] for c in cert["components"].values()]
+    assert comps and all(c["cap_hit"] is True for c in comps)
+    code, doc = run(capsys, "check-closure", "--graph", gpath, "--bounds", "hurwitz_cap=2",
+                    "--hurwitz-cap", "6")
+    comps = [c for cert in doc["certificates"] for c in cert["components"].values()]
+    assert comps and all(c["cap_hit"] is False for c in comps)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hurwitz", "--genus", "0", "--profile", "2,1"],
+    ["no-such-command"],
+    [],
+], ids=["missing_degree", "unknown_command", "no_command"])
+def test_usage_errors_are_json(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    doc = json.loads(captured.err)
+    assert doc["version"] == 1 and doc["error"].startswith("drloci")

@@ -1,0 +1,200 @@
+"""Level-structure enumeration by automorphism orbits against the plain
+enumeration in plain_levels, and against a Burnside count.
+
+``enumerate_level_structures`` must return the very list the plain
+enumeration returns, in the same order: ``search`` walks it, so its order
+decides which certificate is kept per isomorphism class.  Where the plain
+enumeration raises ``TypeError`` (keys of mixed nesting depth), the new
+one is checked against the Burnside count alone.
+"""
+
+import itertools
+import random
+from collections import Counter
+from math import comb
+
+import pytest
+
+from drloci import closure, graphs
+from drloci.fixtures import FIXTURES, load_graph
+from drloci.graphs import (EnumerationCapExceeded, MarkedDualGraph, canonical_key,
+                           enumerate_level_structures)
+
+import plain_levels
+from randgen import random_connected_graph
+
+GRAPH_FIXTURES = sorted(name for name, fx in FIXTURES.items() if "graph" in fx)
+
+
+def ordered_partitions(n: int, limit: int) -> int:
+    """Ordered set partitions of an n-set into at most ``limit`` blocks."""
+    # surjections onto j blocks, by inclusion-exclusion
+    return sum(sum((-1) ** i * comb(j, i) * (j - i) ** n for i in range(j + 1))
+               for j in range(1, min(n, limit) + 1))
+
+
+def burnside_count(graph: MarkedDualGraph, max_levels: int | None = None) -> int:
+    """Level structures up to isomorphism: the average, over the vertex
+    permutations preserving genus, leg mu-labels and edge multiplicities,
+    of the number of level functions each one fixes."""
+    vs = graph.vertex_ids
+    limit = max_levels or len(vs)
+    color = {v: (graph.genus_of[v], sorted(m for _, m in graph.legs_of(v))) for v in vs}
+    mult = Counter(frozenset(ends) for _, ends in graph.edges)
+    fixed = group = 0
+    for image in itertools.permutations(vs):
+        sigma = dict(zip(vs, image))
+        if any(color[v] != color[sigma[v]] for v in vs):
+            continue
+        if any(mult[frozenset(sigma[x] for x in pair)] != c for pair, c in mult.items()):
+            continue
+        group += 1
+        seen, cycles = set(), 0
+        for v in vs:
+            cycles += v not in seen
+            while v not in seen:
+                seen.add(v)
+                v = sigma[v]
+        fixed += ordered_partitions(cycles, limit)
+    assert fixed % group == 0
+    return fixed // group
+
+
+def random_graphs(seed: int, count: int, max_vertices: int):
+    rng = random.Random(seed)
+    return [random_connected_graph(rng, max_vertices=max_vertices) for _ in range(count)]
+
+
+def assert_same_enumeration(graph, **kwargs):
+    try:
+        want = plain_levels.enumerate_level_structures(graph, **kwargs)
+    except TypeError:
+        want = None
+    got = enumerate_level_structures(graph, **kwargs)
+    if want is not None:
+        assert got == want
+    assert len(got) == burnside_count(graph, kwargs.get("max_levels"))
+    return want is not None
+
+
+@pytest.mark.parametrize("name", GRAPH_FIXTURES)
+def test_same_structures_on_fixtures(name):
+    assert assert_same_enumeration(load_graph(name))
+
+
+def test_same_structures_on_random_graphs():
+    compared = sum(assert_same_enumeration(g) for g in random_graphs(11, 40, 5))
+    six = [g for g in random_graphs(12, 40, 6) if len(g.vertices) == 6][:4]
+    compared += sum(assert_same_enumeration(g) for g in six)
+    assert compared >= 30
+
+
+def test_same_structures_under_max_levels():
+    graphs_ = [load_graph(name) for name in GRAPH_FIXTURES] + random_graphs(13, 15, 5)
+    for graph in graphs_:
+        for max_levels in (1, 2, 3):
+            assert_same_enumeration(graph, max_levels=max_levels)
+
+
+def complete(n: int, genera=None) -> MarkedDualGraph:
+    genera = genera or [0] * n
+    return MarkedDualGraph.build(
+        [(f"v{i}", genera[i]) for i in range(n)],
+        [(f"e{i}{j}", (f"v{i}", f"v{j}")) for i in range(n) for j in range(i + 1, n)])
+
+
+@pytest.mark.parametrize("graph", [complete(4), complete(5, [0, 0, 1, 1, 1]),
+                                   load_graph("theta"), load_graph("level_dependence")],
+                         ids=["complete4", "complete5_two_genera", "theta", "level_dependence"])
+def test_cap_counts_every_candidate(graph):
+    # the cap counts candidates, covered or not, exactly as the plain walk does
+    for cap in range(1, 80):
+        try:
+            want = plain_levels.enumerate_level_structures(graph, cap=cap)
+        except EnumerationCapExceeded:
+            with pytest.raises(EnumerationCapExceeded):
+                enumerate_level_structures(graph, cap=cap)
+        else:
+            assert enumerate_level_structures(graph, cap=cap) == want
+
+
+def test_one_canonical_key_per_structure(monkeypatch):
+    calls = []
+
+    def counting_key(*args, **kwargs):
+        calls.append(args)
+        return canonical_key(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "canonical_key", counting_key)
+    shapes = [complete(5), load_graph("level_dependence"), load_graph("theta"),
+              MarkedDualGraph.build([(f"v{i}", 0) for i in range(6)],
+                                    [(f"e{i}", ("v0", f"v{i}")) for i in range(1, 6)])]
+    for graph in shapes + random_graphs(14, 20, 5):
+        calls.clear()
+        found = enumerate_level_structures(graph)
+        assert len(calls) == len(found)
+
+
+def test_canonical_key_is_round_count_then_plain_key():
+    for graph in [load_graph(name) for name in GRAPH_FIXTURES] + random_graphs(15, 20, 5):
+        for levels in enumerate_level_structures(graph)[:6]:
+            key = canonical_key(graph, levels)
+            assert key[1:] == plain_levels.canonical_key(graph, levels)
+            # the round count is how deeply the vertex colours are nested
+            color, depth = key[1][0][1], 0
+            while len(color) == 2:
+                color, depth = color[0], depth + 1
+            assert depth == key[0]
+
+
+def test_certificate_keys_extend_plain_keys(monkeypatch):
+    graph = load_graph("dollar_unmarked_zeros")
+    certs = closure.search(graph)
+    assert certs
+    keys = [c.key(graph) for c in certs]
+    monkeypatch.setattr(closure, "canonical_key", plain_levels.canonical_key)
+    assert [k[1:] for k in keys] == [c.key(graph) for c in certs]
+
+
+def test_relabeled_copy_enumerates_isomorphic_structures():
+    rng = random.Random(16)
+    for graph in random_graphs(16, 10, 5):
+        names = {v: f"w{i}" for i, v in enumerate(rng.sample(graph.vertex_ids, len(graph.vertices)))}
+        copy = MarkedDualGraph.build(
+            [(names[v], g) for v, g in graph.vertices],
+            [(e, (names[a], names[b])) for e, (a, b) in graph.edges],
+            [(l, names[v], m) for l, v, m in graph.legs])
+        mine = [canonical_key(graph, ls) for ls in enumerate_level_structures(graph)]
+        theirs = [canonical_key(copy, ls) for ls in enumerate_level_structures(copy)]
+        assert mine == theirs
+
+
+# Colour refinement runs a different number of rounds for different level
+# structures of these graphs; the plain enumeration then compares keys of
+# mixed nesting depth and raises TypeError.
+
+
+def chain(n: int, genus: int = 0, cycle: bool = False, legs=()) -> MarkedDualGraph:
+    return MarkedDualGraph.build(
+        [(f"v{i}", genus) for i in range(n)],
+        [(f"e{i}", (f"v{i}", f"v{(i + 1) % n}")) for i in range(n if cycle else n - 1)],
+        legs)
+
+
+@pytest.mark.parametrize("cycle", [True, False], ids=["cycle", "path"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_genus0_cycles_and_paths(n, cycle):
+    graph = chain(n, cycle=cycle)
+    assert len(enumerate_level_structures(graph)) == burnside_count(graph)
+
+
+@pytest.mark.parametrize("graph", [
+    chain(4, 1, cycle=True),
+    chain(4, 1),
+    chain(4, 1, cycle=True, legs=[("z", "v0", 1), ("p", "v0", -1)]),
+    chain(5, 1, legs=[("z", "v2", 1), ("p", "v2", -1)]),
+], ids=["cycle4", "path4", "cycle4_legs_on_one_vertex", "path5_legs_in_the_middle"])
+def test_genus1_chains_enumerate_and_search(graph):
+    assert len(enumerate_level_structures(graph)) == burnside_count(graph)
+    if graph.legs:
+        assert closure.search(graph) == []
