@@ -76,6 +76,14 @@ def _load_graph(path: str) -> tuple[MarkedDualGraph, LevelStructure | None]:
     return graph, levels
 
 
+def _load_decoration(path: str, kind=TwrDecoration):
+    doc = _load_json(path)
+    try:
+        return kind.from_json(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CliError(f"malformed decoration document {path}: {exc}") from exc
+
+
 def _require_levels(levels: LevelStructure | None, args) -> LevelStructure:
     if getattr(args, "levels", None):
         return LevelStructure.from_json(json.loads(args.levels))
@@ -108,6 +116,9 @@ def cmd_validate(args) -> int:
 
 def cmd_levels(args) -> int:
     graph, _ = _load_graph(args.graph)
+    report = validate(graph)
+    if not report.ok:
+        raise CliError(f"invalid graph: {report.errors}")
     structures = enumerate_level_structures(graph, max_levels=args.max_levels)
     _emit({"command": "levels", "count": len(structures),
            "structures": [s.to_json() for s in structures]}, args)
@@ -117,7 +128,7 @@ def cmd_levels(args) -> int:
 def cmd_ev(args) -> int:
     graph, levels = _load_graph(args.graph)
     levels = _require_levels(levels, args)
-    dec = TwrDecoration.from_json(_load_json(args.decoration)) if args.decoration else None
+    dec = _load_decoration(args.decoration) if args.decoration else None
     system = evaluation_system(graph, levels, dec)
     blocks = system.to_json()
     if not args.all:
@@ -132,7 +143,7 @@ def cmd_ev(args) -> int:
 def cmd_constraints(args) -> int:
     graph, levels = _load_graph(args.graph)
     levels = _require_levels(levels, args)
-    dec = TwrDecoration.from_json(_load_json(args.decoration)) if args.decoration else None
+    dec = _load_decoration(args.decoration) if args.decoration else None
     system = evaluation_system(graph, levels, dec)
     space = system.solution_space()
     from .exact import format_rational
@@ -154,7 +165,7 @@ def cmd_constraints(args) -> int:
 def cmd_twist(args) -> int:
     graph, levels = _load_graph(args.graph)
     levels = _require_levels(levels, args)
-    dec = TwrDecoration.from_json(_load_json(args.decoration))
+    dec = _load_decoration(args.decoration)
     result = twist(graph, levels, dec)
     _emit({"command": "twist", **result.to_json()}, args)
     return 0
@@ -163,7 +174,7 @@ def cmd_twist(args) -> int:
 def cmd_stabilize(args) -> int:
     graph, levels = _load_graph(args.graph)
     levels = _require_levels(levels, args)
-    dec = TwdrDecoration.from_json(_load_json(args.decoration))
+    dec = _load_decoration(args.decoration, TwdrDecoration)
     report = validate_twdr(graph, levels, dec)
     if not report.ok:
         raise CliError(f"decoration is not fully marked and valid: {report.violations}")

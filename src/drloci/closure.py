@@ -5,21 +5,28 @@ structure carries an inequality-form decoration whose evaluation system
 vanishes identically, with every component's ramification data realizable.
 The search computes each quantity once, at the stage it depends on:
 
-1. Per normalized level structure, the admissible half-edge order
-   assignments within degree bounds (poles only on strictly lower ends,
-   order sums >= -2, per-vertex divisor balance and order deficit).  The
-   cuts of ``_decorations`` drop only branches without an admissible
-   completion, so candidates arrive in the order of the plain enumeration
-   and the certificate kept per isomorphism class does not change.
-2. Per zero pattern (which node preimages are nodal zeros), the exact
-   solution space of the evaluation system and the test that no regular
-   node value is forced to zero.  Pole sites sit on the lower ends of
-   vertical edges, which the level restriction never evaluates, so the
-   system reads a decoration only through its zero marks.
-3. Per candidate, the forced value coincidences, compiled into
-   per-component Hurwitz problems; each distinct problem is decided once
-   per search.  Genus-0-only candidates are upgraded to exact
-   certificates when explicit rational witnesses exist.
+1. Per normalized level structure, the zero patterns (which node
+   preimages are nodal zeros) that some admissible order assignment
+   completes (poles only on strictly lower ends, order sums >= -2,
+   per-vertex divisor balance and order deficit), and the level
+   filtration.
+2. Per zero pattern, the exact solution space of the evaluation system,
+   the test that no regular node value is forced to zero, and the column
+   of every constrained site: two sites are forced equal exactly when
+   their columns are equal.  Pole sites sit on the lower ends of vertical
+   edges, which the level restriction never evaluates, so the system
+   reads a decoration only through its zero pattern.
+3. Per pattern, the orders are placed edge by edge; as soon as the last
+   half-edge of a vertex is placed, its component is compiled into a
+   Hurwitz problem (kept per vertex and local orders) and the branch is
+   cut when the component is infeasible, fails Riemann-Hurwitz, or does
+   not exist.  Each distinct problem is decided once per search; a
+   problem beyond the degree cap does not cut.
+4. Per isomorphism class, the candidate of least rank (level structure
+   index, then per edge in graph order the index of its option) is
+   kept, so the traversal order does not change the result.  Genus-0-only
+   representatives are upgraded to exact certificates when explicit
+   rational witnesses exist.
 
 Every candidate the enumeration yields passes ``validate_twr`` by
 construction, except on a lone vertex without half-edges, whose missing
@@ -36,12 +43,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .decorations import TwrDecoration, site_key, validate_twr
 from .exact import AffineSubspace, format_rational
 from .graphs import (LevelStructure, MarkedDualGraph, canonical_key,
                      enumerate_level_structures, half_edge_id, validate)
-from .homology import evaluation_system
+from . import homology
+from .homology import LevelFiltration, evaluation_system
 from .hurwitz import (DegreeCapExceeded, Genus0Realization, HurwitzProblem,
                       InfeasibleComponent, component_problem, exists, rh_check)
 from .witnesses import ComponentShape, realize_component
@@ -83,15 +92,7 @@ class ClosureCertificate:
     notes: list[str] = field(default_factory=list)
 
     def key(self, graph: MarkedDualGraph) -> tuple:
-        dec = self.decoration
-
-        def edge_data(e, s):
-            hid = half_edge_id(e, s)
-            o, p = dec.order_of[hid]
-            v = graph.edge_ends[e][s]
-            return (o, p, dec.is_zero_site(v, hid))
-
-        return canonical_key(graph, self.levels, edge_data=edge_data)
+        return _decoration_key(graph, self.levels, self.decoration)
 
     def to_json(self) -> dict:
         return {
@@ -146,24 +147,55 @@ def _edge_options(graph: MarkedDualGraph, levels: LevelStructure, e: str,
     return opts
 
 
-def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
-                 max_deg: int):
-    """All admissible decorations as (orders, zero marks), edge by edge.
+class _Step(NamedTuple):
+    """One edge of the walk: its end vertices and half-edges, the
+    half-edges still open at each end after it (all, and possible poles),
+    its options per zero-flag pair grouped by first side, the vertices it
+    closes, and the vertices a completion from it on depends on."""
 
-    Per vertex the enumeration tracks the pole mass P and the zero mass Z
-    (legs included), the order sum O (a leg of mu m counts m - 1), the
-    half-edges still open, and how many of those can still be poles (the
-    lower ends of vertical edges).  Regular orders are >= 0 and a pole of
-    mass m adds -(m+1) to O, so a vertex can no longer close, and the
-    branch is cut, when P > max_deg or Z > max_deg; when no pole can come
-    and P < 1, Z > P or O > 2g-2; when poles can still come but even the
-    remaining pole budget B = max_deg - P spent on min(open poles, B)
-    poles leaves O - B - min(open poles, B) > 2g-2; and, once closed,
-    when a vertex with a marked zero has Z != P.  Each cut removes only
-    branches without an admissible completion, so the yields, and their
-    order, are those of the plain product over edges in graph order.
+    a: int
+    b: int
+    h0: str
+    h1: str
+    open_a: tuple[int, int]
+    open_b: tuple[int, int]
+    by_flags: dict[tuple[bool, bool], list]
+    closing: list[str]
+    still: tuple[int, ...]
+
+
+def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
+                 max_deg: int, judge_of=None):
+    """All admissible decorations, zero pattern by zero pattern.
+
+    Yields (rank, orders, zero marks, judge).  The rank is the tuple, over
+    edges in graph order, of the chosen option's index in
+    ``_edge_options``, so sorting by rank gives the plain enumeration's
+    order.
+
+    Edges are placed one by one.  Per vertex the walk tracks the pole mass
+    P and the zero mass Z (legs included), the order sum O (a leg of mu m
+    counts m - 1), the half-edges still open, and how many of those can
+    still be poles (the lower ends of vertical edges).  Regular orders are
+    >= 0 and a pole of mass m adds -(m+1) to O, so a vertex can no longer
+    close, and the branch is cut, when P > max_deg or Z > max_deg; when no
+    pole can come and P < 1, Z > P or O > 2g-2; when poles can still come
+    but even the remaining pole budget B = max_deg - P spent on
+    min(open poles, B) poles leaves O - B - min(open poles, B) > 2g-2;
+    and, once closed, when a vertex with a marked zero has Z != P.
+
+    First, the zero patterns (which node preimages are nodal zeros) that
+    have an admissible completion are collected: per edge and state of
+    the vertices still open, the suffixes of zero flags that complete it.
+    Then, pattern by pattern, the orders are placed over the options
+    matching the pattern, entering only states that complete it.
+    ``judge_of``, when given, maps a pattern to its judge, or to None to
+    skip the pattern; a branch is cut when ``judge.verdict(v, orders)``
+    is None as the last half-edge of v is placed.  A vertex without
+    half-edges is judged at the leaf.
     """
-    index = {v: i for i, v in enumerate(graph.vertex_ids)}
+    vids = graph.vertex_ids
+    index = {v: i for i, v in enumerate(vids)}
     n = len(index)
     top = [2 * g - 2 for _, g in graph.vertices]
     pole_mass, zero_mass, order_sum = [0] * n, [0] * n, [0] * n
@@ -179,7 +211,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
 
     def side(opt: tuple[int, bool, bool]):
         o, pole, zmark = opt
-        return (o, pole), zmark, o, -o - 1 if pole else 0, o + 1 if zmark else 0
+        return (o, pole), o, -o - 1 if pole else 0, o + 1 if zmark else 0
 
     # walking the edges backwards, count per vertex the half-edges on the
     # edges placed after the current one, and how many of them can be poles
@@ -187,14 +219,25 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
     plan = []
     for e, (a, b) in reversed(graph.edges):
         ia, ib = index[a], index[b]
-        options = [(side(s0), side(s1)) for s0, s1 in _edge_options(graph, levels, e, max_deg)]
-        plan.append((ia, ib, half_edge_id(e, 0), half_edge_id(e, 1),
-                     (later_all[ia], later_poles[ia]), (later_all[ib], later_poles[ib]), options))
+        # per zero-flag pair, the options grouped by their first side
+        by_flags: dict[tuple[bool, bool], dict] = {}
+        for j, (s0, s1) in enumerate(_edge_options(graph, levels, e, max_deg)):
+            firsts = by_flags.setdefault((s0[2], s1[2]), {})
+            if s0 not in firsts:
+                firsts[s0] = (side(s0), [])
+            firsts[s0][1].append((j, side(s1)))
+        by_flags = {pair: list(firsts.values()) for pair, firsts in by_flags.items()}
+        closing = [vids[i] for i in dict.fromkeys((ia, ib)) if later_all[i] == 0]
+        open_a, open_b = (later_all[ia], later_poles[ia]), (later_all[ib], later_poles[ib])
         later_all[ia] += 1
         later_all[ib] += 1
+        still = tuple(i for i in range(n) if later_all[i])
+        plan.append(_Step(ia, ib, half_edge_id(e, 0), half_edge_id(e, 1), open_a, open_b,
+                          by_flags, closing, still))
         if levels.of[a] != levels.of[b]:
             later_poles[ib if levels.of[a] > levels.of[b] else ia] += 1
     plan.reverse()
+    idle = [v for v in vids if later_all[index[v]] == 0]
 
     def viable(i: int, still_open: tuple[int, int]) -> bool:
         p, z, o = pole_mass[i], zero_mass[i], order_sum[i]
@@ -208,39 +251,71 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
             return False
         return n_open > 0 or z == p or not marked[i]
 
-    orders: dict[str, tuple[int, bool]] = {}
-    zero_marks: set[str] = set()
-
-    def rec(k: int):
-        if k == len(plan):
-            yield dict(orders), set(zero_marks)
-            return
-        a, b, h0, h1, open_a, open_b, options = plan[k]
-        for (e0, z0, do0, dp0, dz0), (e1, z1, do1, dp1, dz1) in options:
+    def place(k: int, options):
+        """Apply each viable option of edge k in turn, yielding it.  The
+        first side is checked once for all its second sides, unless both
+        sides sit on one vertex."""
+        a, b, open_a, open_b = plan[k].a, plan[k].b, plan[k].open_a, plan[k].open_b
+        for (e0, do0, dp0, dz0), seconds in options:
             order_sum[a] += do0
             pole_mass[a] += dp0
             zero_mass[a] += dz0
-            order_sum[b] += do1
-            pole_mass[b] += dp1
-            zero_mass[b] += dz1
-            if viable(a, open_a) and (a == b or viable(b, open_b)):
-                orders[h0] = e0
-                orders[h1] = e1
-                if z0:
-                    zero_marks.add(h0)
-                if z1:
-                    zero_marks.add(h1)
-                yield from rec(k + 1)
-                zero_marks.discard(h0)
-                zero_marks.discard(h1)
+            if a == b or viable(a, open_a):
+                for j, (e1, do1, dp1, dz1) in seconds:
+                    order_sum[b] += do1
+                    pole_mass[b] += dp1
+                    zero_mass[b] += dz1
+                    if viable(b, open_b):
+                        yield j, e0, e1
+                    order_sum[b] -= do1
+                    pole_mass[b] -= dp1
+                    zero_mass[b] -= dz1
             order_sum[a] -= do0
             pole_mass[a] -= dp0
             zero_mass[a] -= dz0
-            order_sum[b] -= do1
-            pole_mass[b] -= dp1
-            zero_mass[b] -= dz1
 
-    yield from rec(0)
+    memo: dict[tuple, frozenset] = {}
+
+    def completions(k: int) -> frozenset:
+        """Zero-flag suffixes, from edge k on, that complete the state."""
+        if k == len(plan):
+            return frozenset([()])
+        key = (k, *((pole_mass[i], zero_mass[i], order_sum[i]) for i in plan[k].still))
+        if key not in memo:
+            out = set()
+            for pair, options in plan[k].by_flags.items():
+                rests = set()
+                for _ in place(k, options):
+                    rests |= completions(k + 1)
+                out.update((pair, *rest) for rest in rests)
+            memo[key] = frozenset(out)
+        return memo[key]
+
+    for flags in sorted(completions(0)):
+        zero_marks = frozenset(h for step, pair in zip(plan, flags)
+                               for h, z in zip((step.h0, step.h1), pair) if z)
+        judge = judge_of(zero_marks) if judge_of is not None else None
+        if judge_of is not None and judge is None:
+            continue
+        orders: dict[str, tuple[int, bool]] = {}
+        choice = [0] * len(plan)
+
+        def rec(k: int):
+            if k == len(plan):
+                if judge is None or all(judge.verdict(v, orders) for v in idle):
+                    yield tuple(choice), dict(orders), zero_marks, judge
+                return
+            step, rest = plan[k], flags[k + 1:]
+            for j, e0, e1 in place(k, step.by_flags[flags[k]]):
+                if rest not in completions(k + 1):
+                    continue
+                orders[step.h0] = e0
+                orders[step.h1] = e1
+                choice[k] = j
+                if judge is None or all(judge.verdict(v, orders) for v in step.closing):
+                    yield from rec(k + 1)
+
+        yield from rec(0)
 
 
 def _free_sites(graph: MarkedDualGraph, dec: TwrDecoration) -> list[str]:
@@ -254,8 +329,8 @@ def _free_sites(graph: MarkedDualGraph, dec: TwrDecoration) -> list[str]:
     return out
 
 
-def _solution_space(graph: MarkedDualGraph, levels: LevelStructure,
-           dec: TwrDecoration) -> AffineSubspace | None:
+def _solution_space(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecoration,
+                    filtration: LevelFiltration | None = None) -> AffineSubspace | None:
     """Solution space of the evaluation system; None when it is inconsistent
     or forces a regular node value to zero (a different stratum).
 
@@ -263,29 +338,25 @@ def _solution_space(graph: MarkedDualGraph, levels: LevelStructure,
     lower ends of vertical edges, which the level restriction never
     evaluates, so every symbol of the system is a free site.
     """
-    space = evaluation_system(graph, levels, dec).solution_space()
+    space = evaluation_system(graph, levels, dec, filtration=filtration).solution_space()
     if space is None or any(space.forces_value(s) == 0 for s in space.symbols):
         return None
     return space
 
 
-def _forced_groups(free_sites: list[str], space: AffineSubspace) -> list[list[str]]:
-    """Partition of the free node-value sites into forced-equal groups."""
-    parent = {s: s for s in free_sites}
+def _columns(space: AffineSubspace) -> dict[str, tuple[Fraction, ...]]:
+    return {s: space.column(s) for s in space.symbols}
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    constrained = set(space.symbols)
-    for s1, s2 in itertools.combinations(free_sites, 2):
-        if s1 in constrained and s2 in constrained and space.forces_equal(s1, s2):
-            parent[find(s1)] = find(s2)
-    groups: dict[str, list[str]] = {}
+def _forced_groups(free_sites: list[str], columns: dict[str, tuple]) -> list[list[str]]:
+    """Partition of the free node-value sites into forced-equal groups.
+
+    Constrained sites are forced equal exactly when their ``columns``
+    are equal; every other free site is a group of its own.
+    """
+    groups: dict[object, list[str]] = {}
     for s in free_sites:
-        groups.setdefault(find(s), []).append(s)
+        groups.setdefault(columns.get(s, s), []).append(s)
     return sorted(sorted(g) for g in groups.values())
 
 
@@ -379,40 +450,112 @@ def _attempt_witnesses(graph: MarkedDualGraph, dec: TwrDecoration,
     return None
 
 
-def _component_verdicts(graph: MarkedDualGraph, dec: TwrDecoration,
-                        groups: list[list[str]], cap: int,
-                        decided: dict[HurwitzProblem, bool | None]) -> dict[str, dict] | None:
-    """Per-component oracle verdicts, or None when some component fails.
+def _component_verdict(graph: MarkedDualGraph, dec: TwrDecoration, v: str,
+                       groups: list[list[str]], cap: int,
+                       decided: dict[HurwitzProblem, bool | None]) -> dict | None:
+    """Oracle verdict of one component, or None when it fails.
 
     ``decided`` memoizes ``exists`` under ``cap`` (None: cap exceeded); the
     caller owns it and must not share it across caps.
     """
-    out: dict[str, dict] = {}
-    for v, _ in graph.vertices:
+    try:
+        problem = component_problem(graph, dec, v, groups)
+    except InfeasibleComponent:
+        return None
+    ok_rh = rh_check(problem)
+    if not ok_rh:
+        return None
+    if problem not in decided:
         try:
-            problem = component_problem(graph, dec, v, groups)
-        except InfeasibleComponent:
-            return None
-        ok_rh = rh_check(problem)
-        if not ok_rh:
-            return None
-        if problem not in decided:
-            try:
-                decided[problem] = exists(problem, cap)
-            except DegreeCapExceeded:
-                decided[problem] = None
-        verdict = decided[problem]
-        if verdict is False:
-            return None
-        out[v] = {"problem": problem, "rh": ok_rh, "exists": verdict,
-                  "cap_hit": verdict is None}
-    return out
+            decided[problem] = exists(problem, cap)
+        except DegreeCapExceeded:
+            decided[problem] = None
+    verdict = decided[problem]
+    if verdict is False:
+        return None
+    return {"problem": problem, "rh": ok_rh, "exists": verdict, "cap_hit": verdict is None}
+
+
+class _PatternJudge:
+    """Solution space and component verdicts of one zero pattern.
+
+    A component's verdict depends only on its own half-edge orders and on
+    the pattern's columns, so it is kept per (vertex, local orders).
+    """
+
+    def __init__(self, graph: MarkedDualGraph, space: AffineSubspace,
+                 zero_marks: frozenset[str], zero_values: dict[str, Fraction],
+                 half_edges: dict[str, list[str]],
+                 cap: int, decided: dict[HurwitzProblem, bool | None]):
+        self.graph, self.space, self.columns = graph, space, _columns(space)
+        self.zero_marks, self.zero_values = zero_marks, zero_values
+        self.half_edges, self.cap, self.decided = half_edges, cap, decided
+        self.verdicts: dict[tuple, dict | None] = {}
+
+    def verdict(self, v: str, orders: dict[str, tuple[int, bool]]) -> dict | None:
+        """Oracle verdict of component v under ``orders``; None when it fails."""
+        hids = self.half_edges[v]
+        local = tuple(orders[h] for h in hids)
+        key = (v, local)
+        if key not in self.verdicts:
+            zeros = [h for h in hids if h in self.zero_marks]
+            dec = TwrDecoration.build(dict(zip(hids, local)),
+                                      {site_key(v, h): Fraction(0) for h in zeros})
+            free = [site_key(v, h) for h, (_, pole) in zip(hids, local)
+                    if not pole and h not in self.zero_marks]
+            groups = _forced_groups(free, self.columns)
+            self.verdicts[key] = _component_verdict(self.graph, dec, v, groups,
+                                                    self.cap, self.decided)
+        return self.verdicts[key]
+
+
+def _decoration_key(graph: MarkedDualGraph, levels: LevelStructure,
+                    dec: TwrDecoration) -> tuple:
+    def edge_data(e, s):
+        hid = half_edge_id(e, s)
+        o, p = dec.order_of[hid]
+        v = graph.edge_ends[e][s]
+        return (o, p, dec.is_zero_site(v, hid))
+
+    return canonical_key(graph, levels, edge_data=edge_data)
+
+
+def _certificate(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecoration,
+                 judge: _PatternJudge) -> ClosureCertificate:
+    space = judge.space
+    free = _free_sites(graph, dec)
+    groups = _forced_groups(free, judge.columns)
+    comps = {v: judge.verdict(v, dec.order_of) for v in graph.vertex_ids}
+    witness = _attempt_witnesses(graph, dec, space, groups)
+    if witness is not None:
+        realizations, pinned = witness
+        sample = {s: pinned.particular.get(s, Fraction(0)) for s in space.symbols}
+        verdict = "accepted-exact"
+        notes = []
+    else:
+        realizations = None
+        sample = _sample_point(space, free)
+        verdict = "accepted-modulo-genericity"
+        notes = ["no exact realization witness; component existence by "
+                 "Hurwitz oracle and value-genericity"]
+    if any(info["cap_hit"] for info in comps.values()):
+        notes = [*notes, "hurwitz degree cap exceeded on some component"]
+    return ClosureCertificate(
+        levels=levels, decoration=dec,
+        solution_dim=space.dim, sample=sample,
+        forced_groups=[g for g in groups if len(g) > 1],
+        components=comps, realizations=realizations,
+        verdict=verdict, notes=notes)
 
 
 def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
            bounds: SearchBounds | None = None) -> list[ClosureCertificate]:
     """All certificate candidates within bounds, deduplicated up to
-    level-graph isomorphism, in canonical order."""
+    level-graph isomorphism, in canonical order.
+
+    Each isomorphism class is represented by its candidate of least rank:
+    the level structure's index, then the decoration's rank.
+    """
     bounds = bounds or SearchBounds()
     rep = validate(graph)
     if not rep.ok:
@@ -425,49 +568,35 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
         raise ValueError("legs must carry a partition of zero")
     positive = sum(m for m in graph.mu if m > 0)
     max_deg = bounds.max_degree or max(1, positive)
+    half_edges = {v: [half_edge_id(e, s) for e, s in graph.edges_at(v)]
+                  for v in graph.vertex_ids}
 
-    found: dict[tuple, ClosureCertificate] = {}
+    best: dict[tuple, tuple] = {}
     decided: dict[HurwitzProblem, bool | None] = {}
-    for levels in enumerate_level_structures(graph, cap=bounds.level_cap):
-        solved: dict[frozenset[str], AffineSubspace | None] = {}
-        for orders, zero_marks in _decorations(graph, levels, max_deg):
-            dec = TwrDecoration.build(orders, {
-                site_key(graph.half_edge_vertex(hid), hid): Fraction(0) for hid in zero_marks})
-            pattern = frozenset(zero_marks)
-            if pattern not in solved:
-                solved[pattern] = _solution_space(graph, levels, dec)
-            space = solved[pattern]
+    for li, levels in enumerate(enumerate_level_structures(graph, cap=bounds.level_cap)):
+        filtration = None
+
+        def judge_of(zero_marks):
+            nonlocal filtration
+            if filtration is None:
+                # resolved through the module, so that per-layer tracing
+                # (perfbench/tracing.py) counts it
+                filtration = homology.level_filtration(graph, levels)
+            # the system reads a decoration only through its zero marks
+            values = {site_key(graph.half_edge_vertex(h), h): Fraction(0) for h in zero_marks}
+            space = _solution_space(graph, levels, TwrDecoration.build({}, values), filtration)
             if space is None:
-                continue
-            free = _free_sites(graph, dec)
-            groups = _forced_groups(free, space)
-            comps = _component_verdicts(graph, dec, groups, bounds.hurwitz_cap, decided)
-            if comps is None:
-                continue
-            witness = _attempt_witnesses(graph, dec, space, groups)
-            if witness is not None:
-                realizations, pinned = witness
-                sample = {s: pinned.particular.get(s, Fraction(0)) for s in space.symbols}
-                verdict = "accepted-exact"
-                notes = []
-            else:
-                realizations = None
-                sample = _sample_point(space, free)
-                verdict = "accepted-modulo-genericity"
-                notes = ["no exact realization witness; component existence by "
-                         "Hurwitz oracle and value-genericity"]
-            if any(info["cap_hit"] for info in comps.values()):
-                notes = [*notes, "hurwitz degree cap exceeded on some component"]
-            cert = ClosureCertificate(
-                levels=levels, decoration=dec,
-                solution_dim=space.dim, sample=sample,
-                forced_groups=[g for g in groups if len(g) > 1],
-                components=comps, realizations=realizations,
-                verdict=verdict, notes=notes)
-            key = cert.key(graph)
-            if key not in found:
-                found[key] = cert
-    return [found[k] for k in sorted(found)]
+                return None
+            return _PatternJudge(graph, space, zero_marks, values, half_edges,
+                                 bounds.hurwitz_cap, decided)
+
+        for rank, orders, _, judge in _decorations(graph, levels, max_deg, judge_of):
+            dec = TwrDecoration.build(orders, judge.zero_values)
+            key = _decoration_key(graph, levels, dec)
+            rank = (li, rank)
+            if key not in best or rank < best[key][0]:
+                best[key] = (rank, levels, dec, judge)
+    return [_certificate(graph, *best[k][1:]) for k in sorted(best)]
 
 
 def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
@@ -505,9 +634,10 @@ def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
     for site in free:
         if cert.sample.get(site, Fraction(1)) == 0:
             reasons.append(f"regular node value vanishes at {site}")
-    groups = _forced_groups(free, space)
-    comps = _component_verdicts(graph, cert.decoration, groups, hurwitz_cap, {})
-    if comps is None:
+    groups = _forced_groups(free, _columns(space))
+    decided: dict[HurwitzProblem, bool | None] = {}
+    if any(_component_verdict(graph, cert.decoration, v, groups, hurwitz_cap, decided) is None
+           for v in graph.vertex_ids):
         reasons.append("component ramification data infeasible")
     if reasons:
         return {"verdict": "rejected", "reasons": reasons}

@@ -16,7 +16,7 @@ identity, positive extra critical legs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -75,11 +75,6 @@ class TwrDecoration:
         if self.marked_zero_vertices is not None:
             return set(self.marked_zero_vertices)
         return {v for _, v, m in graph.legs if m > 0}
-
-    def with_values(self, values: dict[str, Fraction | str]) -> "TwrDecoration":
-        merged = dict(self.value_of)
-        merged.update(values)
-        return replace(self, values=tuple(sorted(merged.items())))
 
     def to_json(self) -> dict:
         doc: dict = {"orders": {h: {"ord_df": o, "pole": p} for h, (o, p) in self.orders}}

@@ -207,10 +207,15 @@ class AffineSubspace:
             return None
         return self.particular.get(symbol, Fraction(0))
 
+    def column(self, symbol: str) -> tuple[Fraction, ...]:
+        """The particular value and basis coefficients of ``symbol``."""
+        return (self.particular.get(symbol, Fraction(0)),
+                *(b.get(symbol, Fraction(0)) for b in self.basis))
+
     def forces_equal(self, s1: str, s2: str) -> bool:
-        if any(b.get(s1, Fraction(0)) != b.get(s2, Fraction(0)) for b in self.basis):
-            return False
-        return self.particular.get(s1, Fraction(0)) == self.particular.get(s2, Fraction(0))
+        """Two coordinates agree on the whole space exactly when their
+        columns are equal."""
+        return self.column(s1) == self.column(s2)
 
     def contains(self, point: dict[str, Fraction]) -> bool:
         """Exact membership test for a fully specified point."""
@@ -309,7 +314,9 @@ def solve_forms(forms: list[LinearForm], symbols: list[str] | None = None) -> Af
     """Solve ``form = 0`` for every form; None if inconsistent.
 
     ``symbols`` may list extra unknowns that appear in no form (free
-    directions of the ambient space).
+    directions of the ambient space).  One reduction of the augmented
+    matrix to reduced row echelon form gives both the particular solution
+    (free unknowns 0) and the kernel (one vector per free unknown).
     """
     syms = set(symbols or [])
     for f in forms:
@@ -318,44 +325,41 @@ def solve_forms(forms: list[LinearForm], symbols: list[str] | None = None) -> Af
     idx = {s: i for i, s in enumerate(order)}
     n = len(order)
     m = len(forms)
-    a = [[Fraction(0)] * n for _ in range(m)]
-    rhs = [Fraction(0)] * m
+    rows = [[Fraction(0)] * (n + 1) for _ in range(m)]
     for i, f in enumerate(forms):
         for s, v in f.coeffs:
-            a[i][idx[s]] = v
-        rhs[i] = -f.const
-    part = solve_rational(a, rhs) if m else [Fraction(0)] * n
-    if part is None:
+            rows[i][idx[s]] = v
+        rows[i][n] = -f.const
+    piv: dict[int, int] = {}
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f0 = rows[i][c]
+                rows[i] = [x - f0 * y for x, y in zip(rows[i], rows[r])]
+        piv[c] = r
+        r += 1
+    if any(rows[i][n] != 0 for i in range(r, m)):
         return None
-    # homogeneous kernel by elimination over Q
+    particular = {s: Fraction(0) for s in order}
+    for c, rr in piv.items():
+        particular[order[c]] = rows[rr][n]
     hom: list[dict[str, Fraction]] = []
-    if n:
-        # reduce a to rref, then read kernel off free columns
-        rows = [list(r) for r in a]
-        piv = {}
-        r = 0
-        for c in range(n):
-            p = next((i for i in range(r, m) if rows[i][c] != 0), None)
-            if p is None:
-                continue
-            rows[r], rows[p] = rows[p], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][c] != 0:
-                    f0 = rows[i][c]
-                    rows[i] = [x - f0 * y for x, y in zip(rows[i], rows[r])]
-            piv[c] = r
-            r += 1
-            if r == m:
-                break
-        free_cols = [c for c in range(n) if c not in piv]
-        for fc in free_cols:
-            vec = {order[fc]: Fraction(1)}
-            for c, rr in piv.items():
-                v = -rows[rr][fc]
-                if v != 0:
-                    vec[order[c]] = v
-            hom.append(vec)
-    particular = {order[i]: part[i] for i in range(n)}
+    for fc in range(n):
+        if fc in piv:
+            continue
+        vec = {order[fc]: Fraction(1)}
+        for c, rr in piv.items():
+            v = -rows[rr][fc]
+            if v != 0:
+                vec[order[c]] = v
+        hom.append(vec)
     return AffineSubspace(order, particular, hom)

@@ -98,11 +98,6 @@ class LevelFiltration:
     ambient: list[Chain]
     top_levels: list[int | None]
 
-    def member(self, chain: Chain, graph: MarkedDualGraph,
-               levels: LevelStructure, i: int) -> bool:
-        top = chain_support_top_level(chain, graph, levels)
-        return top is None or top <= i
-
 
 def level_filtration(graph: MarkedDualGraph, levels: LevelStructure,
                      zero_legs=None) -> LevelFiltration:
@@ -270,9 +265,6 @@ class EvaluationSystem:
     def solution_space(self) -> AffineSubspace | None:
         return solve_forms(self.all_rows(), self.symbols)
 
-    def vanishes_identically(self) -> bool:
-        return all(r.is_zero for r in self.all_rows())
-
     def to_json(self) -> dict:
         out = {}
         for b in self.blocks:
@@ -287,9 +279,15 @@ class EvaluationSystem:
 
 
 def evaluation_system(graph: MarkedDualGraph, levels: LevelStructure,
-                      dec: TwrDecoration | None, zero_legs=None) -> EvaluationSystem:
-    """Evaluation forms of a generating set of every level sublattice."""
-    filt = level_filtration(graph, levels, zero_legs)
+                      dec: TwrDecoration | None, zero_legs=None,
+                      filtration: LevelFiltration | None = None) -> EvaluationSystem:
+    """Evaluation forms of a generating set of every level sublattice.
+
+    ``filtration``, when given, must be ``level_filtration(graph, levels,
+    zero_legs)``; callers that evaluate many decorations of one level
+    structure compute it once.
+    """
+    filt = filtration if filtration is not None else level_filtration(graph, levels, zero_legs)
     blocks = []
     for i in filt.levels:
         gens = filt.generators[i]

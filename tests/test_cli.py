@@ -234,3 +234,35 @@ def test_usage_errors_are_json(capsys, argv):
     assert captured.out == ""
     doc = json.loads(captured.err)
     assert doc["version"] == 1 and doc["error"].startswith("drloci")
+
+
+def test_levels_on_dangling_edge_exits_2(capsys, tmp_path):
+    p = tmp_path / "dangling.json"
+    p.write_text(json.dumps({"vertices": [{"id": "a", "genus": 0}],
+                             "edges": [{"id": "e", "ends": ["a", "b"]}], "legs": []}))
+    code = main(["levels", "--graph", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "dangling-half-edge" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("argv", [["ev", "--all"], ["constraints"], ["twist"], ["stabilize"]],
+                         ids=["ev", "constraints", "twist", "stabilize"])
+@pytest.mark.parametrize("breakage", ["missing_pole", "string_orders", "bad_order"])
+def test_malformed_decoration_exits_2(capsys, dollar_files, tmp_path, argv, breakage):
+    gpath, _ = dollar_files
+    doc = json.loads(json.dumps(FIXTURES["dollar_unmarked_zeros"]["decoration"]))
+    first = next(iter(doc["orders"]))
+    if breakage == "missing_pole":
+        del doc["orders"][first]["pole"]
+    elif breakage == "string_orders":
+        doc["orders"] = "q1.0"
+    else:
+        doc["orders"][first]["ord_df"] = "two"
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps(doc))
+    code = main([*argv, "--graph", gpath, "--decoration", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.startswith(f"malformed decoration document {p}")

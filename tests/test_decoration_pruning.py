@@ -1,10 +1,11 @@
-"""The pruned decoration enumeration against the unpruned reference.
+"""The pattern-first decoration walk against the unpruned reference.
 
 Pruning may only cut branches that have no admissible completion, so the
-pruned enumeration must yield the same (orders, zero marks) sequence as
-the plain one, for every level structure.  Every yielded candidate must
-also pass the inequality-form validator, which the search no longer runs
-on each candidate.
+walk, sorted by rank, must yield the same (orders, zero marks) sequence
+as the plain one, for every level structure, and each rank must name the
+options the decoration took.  Every yielded candidate must also pass the
+inequality-form validator, which the search no longer runs on each
+candidate.
 """
 
 import random
@@ -12,10 +13,10 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drloci.closure import _decorations
+from drloci.closure import _decorations, _edge_options
 from drloci.decorations import TwrDecoration, site_key, validate_twr
 from drloci.fixtures import FIXTURES, load_graph
-from drloci.graphs import MarkedDualGraph, enumerate_level_structures
+from drloci.graphs import MarkedDualGraph, enumerate_level_structures, half_edge_id
 
 from plain_decorations import plain_decorations
 from randgen import random_connected_graph, random_levels, random_twr
@@ -37,7 +38,14 @@ def search_degree(graph: MarkedDualGraph) -> int:
 
 
 def assert_same_and_valid(graph, levels, max_deg):
-    pruned = list(_decorations(graph, levels, max_deg))
+    walk = sorted(_decorations(graph, levels, max_deg), key=lambda item: item[0])
+    options = [(e, _edge_options(graph, levels, e, max_deg)) for e, _ in graph.edges]
+    for rank, orders, zero_marks, _ in walk:
+        # the rank names, edge by edge, the option the decoration took
+        for (e, opts), j in zip(options, rank):
+            hids = (half_edge_id(e, 0), half_edge_id(e, 1))
+            assert opts[j] == tuple((*orders[h], h in zero_marks) for h in hids)
+    pruned = [(orders, set(zero_marks)) for _, orders, zero_marks, _ in walk]
     assert pruned == list(plain_decorations(graph, levels, max_deg))
     # a vertex without half-edges is never checked by either enumeration;
     # the search rejects it later, when its component has no pole

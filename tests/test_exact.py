@@ -1,9 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drloci.exact import (LinearForm, format_rational, integer_kernel_basis,
                           parse_rational, primitive, solve_forms, solve_rational)
+
+from plain_exact import plain_solve_forms
 
 
 def test_rational_round_trip():
@@ -88,3 +92,34 @@ def test_substitute_and_value():
     assert partial.coeff_map() == {"b": Fraction(1)}
     with pytest.raises(ValueError):
         form.value({"a": Fraction(1)})
+
+
+@st.composite
+def form_systems(draw):
+    """Small systems over up to five unknowns with entries in -3..3, some
+    rows repeated or combined so that rank drops and conflicts occur."""
+    names = draw(st.lists(st.sampled_from("abcde"), min_size=0, max_size=5, unique=True))
+    entry = st.integers(min_value=-3, max_value=3).map(Fraction)
+    forms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        coeffs = {s: draw(entry) for s in names if draw(st.booleans())}
+        forms.append(LinearForm.build(coeffs, draw(entry)))
+    if forms and draw(st.booleans()):
+        k = draw(entry)
+        forms.append(forms[0].scale(k) + forms[-1])
+    extra = draw(st.lists(st.sampled_from("abcdefg"), max_size=3, unique=True))
+    return forms, extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_systems())
+def test_solve_forms_matches_two_pass_reference(system):
+    forms, extra = system
+    got = solve_forms(forms, extra)
+    want = plain_solve_forms(forms, extra)
+    if want is None:
+        assert got is None
+        return
+    assert got.symbols == want.symbols
+    assert got.particular == want.particular
+    assert got.basis == want.basis
