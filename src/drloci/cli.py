@@ -15,6 +15,7 @@ environment variable; an explicit `hurwitz --cap` overrides it.
 `check-closure` also accepts `--bounds key=value` (max_degree,
 hurwitz_cap, level_cap); its cap is, by increasing precedence, the
 environment variable, `--bounds hurwitz_cap=N`, then `--hurwitz-cap`.
+Every bound, cap and `levels --max-levels` must be a positive integer.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("levels", help="enumerate level structures up to isomorphism")
     p.add_argument("--graph", required=True)
-    p.add_argument("--max-levels", type=int, default=None)
+    p.add_argument("--max-levels", type=_positive_int, default=None)
     p.set_defaults(func=cmd_levels)
 
     for name, func in (("ev", cmd_ev), ("constraints", cmd_constraints)):
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu")
     p.add_argument("--bounds", action="append", default=[],
                    help="key=value: max_degree, hurwitz_cap, level_cap")
-    p.add_argument("--hurwitz-cap", type=int, default=None)
+    p.add_argument("--hurwitz-cap", type=_positive_int, default=None)
     p.set_defaults(func=cmd_check_closure)
 
     p = sub.add_parser("fixtures", help="list or check the bundled examples")

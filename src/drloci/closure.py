@@ -72,7 +72,10 @@ class SearchBounds:
             key = key.replace("-", "_")
             if not hasattr(b, key):
                 raise ValueError(f"unknown bound {key!r}")
-            setattr(b, key, int(val))
+            value = int(val)
+            if value < 1:
+                raise ValueError(f"bound {key} must be a positive integer, got {val!r}")
+            setattr(b, key, value)
         return b
 
 

@@ -60,23 +60,6 @@ class MarkedDualGraph:
         return {e: ends for e, ends in self.edges}
 
     @cached_property
-    def neighbours(self) -> dict[str, tuple[str, ...]]:
-        """Far end of every half-edge at each vertex; a self-loop counts twice."""
-        out: dict[str, list[str]] = {v: [] for v in self.vertex_ids}
-        for _, (a, b) in self.edges:
-            out[a].append(b)
-            out[b].append(a)
-        return {v: tuple(ns) for v, ns in out.items()}
-
-    @cached_property
-    def leg_mus(self) -> dict[str, tuple[int, ...]]:
-        """Sorted mu-labels of the legs at each vertex."""
-        out: dict[str, list[int]] = {v: [] for v in self.vertex_ids}
-        for _, v, m in self.legs:
-            out[v].append(m)
-        return {v: tuple(sorted(ms)) for v, ms in out.items()}
-
-    @cached_property
     def leg_info(self) -> dict[str, tuple[str, int]]:
         return {l: (v, m) for l, v, m in self.legs}
 
@@ -84,18 +67,16 @@ class MarkedDualGraph:
     def vertex_ids(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.vertices)
 
+    @cached_property
+    def _labeller(self) -> "_Labeller":
+        return _Labeller(self)
+
     def legs_of(self, v: str) -> list[tuple[str, int]]:
         return [(l, m) for l, vv, m in self.legs if vv == v]
 
     def edges_at(self, v: str) -> list[tuple[str, int]]:
         """(edge id, side) pairs incident to v; self-loops appear twice."""
-        out = []
-        for e, (a, b) in self.edges:
-            if a == v:
-                out.append((e, 0))
-            if b == v:
-                out.append((e, 1))
-        return out
+        return [(e, s) for e, ends in self.edges for s in (0, 1) if ends[s] == v]
 
     def valence(self, v: str) -> int:
         return len(self.edges_at(v)) + len(self.legs_of(v))
@@ -114,15 +95,10 @@ class MarkedDualGraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return False
-        seen = {self.vertices[0][0]}
-        frontier = [self.vertices[0][0]]
-        adj: dict[str, set[str]] = {v: set() for v, _ in self.vertices}
-        for _, (a, b) in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
+        nbrs = self._labeller.nbrs
+        seen, frontier = {0}, [0]
         while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
+            for w in nbrs[frontier.pop()]:
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
@@ -335,46 +311,100 @@ def subcomplex_eq(graph: MarkedDualGraph, levels: LevelStructure, i: int) -> Lev
 # colored isomorphism / canonical labeling
 
 
-def _vertex_colors(graph: MarkedDualGraph, levels: LevelStructure | None,
-                   extra: dict[str, tuple] | None) -> dict[str, tuple]:
-    nbrs, mus = graph.neighbours, graph.leg_mus
-    return {v: (g, levels.of[v] if levels else 0, mus[v], len(nbrs[v]),
-                extra.get(v, ()) if extra else ())
-            for v, g in graph.vertices}
+class _Labeller:
+    """Canonical labelling of one graph, built once per graph as index
+    arrays over ``vertex_ids``: edge ends, legs and neighbours.  The colour
+    (genus, level, sorted leg mus, degree, ()) of each vertex at each level
+    is tabulated with an integer code that sorts and compares as it does."""
 
+    def __init__(self, graph: MarkedDualGraph):
+        ids = graph.vertex_ids
+        index = {v: i for i, v in enumerate(ids)}
+        self.graph, self.n = graph, len(ids)
+        self.ends = [(index[a], index[b]) for _, (a, b) in graph.edges]
+        self.legs = [(index[v], m) for _, v, m in graph.legs]
+        # the far end of every half-edge at each vertex; a loop counts twice
+        self.nbrs = [[b for a, b in self.ends if a == i] + [a for a, b in self.ends if b == i]
+                     for i in range(self.n)]
+        self.rows: dict[tuple, tuple[tuple, tuple]] = {}  # _rows without edge data
+        self._tabulate(range(0, -self.n, -1))
 
-def _ranks(colors: dict) -> tuple[dict, int]:
-    """Each key's position among the sorted distinct values, and their count."""
-    index = {c: i for i, c in enumerate(sorted(set(colors.values())))}
-    return {v: index[c] for v, c in colors.items()}, len(index)
+    def _tabulate(self, levels) -> None:
+        base = [(g, tuple(sorted(m for v, m in self.legs if v == i)), len(self.nbrs[i]))
+                for i, (_, g) in enumerate(self.graph.vertices)]
+        self.colour = [{lv: (g, lv, mus, deg, ()) for lv in levels} for g, mus, deg in base]
+        code = {c: i for i, c in enumerate(sorted({c for r in self.colour for c in r.values()}))}
+        self.code = [{lv: code[c] for lv, c in row.items()} for row in self.colour]
 
+    def refine(self, level: tuple[int, ...], extra: list | None = None):
+        """Colour refinement: each round replaces the colour c of v by (c,
+        sorted colours of v's neighbours) until a round splits no class.
+        Returns the rounds, the colours (nested once per round), keys that
+        sort and compare as the colours do (a round sorts rank and sorted
+        neighbour ranks, never nested colours), and the number of classes."""
+        try:
+            colours = [row[lv] for row, lv in zip(self.colour, level)]
+            keys = [row[lv] for row, lv in zip(self.code, level)]
+        except KeyError:  # a level outside {0, ..., 1-n}: not normalized
+            self._tabulate(set(level).union(self.colour[0]))
+            return self.refine(level, extra)
+        if extra is not None:
+            colours = [c[:4] + (x,) for c, x in zip(colours, extra)]
+            keys = list(zip(keys, extra))
+        rounds, classes = 0, len(set(keys))
+        while classes < self.n:
+            index = {c: i for i, c in enumerate(sorted(set(keys)))}
+            rank = [index[c] for c in keys]
+            sig = [(r, tuple(sorted([rank[u] for u in ns]))) for r, ns in zip(rank, self.nbrs)]
+            split = len(set(sig))
+            # each new class lies inside an old one: equal counts, equal partitions
+            if split == classes:
+                break
+            colours = [(c, tuple([colours[u] for u in sorted(ns, key=rank.__getitem__)]))
+                       for c, ns in zip(colours, self.nbrs)]
+            keys, classes, rounds = sig, split, rounds + 1
+        return rounds, colours, keys, classes
 
-def _refine(graph: MarkedDualGraph,
-            colors: dict[str, tuple]) -> tuple[int, dict[str, tuple], dict[str, int]]:
-    """Colour refinement: each round replaces the colour c of v by
-    (c, sorted colours of v's neighbours), until a round splits no class.
+    def key(self, level: tuple[int, ...], edge_data=None, vertex_data=None) -> tuple:
+        """``canonical_key`` at ``level``, one level per vertex in ``vertex_ids``."""
+        extra = [(vertex_data(v),) for v in self.graph.vertex_ids] if vertex_data else None
+        rounds, colours, keys, classes = self.refine(level, extra)
+        chain = tuple(sorted(range(self.n), key=keys.__getitem__))
+        vrow = tuple(zip(range(self.n), [colours[v] for v in chain]))
+        groups = chain if classes == self.n else tuple(
+            tuple(c) for _, c in itertools.groupby(chain, keys.__getitem__))
+        if edge_data:
+            ends = [(a, b, edge_data(e, 0), edge_data(e, 1))
+                    for (a, b), (e, _) in zip(self.ends, self.graph.edges)]
+            return (rounds, vrow, *self._rows(groups, ends))
+        # without edge data the edge and leg rows depend on the classes alone
+        rows = self.rows.get(groups)
+        if rows is None:
+            bare = [(a, b, (), ()) for a, b in self.ends]
+            rows = self.rows[groups] = self._rows(groups, bare)
+        return (rounds, vrow, *rows)
 
-    Returns the number of rounds, the colours (nested once per round) and
-    each vertex's rank among the sorted distinct colours.  A round sorts
-    (rank, sorted neighbour ranks), which orders the new colours as the
-    nested tuples would, so nested colours are never compared.
-    """
-    nbrs = graph.neighbours
-    rank, classes = _ranks(colors)
-    rounds = 0
-    for _ in range(len(graph.vertices)):
-        if classes == len(rank):  # discrete: nothing left to split
-            break
-        sig = {v: (r, tuple(sorted(rank[u] for u in nbrs[v]))) for v, r in rank.items()}
-        new, new_classes = _ranks(sig)
-        # each new class lies inside an old one: equal counts, equal partitions
-        if new_classes == classes:
-            break
-        colors = {v: (colors[v], tuple(colors[u] for u in sorted(nbrs[v], key=rank.get)))
-                  for v in rank}
-        rank, classes = new, new_classes
-        rounds += 1
-    return rounds, colors, rank
+    def _rows(self, groups: tuple, ends: list) -> tuple[tuple, tuple]:
+        """Least edge row over the numberings of the classes (in order, each
+        permuted), and the leg row; ``groups`` is flat if all are singletons."""
+        labellings = [groups]  # class order, also the first of the product
+        if len(groups) < self.n:
+            labellings = (itertools.chain.from_iterable(p)
+                          for p in itertools.product(*map(itertools.permutations, groups)))
+        label, best = [0] * self.n, None
+        for perm in labellings:
+            for i, v in enumerate(perm):
+                label[v] = i
+            erow = []
+            for a, b, d0, d1 in ends:
+                s0, s1 = (label[a], d0), (label[b], d1)
+                erow.append((s1, s0) if s1 < s0 else (s0, s1))
+            erow.sort()
+            if best is None:
+                best, lrow = erow, tuple(sorted([(label[v], m) for v, m in self.legs]))
+            elif erow < best:
+                best = erow
+        return tuple(best), lrow
 
 
 def canonical_key(graph: MarkedDualGraph, levels: LevelStructure | None = None,
@@ -383,37 +413,17 @@ def canonical_key(graph: MarkedDualGraph, levels: LevelStructure | None = None,
 
     ``edge_data(edge_id, side) -> hashable`` attaches per-half-edge data
     (decorations) to the key; ``vertex_data(v) -> hashable`` likewise.
-    The key is (refinement rounds, vertex row, edge row, leg row).  The
-    round count is an isomorphism invariant that also fixes how deeply the
-    colours in the vertex row are nested, so any two keys compare.
-    Brute force over the labelings that number the colour classes in
-    colour order; dual graphs in scope are small, and colour refinement
-    collapses most symmetry up front.  The vertex and leg rows are the same
-    under all these labelings (a class shares its colour, hence its legs),
-    so only the edge row is minimised.
+    The key is (refinement rounds, vertex row, edge row, leg row); the
+    round count also fixes how deeply the vertex colours are nested, so
+    any two keys compare.  The graph's labeller (built once per graph)
+    numbers the refined colour classes in colour order.  The vertex and leg
+    rows are the same under every such numbering (a class shares its
+    colour, hence its legs), so only the edge row is minimised, over the
+    permutations within classes.
     """
-    extra = {v: (vertex_data(v),) for v in graph.vertex_ids} if vertex_data else None
-    rounds, colors, rank = _refine(graph, _vertex_colors(graph, levels, extra))
-    classes: list[list[str]] = [[] for _ in set(rank.values())]
-    for v in sorted(graph.vertex_ids):
-        classes[rank[v]].append(v)
-    first = {v: i for i, v in enumerate(itertools.chain.from_iterable(classes))}
-    vrow = tuple((i, colors[v]) for v, i in first.items())
-    lrow = tuple(sorted((first[v], m) for _, v, m in graph.legs))
-    ends = [(a, b, edge_data(e, 0), edge_data(e, 1)) if edge_data else (a, b, (), ())
-            for e, (a, b) in graph.edges]
-
-    best = None
-    for perms in itertools.product(*[itertools.permutations(c) for c in classes]):
-        label = {v: i for i, v in enumerate(itertools.chain.from_iterable(perms))}
-        erow = []
-        for a, b, d0, d1 in ends:
-            s0, s1 = (label[a], d0), (label[b], d1)
-            erow.append((s1, s0) if s1 < s0 else (s0, s1))
-        erow = tuple(sorted(erow))
-        if best is None or erow < best:
-            best = erow
-    return rounds, vrow, best, lrow
+    of = levels.of if levels is not None else dict.fromkeys(graph.vertex_ids, 0)
+    return graph._labeller.key(tuple(of[v] for v in graph.vertex_ids),
+                               edge_data, vertex_data)
 
 
 def isomorphic(a: MarkedDualGraph, b: MarkedDualGraph,
@@ -427,27 +437,18 @@ def isomorphic(a: MarkedDualGraph, b: MarkedDualGraph,
 
 
 def _automorphism_generators(graph: MarkedDualGraph) -> list[tuple[int, ...]]:
-    """Generators of the graph's vertex automorphisms: the permutations
-    preserving genus, the leg mu-labels at each vertex and the number of
-    edges between every two vertices, as index tuples over ``vertex_ids``.
-
-    For each vertex i and each later vertex j, one automorphism (if any)
-    that fixes the vertices before i and sends i to j.  These coset
-    representatives along the chain of pointwise stabilizers generate the
-    group.  Images are searched within the refined colour classes of the
-    graph, which every automorphism preserves.
+    """Generators of the graph's vertex automorphisms (permutations
+    preserving genus, leg mu-labels per vertex and edge multiplicities) as
+    index tuples over ``vertex_ids``: for each vertex i and later vertex j,
+    one automorphism (if any) fixing the vertices before i and sending i
+    to j.  These coset representatives along the chain of pointwise
+    stabilizers generate the group.  Images are searched within the
+    refined colour classes, which every automorphism preserves.
     """
-    vs = graph.vertex_ids
-    n = len(vs)
-    index = {v: i for i, v in enumerate(vs)}
-    mult = [[0] * n for _ in range(n)]
-    for _, (a, b) in graph.edges:
-        i, j = index[a], index[b]
-        mult[i][j] += 1
-        if i != j:
-            mult[j][i] += 1
-    _, _, rank = _refine(graph, _vertex_colors(graph, None, None))
-    color = [rank[v] for v in vs]
+    lab = graph._labeller
+    n = lab.n
+    mult = [[ns.count(j) for j in range(n)] for ns in lab.nbrs]  # a loop counts twice
+    color = lab.refine((0,) * n)[2]
 
     def fits(image: list[int], j: int) -> bool:
         i = len(image)
@@ -480,58 +481,57 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
     """All normalized level structures up to levelled-graph isomorphism.
 
     Candidates are the ordered set partitions of the vertex set (top class
-    first), walked in a fixed order.  Two candidates are isomorphic exactly
+    first), walked in a fixed order as level tuples over ``vertex_ids``,
+    one list filled depth by depth.  Two candidates are isomorphic exactly
     when a vertex automorphism of the graph maps one onto the other.  So
     the first candidate reached in each automorphism orbit is kept, its
     whole orbit is marked covered, and later members of the orbit are
-    skipped; every candidate still counts toward ``cap``.  Deterministic
-    order: sorted canonical keys, one computed per kept structure.
+    skipped; every candidate still counts toward ``cap``.  Each kept tuple
+    is keyed by the graph's labeller (the key ``canonical_key`` gives it),
+    and only kept tuples become ``LevelStructure``s, in key order.
     """
-    vs = list(graph.vertex_ids)
-    limit = max_levels if max_levels is not None else len(vs)
-    index = {v: i for i, v in enumerate(vs)}
+    if max_levels is not None and max_levels < 1:
+        raise ValueError(f"max_levels must be at least 1, got {max_levels}")
+    vs = graph.vertex_ids
+    n = len(vs)
+    limit = n if max_levels is None else max_levels
+    key = graph._labeller.key
     # a generator exists only with >= 2 vertices, so each getter returns a tuple
     moves = [operator.itemgetter(*p) for p in _automorphism_generators(graph)]
 
     covered: set[tuple[int, ...]] = set()
-    kept: dict[tuple, LevelStructure] = {}
-    count = 0
+    kept: dict[tuple, tuple[int, ...]] = {}
+    level, count = [0] * n, 0
 
-    def assign(remaining: list[str], classes: list[tuple[str, ...]]):
+    def assign(remaining: list[int], depth: int):
         nonlocal count
         if not remaining:
-            if not classes:
-                return
             count += 1
             if count > cap:
                 raise EnumerationCapExceeded(cap)
-            level = [0] * len(vs)
-            for depth, cls in enumerate(classes):
-                for v in cls:
-                    level[index[v]] = -depth
-            level = tuple(level)
-            if level in covered:
+            current = tuple(level)
+            if current in covered:
                 return
             # earlier orbits are closed, so an image already covered is in this one
-            covered.add(level)
-            frontier = [level]
+            covered.add(current)
+            frontier = [current]
             while frontier:
-                current = frontier.pop()
+                member = frontier.pop()
                 for move in moves:
-                    image = move(current)
+                    image = move(member)
                     if image not in covered:
                         covered.add(image)
                         frontier.append(image)
-            ls = LevelStructure.build(dict(zip(vs, level)))
-            kept.setdefault(canonical_key(graph, ls), ls)
+            kept.setdefault(key(current), current)
             return
-        if len(classes) == limit:
+        if depth == limit:
             return
         for r in range(1, len(remaining) + 1):
             for subset in itertools.combinations(remaining, r):
-                chosen = set(subset)
-                rest = [x for x in remaining if x not in chosen]
-                assign(rest, classes + [subset])
+                for i in subset:
+                    level[i] = -depth
+                assign([i for i in remaining if i not in subset], depth + 1)
 
-    assign(vs, [])
-    return [kept[k] for k in sorted(kept)]
+    if n:
+        assign(list(range(n)), 0)
+    return [LevelStructure.build(dict(zip(vs, kept[k]))) for k in sorted(kept)]

@@ -205,18 +205,21 @@ def evaluate(level_chain: LevelChain, graph: MarkedDualGraph,
     """Signed sum of function values at the segment endpoints of the
     restricted chain: per horizontal cell f(tail side) - f(head side),
     per cut half coeff * f(q_e^+); legs contribute f = 0."""
-    total = LinearForm()
+    terms = []
     for eid, c in level_chain.edges:
         a, b = graph.edge_ends[eid]
-        tail = site_form(graph, dec, a, half_edge_id(eid, 0))
-        head = site_form(graph, dec, b, half_edge_id(eid, 1))
-        total = total + (tail - head).scale(Fraction(c))
+        terms.append((site_form(graph, dec, a, half_edge_id(eid, 0)), c))
+        terms.append((site_form(graph, dec, b, half_edge_id(eid, 1)), -c))
     for hid, c in level_chain.half:
-        eid = hid.rsplit(".", 1)[0]
-        side = int(hid.rsplit(".", 1)[1])
-        v = graph.edge_ends[eid][side]
-        total = total + site_form(graph, dec, v, hid).scale(Fraction(c))
-    return total
+        eid, side = hid.rsplit(".", 1)
+        terms.append((site_form(graph, dec, graph.edge_ends[eid][int(side)], hid), c))
+    coeffs: dict[str, Fraction] = {}
+    const = Fraction(0)
+    for form, c in terms:
+        for k, v in form.coeffs:
+            coeffs[k] = coeffs.get(k, 0) + v * c
+        const += form.const * c
+    return LinearForm.build(coeffs, const)
 
 
 @dataclass

@@ -266,3 +266,51 @@ def test_malformed_decoration_exits_2(capsys, dollar_files, tmp_path, argv, brea
     assert code == 2 and captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error.startswith(f"malformed decoration document {p}")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_levels_max_levels_must_be_positive(capsys, dollar_files, value):
+    # 0 once printed count 0 and -1 every structure, both with exit 0
+    gpath, _ = dollar_files
+    with pytest.raises(SystemExit) as exc:
+        main(["levels", "--graph", gpath, "--max-levels", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-levels" in json.loads(captured.err)["error"]
+
+
+def test_levels_max_levels_bounds_depth(capsys, dollar_files):
+    gpath, _ = dollar_files
+    code, doc = run(capsys, "levels", "--graph", gpath, "--max-levels", "1")
+    assert code == 0 and doc["count"] == 1
+
+
+@pytest.mark.parametrize("bound", ["max_degree=0", "max_degree=-1", "hurwitz_cap=0",
+                                   "hurwitz_cap=-1", "level_cap=0", "max_degree=two"])
+def test_check_closure_bounds_must_be_positive(capsys, dollar_files, bound):
+    # max_degree=0 once fell back to the default degree, max_degree=-1 read
+    # as a negative verdict (exit 1), hurwitz_cap=-1 as membership (exit 0)
+    gpath, _ = dollar_files
+    code = main(["check-closure", "--graph", gpath, "--bounds", bound])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["version"] == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_check_closure_hurwitz_cap_flag_must_be_positive(capsys, dollar_files, value):
+    gpath, _ = dollar_files
+    with pytest.raises(SystemExit) as exc:
+        main(["check-closure", "--graph", gpath, "--hurwitz-cap", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--hurwitz-cap" in json.loads(captured.err)["error"]
+
+
+def test_check_closure_env_cap_must_be_positive(capsys, dollar_files, monkeypatch):
+    gpath, _ = dollar_files
+    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "0")
+    code = main(["check-closure", "--graph", gpath])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "hurwitz_cap" in json.loads(captured.err)["error"]

@@ -173,3 +173,9 @@ def test_enumerate_max_levels_cap():
     structs = enumerate_level_structures(dollar(), max_levels=1)
     assert len(structs) == 1
     assert structs[0].of == {"v1": 0, "v2": 0}
+
+
+@pytest.mark.parametrize("max_levels", [0, -1])
+def test_enumerate_rejects_max_levels_below_one(max_levels):
+    with pytest.raises(ValueError, match="max_levels"):
+        enumerate_level_structures(dollar(), max_levels=max_levels)

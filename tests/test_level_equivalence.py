@@ -17,8 +17,8 @@ import pytest
 
 from drloci import closure, graphs
 from drloci.fixtures import FIXTURES, load_graph
-from drloci.graphs import (EnumerationCapExceeded, MarkedDualGraph, canonical_key,
-                           enumerate_level_structures)
+from drloci.graphs import (EnumerationCapExceeded, LevelStructure, MarkedDualGraph,
+                           canonical_key, enumerate_level_structures)
 
 import plain_levels
 from randgen import random_connected_graph
@@ -119,41 +119,74 @@ def test_cap_counts_every_candidate(graph):
 
 
 def test_one_canonical_key_per_structure(monkeypatch):
+    # enumeration keys level tuples with the graph's labeller directly
     calls = []
+    labeller_key = graphs._Labeller.key
 
-    def counting_key(*args, **kwargs):
+    def counting_key(self, *args, **kwargs):
         calls.append(args)
-        return canonical_key(*args, **kwargs)
+        return labeller_key(self, *args, **kwargs)
 
-    monkeypatch.setattr(graphs, "canonical_key", counting_key)
-    shapes = [complete(5), load_graph("level_dependence"), load_graph("theta"),
-              MarkedDualGraph.build([(f"v{i}", 0) for i in range(6)],
-                                    [(f"e{i}", ("v0", f"v{i}")) for i in range(1, 6)])]
+    monkeypatch.setattr(graphs._Labeller, "key", counting_key)
+    shapes = [complete(5), load_graph("level_dependence"), load_graph("theta"), star(6)]
     for graph in shapes + random_graphs(14, 20, 5):
         calls.clear()
         found = enumerate_level_structures(graph)
         assert len(calls) == len(found)
 
 
+def star(n: int, spokes: int = 1, chord: bool = False) -> MarkedDualGraph:
+    """v0 joined to each other vertex by ``spokes`` edges, plus a chord v1-v2."""
+    ends = [("v0", f"v{i}") for i in range(1, n) for _ in range(spokes)] + [("v1", "v2")] * chord
+    return MarkedDualGraph.build([(f"v{i}", 0) for i in range(n)],
+                                 [(f"e{k}", e) for k, e in enumerate(ends)])
+
+
+def nesting_depth(key: tuple) -> int:
+    color, depth = key[1][0][1], 0
+    while len(color) == 2:
+        color, depth = color[0], depth + 1
+    return depth
+
+
 def test_canonical_key_is_round_count_then_plain_key():
-    for graph in [load_graph(name) for name in GRAPH_FIXTURES] + random_graphs(15, 20, 5):
-        for levels in enumerate_level_structures(graph)[:6]:
-            key = canonical_key(graph, levels)
-            assert key[1:] == plain_levels.canonical_key(graph, levels)
-            # the round count is how deeply the vertex colours are nested
-            color, depth = key[1][0][1], 0
-            while len(color) == 2:
-                color, depth = color[0], depth + 1
-            assert depth == key[0]
+    shapes = [load_graph(name) for name in GRAPH_FIXTURES]
+    shapes += [star(5), star(5, spokes=2), star(5, chord=True), complete(5),
+               complete(5, [0, 0, 0, 1, 1])]
+    shapes += [chain(n, cycle=cycle) for n in (4, 5, 6) for cycle in (True, False)]
+    shapes += random_graphs(15, 20, 5)
+    cases = []
+    for graph in shapes:
+        found = enumerate_level_structures(graph)
+        # levels outside {0, -1, ...}, which isomorphic() accepts, key the same way
+        spread = [LevelStructure.build({v: 3 * lv + 2 for v, lv in ls.level}) for ls in found[:3]]
+        cases += [(graph, levels) for levels in found + spread]
+    # a graph's labeller reuses edge rows from earlier level tuples; on a
+    # cycle one vertex order arises with different colour classes
+    for graph in (chain(5, cycle=True), chain(6, cycle=True)):
+        cases += [(graph, LevelStructure.build(dict(zip(graph.vertex_ids, level))))
+                  for level in level_tuples(len(graph.vertices))]
+    refined = symmetric = 0
+    for graph, levels in cases:
+        key = canonical_key(graph, levels)
+        # the round count is how deeply the vertex colours are nested
+        assert key == (nesting_depth(key), *plain_levels.canonical_key(graph, levels))
+        refined += key[0] > 0
+        colors = [c for _, c in key[1]]
+        symmetric += len(set(colors)) < len(colors)
+    assert refined > 100 and symmetric > 100
 
 
 def test_certificate_keys_extend_plain_keys(monkeypatch):
-    graph = load_graph("dollar_unmarked_zeros")
-    certs = closure.search(graph)
-    assert certs
-    keys = [c.key(graph) for c in certs]
-    monkeypatch.setattr(closure, "canonical_key", plain_levels.canonical_key)
-    assert [k[1:] for k in keys] == [c.key(graph) for c in certs]
+    # certificate keys carry per-half-edge decoration data
+    for name in ("dollar_unmarked_zeros", "partial_order", "dollar_cover"):
+        graph = load_graph(name)
+        certs = closure.search(graph)
+        assert certs
+        keys = [c.key(graph) for c in certs]
+        with monkeypatch.context() as patch:
+            patch.setattr(closure, "canonical_key", plain_levels.canonical_key)
+            assert [k[1:] for k in keys] == [c.key(graph) for c in certs]
 
 
 def test_relabeled_copy_enumerates_isomorphic_structures():
@@ -179,6 +212,13 @@ def chain(n: int, genus: int = 0, cycle: bool = False, legs=()) -> MarkedDualGra
         [(f"v{i}", genus) for i in range(n)],
         [(f"e{i}", (f"v{i}", f"v{(i + 1) % n}")) for i in range(n if cycle else n - 1)],
         legs)
+
+
+def level_tuples(n: int):
+    """Every normalized level function on n vertices, as a tuple."""
+    for values in itertools.product(range(n), repeat=n):
+        if set(values) == set(range(max(values) + 1)):
+            yield tuple(-x for x in values)
 
 
 @pytest.mark.parametrize("cycle", [True, False], ids=["cycle", "path"])
