@@ -217,10 +217,9 @@ class _CountAction(argparse.Action):
 
 def cmd_hurwitz(args) -> int:
     problem = HurwitzProblem.build(args.degree, args.genus, args.profile or [])
-    if args.cap is not None:
-        cap = args.cap
-    else:
-        cap = int(os.environ.get("DRLOCI_HURWITZ_CAP", DEFAULT_DEGREE_CAP))
+    cap = args.cap  # the parser checks --cap; the environment is checked here
+    if cap is None and (cap := int(os.environ.get("DRLOCI_HURWITZ_CAP", DEFAULT_DEGREE_CAP))) < 1:
+        raise ValueError(f"DRLOCI_HURWITZ_CAP must be a positive integer, got {cap}")
     payload = {"command": "hurwitz", "problem": problem.to_json(),
                "rh": rh_check(problem), "cap_hit": False}
     try:
@@ -327,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated partition of the degree; repeatable")
     p.add_argument("--count", action=_CountAction, type=_positive_int,
                    help="repeat the preceding --profile this many times total")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_positive_int, default=None,
                    help=f"degree cap; overrides DRLOCI_HURWITZ_CAP "
                         f"(default {DEFAULT_DEGREE_CAP})")
     p.set_defaults(func=cmd_hurwitz)

@@ -64,19 +64,21 @@ class SearchBounds:
     hurwitz_cap: int = DEFAULT_HURWITZ_CAP
     level_cap: int = 200_000
 
+    def __post_init__(self):
+        for key, value in vars(self).items():  # max_degree None: the largest positive mu
+            if value is not None and value < 1:
+                raise ValueError(f"bound {key} must be a positive integer, got {value!r}")
+
     @staticmethod
     def from_strings(items) -> "SearchBounds":
-        b = SearchBounds()
+        values = {}
         for item in items or []:
             key, _, val = item.partition("=")
             key = key.replace("-", "_")
-            if not hasattr(b, key):
+            if key not in SearchBounds.__dataclass_fields__:
                 raise ValueError(f"unknown bound {key!r}")
-            value = int(val)
-            if value < 1:
-                raise ValueError(f"bound {key} must be a positive integer, got {val!r}")
-            setattr(b, key, value)
-        return b
+            values[key] = int(val)
+        return SearchBounds(**values)
 
 
 @dataclass

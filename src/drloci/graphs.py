@@ -258,7 +258,7 @@ class LevelStructure:
         return self.of[ends[up]], self.of[ends[1 - up]]
 
     def to_json(self) -> dict:
-        return {v: lv for v, lv in self.level}
+        return dict(self.level)
 
     @staticmethod
     def from_json(doc: dict) -> "LevelStructure":
@@ -339,19 +339,17 @@ class _Labeller:
     def refine(self, level: tuple[int, ...], extra: list | None = None):
         """Colour refinement: each round replaces the colour c of v by (c,
         sorted colours of v's neighbours) until a round splits no class.
-        Returns the rounds, the colours (nested once per round), keys that
-        sort and compare as the colours do (a round sorts rank and sorted
-        neighbour ranks, never nested colours), and the number of classes."""
+        Returns the ranks each round sorted neighbours by, keys that sort and
+        compare as the colours do (a round sorts rank and sorted neighbour
+        ranks, never nested colours), and the number of classes."""
         try:
-            colours = [row[lv] for row, lv in zip(self.colour, level)]
             keys = [row[lv] for row, lv in zip(self.code, level)]
         except KeyError:  # a level outside {0, ..., 1-n}: not normalized
             self._tabulate(set(level).union(self.colour[0]))
             return self.refine(level, extra)
         if extra is not None:
-            colours = [c[:4] + (x,) for c, x in zip(colours, extra)]
             keys = list(zip(keys, extra))
-        rounds, classes = 0, len(set(keys))
+        ranks, classes = [], len(set(keys))
         while classes < self.n:
             index = {c: i for i, c in enumerate(sorted(set(keys)))}
             rank = [index[c] for c in keys]
@@ -360,29 +358,42 @@ class _Labeller:
             # each new class lies inside an old one: equal counts, equal partitions
             if split == classes:
                 break
-            colours = [(c, tuple([colours[u] for u in sorted(ns, key=rank.__getitem__)]))
-                       for c, ns in zip(colours, self.nbrs)]
-            keys, classes, rounds = sig, split, rounds + 1
-        return rounds, colours, keys, classes
+            ranks.append(rank)
+            keys, classes = sig, split
+        return ranks, keys, classes
 
     def key(self, level: tuple[int, ...], edge_data=None, vertex_data=None) -> tuple:
         """``canonical_key`` at ``level``, one level per vertex in ``vertex_ids``."""
         extra = [(vertex_data(v),) for v in self.graph.vertex_ids] if vertex_data else None
-        rounds, colours, keys, classes = self.refine(level, extra)
+        return self._key(level, extra, edge_data)
+
+    def level_key(self, level: tuple[int, ...]) -> tuple:
+        """``key(level)``, but at round 0 the vertex row is the colour codes in
+        chain order, which sort and compare as the colours do.  Codes belong to
+        this graph, so only keys of one graph compare; one of round >= 1 differs
+        from one of round 0 at position 0 and never compares further."""
+        return self._key(level, None, None, codes=True)
+
+    def _key(self, level: tuple[int, ...], extra, edge_data, codes: bool = False) -> tuple:
+        """(refinement rounds, vertex row, edge row, leg row) at ``level``."""
+        ranks, keys, classes = self.refine(level, extra)
         chain = tuple(sorted(range(self.n), key=keys.__getitem__))
-        vrow = tuple(zip(range(self.n), [colours[v] for v in chain]))
         groups = chain if classes == self.n else tuple(
             tuple(c) for _, c in itertools.groupby(chain, keys.__getitem__))
         if edge_data:
-            ends = [(a, b, edge_data(e, 0), edge_data(e, 1))
-                    for (a, b), (e, _) in zip(self.ends, self.graph.edges)]
-            return (rounds, vrow, *self._rows(groups, ends))
-        # without edge data the edge and leg rows depend on the classes alone
-        rows = self.rows.get(groups)
-        if rows is None:
-            bare = [(a, b, (), ()) for a, b in self.ends]
-            rows = self.rows[groups] = self._rows(groups, bare)
-        return (rounds, vrow, *rows)
+            rows = self._rows(groups, [(a, b, edge_data(e, 0), edge_data(e, 1))
+                                       for (a, b), (e, _) in zip(self.ends, self.graph.edges)])
+        elif (rows := self.rows.get(groups)) is None:  # without edge data: by the classes alone
+            rows = self.rows[groups] = self._rows(groups, [(a, b, (), ()) for a, b in self.ends])
+        if codes and not ranks:
+            return (0, tuple(sorted(keys)), *rows)
+        colours = [row[lv] for row, lv in zip(self.colour, level)]
+        if extra is not None:
+            colours = [c[:4] + (x,) for c, x in zip(colours, extra)]
+        for rank in ranks:  # one nesting per round
+            colours = [(c, tuple([colours[u] for u in sorted(ns, key=rank.__getitem__)]))
+                       for c, ns in zip(colours, self.nbrs)]
+        return (len(ranks), tuple(zip(range(self.n), [colours[v] for v in chain])), *rows)
 
     def _rows(self, groups: tuple, ends: list) -> tuple[tuple, tuple]:
         """Least edge row over the numberings of the classes (in order, each
@@ -448,7 +459,7 @@ def _automorphism_generators(graph: MarkedDualGraph) -> list[tuple[int, ...]]:
     lab = graph._labeller
     n = lab.n
     mult = [[ns.count(j) for j in range(n)] for ns in lab.nbrs]  # a loop counts twice
-    color = lab.refine((0,) * n)[2]
+    color = lab.refine((0,) * n)[1]
 
     def fits(image: list[int], j: int) -> bool:
         i = len(image)
@@ -487,7 +498,7 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
     the first candidate reached in each automorphism orbit is kept, its
     whole orbit is marked covered, and later members of the orbit are
     skipped; every candidate still counts toward ``cap``.  Each kept tuple
-    is keyed by the graph's labeller (the key ``canonical_key`` gives it),
+    is keyed by the graph's labeller (sorting as ``canonical_key`` does),
     and only kept tuples become ``LevelStructure``s, in key order.
     """
     if max_levels is not None and max_levels < 1:
@@ -495,43 +506,55 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
     vs = graph.vertex_ids
     n = len(vs)
     limit = n if max_levels is None else max_levels
-    key = graph._labeller.key
+    key = graph._labeller.level_key
     # a generator exists only with >= 2 vertices, so each getter returns a tuple
     moves = [operator.itemgetter(*p) for p in _automorphism_generators(graph)]
+    # positions in id order (a repeated id's last, as a dict keeps); the trailing
+    # 0, which zip drops, keeps the getter's result a tuple when n == 1
+    index = {v: i for i, v in enumerate(vs)}
+    ids = sorted(index)
+    in_id_order = operator.itemgetter(*[index[v] for v in ids], 0)
 
     covered: set[tuple[int, ...]] = set()
-    kept: dict[tuple, tuple[int, ...]] = {}
+    kept: list[tuple[tuple, tuple[int, ...]]] = []  # an orbit is a class: keys all differ
+    splits: dict[tuple[int, ...], list] = {}
     level, count = [0] * n, 0
 
-    def assign(remaining: list[int], depth: int):
+    def walk(remaining: tuple[int, ...], depth: int):
         nonlocal count
-        if not remaining:
+        todo = splits.get(remaining)
+        if todo is None:  # (subset, rest) in the walk order, each set once per call
+            todo = splits[remaining] = [
+                (subset, tuple(i for i in remaining if i not in subset))
+                for r in range(1, len(remaining) + 1)
+                for subset in itertools.combinations(remaining, r)]
+        for subset, rest in todo:
+            for i in subset:
+                level[i] = -depth
+            if rest:
+                if depth + 1 < limit:
+                    walk(rest, depth + 1)
+                continue
             count += 1
             if count > cap:
                 raise EnumerationCapExceeded(cap)
             current = tuple(level)
-            if current in covered:
-                return
-            # earlier orbits are closed, so an image already covered is in this one
-            covered.add(current)
-            frontier = [current]
-            while frontier:
-                member = frontier.pop()
-                for move in moves:
-                    image = move(member)
-                    if image not in covered:
-                        covered.add(image)
-                        frontier.append(image)
-            kept.setdefault(key(current), current)
-            return
-        if depth == limit:
-            return
-        for r in range(1, len(remaining) + 1):
-            for subset in itertools.combinations(remaining, r):
-                for i in subset:
-                    level[i] = -depth
-                assign([i for i in remaining if i not in subset], depth + 1)
+            if moves:  # a rigid graph's orbits are single tuples
+                if current in covered:
+                    continue
+                # earlier orbits are closed, so an image already covered is in this one
+                covered.add(current)
+                frontier = [current]
+                while frontier:
+                    member = frontier.pop()
+                    for move in moves:
+                        image = move(member)
+                        if image not in covered:
+                            covered.add(image)
+                            frontier.append(image)
+            kept.append((key(current), current))
 
     if n:
-        assign(list(range(n)), 0)
-    return [LevelStructure.build(dict(zip(vs, kept[k]))) for k in sorted(kept)]
+        walk(tuple(range(n)), 0)
+    kept.sort(key=operator.itemgetter(0))
+    return [LevelStructure(tuple(zip(ids, in_id_order(t)))) for _, t in kept]

@@ -100,6 +100,25 @@ def test_hurwitz_cap_flag_overrides_env(capsys, monkeypatch):
     assert code == 0 and doc["cap_hit"] is False and doc["exists"] is True
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_hurwitz_cap_flag_must_be_positive(capsys, value):
+    # --cap 0 once printed a cap_hit verdict on stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["hurwitz", "--degree", "3", "--genus", "0", "--profile", "3", "--profile", "3",
+              "--cap", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--cap" in json.loads(captured.err)["error"]
+
+
+def test_hurwitz_env_cap_must_be_positive(capsys, monkeypatch):
+    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "0")
+    code = main(["hurwitz", "--degree", "3", "--genus", "0", "--profile", "3", "--profile", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "DRLOCI_HURWITZ_CAP" in json.loads(captured.err)["error"]
+
+
 def test_check_closure_member(capsys, dollar_files):
     gpath, _ = dollar_files
     code, doc = run(capsys, "check-closure", "--graph", gpath, "--mu", "1,1,1,-3")

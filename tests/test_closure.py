@@ -185,6 +185,17 @@ def test_hurwitz_cap_exhaustion_reported():
         assert any("cap" in n for n in c.notes)
 
 
+@pytest.mark.parametrize("bound", ["max_degree", "hurwitz_cap", "level_cap"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_search_bounds_must_be_positive(bound, value):
+    # max_degree=0 once searched at the default degree
+    with pytest.raises(ValueError, match=bound):
+        SearchBounds(**{bound: value})
+    with pytest.raises(ValueError, match=bound):
+        SearchBounds.from_strings([f"{bound}={value}"])
+    assert SearchBounds(**{bound: 1}) != SearchBounds()
+
+
 def _random_stable_mu_graph(rng):
     while True:
         n = rng.randint(1, 3)

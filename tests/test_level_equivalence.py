@@ -121,18 +121,67 @@ def test_cap_counts_every_candidate(graph):
 def test_one_canonical_key_per_structure(monkeypatch):
     # enumeration keys level tuples with the graph's labeller directly
     calls = []
-    labeller_key = graphs._Labeller.key
+    level_key = graphs._Labeller.level_key
 
     def counting_key(self, *args, **kwargs):
         calls.append(args)
-        return labeller_key(self, *args, **kwargs)
+        return level_key(self, *args, **kwargs)
 
-    monkeypatch.setattr(graphs._Labeller, "key", counting_key)
+    monkeypatch.setattr(graphs._Labeller, "level_key", counting_key)
     shapes = [complete(5), load_graph("level_dependence"), load_graph("theta"), star(6)]
-    for graph in shapes + random_graphs(14, 20, 5):
+    for graph in shapes + random_graphs(14, 20, 5) + [distinct_colour6(0), distinct_colour6(1)]:
         calls.clear()
         found = enumerate_level_structures(graph)
         assert len(calls) == len(found)
+
+
+def distinct_colour6(seed: int) -> MarkedDualGraph:
+    """A connected graph on 6 vertices and 7 edges whose vertices all differ
+    in (genus, leg count), so colour refinement is discrete at round 0."""
+    rng = random.Random(seed)
+    ends = [(rng.randrange(i), i) for i in range(1, 6)]
+    ends += [tuple(rng.sample(range(6), 2)) for _ in range(2)]
+    colours = rng.sample([(g, k) for g in range(3) for k in range(2)], 6)
+    return MarkedDualGraph.build(
+        [(f"v{i}", g) for i, (g, _) in enumerate(colours)],
+        [(f"e{k}", (f"v{a}", f"v{b}")) for k, (a, b) in enumerate(ends)],
+        [(f"l{v}", f"v{v}", 1) for v, (_, k) in enumerate(colours) if k])
+
+
+def assert_level_keys_order_as_canonical_keys(graph) -> Counter:
+    """Over every normalized level tuple, the keys enumeration sorts by fall
+    in the order of ``canonical_key`` and are equal exactly where it is;
+    returns how many keys of each round count were compared."""
+    tuples = list(level_tuples(len(graph.vertices)))
+    mine = [graph._labeller.level_key(t) for t in tuples]
+    theirs = [canonical_key(graph, LevelStructure.build(dict(zip(graph.vertex_ids, t))))
+              for t in tuples]
+    order = sorted(range(len(tuples)), key=mine.__getitem__)
+    assert order == sorted(range(len(tuples)), key=theirs.__getitem__)
+    pairs = list(zip(order, order[1:]))
+    assert [mine[i] == mine[j] for i, j in pairs] == [theirs[i] == theirs[j] for i, j in pairs]
+    assert [k[0] for k in mine] == [k[0] for k in theirs]
+    return Counter(k[0] > 0 for k in mine)
+
+
+def test_level_keys_order_as_canonical_keys():
+    shapes = [load_graph(name) for name in GRAPH_FIXTURES] + random_graphs(17, 20, 5)
+    shapes += [chain(n, cycle=cycle) for n in (4, 5, 6) for cycle in (True, False)]
+    rounds = Counter()
+    for graph in shapes:
+        rounds += assert_level_keys_order_as_canonical_keys(graph)
+    # cycles and paths mix keys of round 0 and rounds >= 1 in one sort
+    for graph in [chain(n, cycle=cycle) for n in (5, 6) for cycle in (True, False)]:
+        assert set(assert_level_keys_order_as_canonical_keys(graph)) == {False, True}
+    assert rounds[False] > 1000 and rounds[True] > 1000
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_distinct_colour_six_vertex_graphs(seed):
+    graph = distinct_colour6(seed)
+    assert graph.is_connected()
+    assert assert_level_keys_order_as_canonical_keys(graph) == {False: 4683}
+    assert assert_same_enumeration(graph)
 
 
 def star(n: int, spokes: int = 1, chord: bool = False) -> MarkedDualGraph:
