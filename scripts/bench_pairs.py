@@ -1,15 +1,15 @@
 """Paired cold-start benchmark runs of two source checkouts.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR \
-        --run levels:901 --run search:701 --pairs 10 --seconds 30 \
-        --digest-seeds 1,3,7 --what "..." --out BENCH_8.json
+        --run levels:901 --run search:701 --pairs 10 --out BENCH_8.json
 
 Each DIR is a checkout holding src/ and perfbench/ (for instance made with
 `git archive`).  For every --run WORKLOAD:FIRST_SEED, pair i runs
 `python3 perfbench/run.py --workload WORKLOAD --seed FIRST_SEED+i` once in
-each checkout, from that checkout; the side that runs first alternates by
-pair.  Then each side runs once per digest seed with --seconds 0, and the
-output digests it prints are recorded.  The JSON written holds every run
+each checkout, from that checkout, for run.py's own default run length;
+the side that runs first alternates by pair.  Then each side runs once with
+--seconds 0 for each of seeds 1, 3 and 7, and the output digests it prints
+are recorded.  The JSON written holds every run
 and, per workload and metric, each side's median and quartiles, how many
 pairs the change won (lower is better for every end-to-end metric) and the
 relative change of the median.
@@ -25,13 +25,14 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+DIGEST_SEEDS = (1, 3, 7)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> tuple[dict, str]:
+def run_once(checkout: Path, workload: str, seed: int, *extra: str) -> tuple[dict, str]:
     """One run of the checkout's own perfbench/run.py: its JSON and stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0", *extra],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stderr
 
@@ -69,9 +70,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--run", action="append", required=True, metavar="WORKLOAD:FIRST_SEED")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--digest-seeds", default="1,3,7")
-    parser.add_argument("--what", default="Paired cold-start benchmark runs.")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     checkout = {"parent": args.parent, "change": args.change}
@@ -82,22 +80,21 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             seed = int(first) + pair
             for order, side in enumerate(SIDES[::-1] if pair % 2 else SIDES, 1):
-                result, _ = run_once(checkout[side], workload, seed, args.seconds)
+                result, _ = run_once(checkout[side], workload, seed)
                 runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
                              "order_in_pair": order, "result": result})
                 print(workload, seed, side, result["metrics"]["run_s"]["value"], file=sys.stderr)
 
     digests = {side: [] for side in SIDES}
     for workload in dict.fromkeys(item.rsplit(":", 1)[0] for item in args.run):
-        for seed in map(int, args.digest_seeds.split(",")):
+        for seed in DIGEST_SEEDS:
             for side in SIDES:
-                _, err = run_once(checkout[side], workload, seed, 0)
+                _, err = run_once(checkout[side], workload, seed, "--seconds", "0")
                 digests[side] += [line for line in err.splitlines() if line.startswith("sha256 ")]
 
     doc = {
-        "what": args.what,
-        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {args.seconds}"
-                   " --trace 0",
+        "what": "Paired cold-start benchmark runs of a parent and a changed checkout.",
+        "command": "python3 perfbench/run.py --workload W --seed N --trace 0",
         "host": f"{os.cpu_count()} CPUs, Python {platform.python_version()}; each side run"
                 " from its own copy of src/ and perfbench/",
         "pairing": f"{args.pairs} pairs per workload on consecutive seeds; the side that runs"

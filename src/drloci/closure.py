@@ -58,7 +58,7 @@ from .witnesses import ComponentShape, realize_component
 DEFAULT_HURWITZ_CAP = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchBounds:
     max_degree: int | None = None
     hurwitz_cap: int = DEFAULT_HURWITZ_CAP
@@ -572,7 +572,7 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
     if sum(graph.mu) != 0:
         raise ValueError("legs must carry a partition of zero")
     positive = sum(m for m in graph.mu if m > 0)
-    max_deg = bounds.max_degree or max(1, positive)
+    max_deg = bounds.max_degree if bounds.max_degree is not None else max(1, positive)
     half_edges = {v: [half_edge_id(e, s) for e, s in graph.edges_at(v)]
                   for v in graph.vertex_ids}
 

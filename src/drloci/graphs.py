@@ -209,7 +209,7 @@ class LevelStructure:
 
     @cached_property
     def of(self) -> dict[str, int]:
-        return dict(self.level)
+        return {v: lv for v, lv in self.level}
 
     @staticmethod
     def normalize(mapping: dict[str, int]) -> "LevelStructure":
@@ -258,7 +258,7 @@ class LevelStructure:
         return self.of[ends[up]], self.of[ends[1 - up]]
 
     def to_json(self) -> dict:
-        return dict(self.level)
+        return {v: lv for v, lv in self.level}
 
     @staticmethod
     def from_json(doc: dict) -> "LevelStructure":
@@ -517,42 +517,37 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
 
     covered: set[tuple[int, ...]] = set()
     kept: list[tuple[tuple, tuple[int, ...]]] = []  # an orbit is a class: keys all differ
-    splits: dict[tuple[int, ...], list] = {}
     level, count = [0] * n, 0
 
     def walk(remaining: tuple[int, ...], depth: int):
         nonlocal count
-        todo = splits.get(remaining)
-        if todo is None:  # (subset, rest) in the walk order, each set once per call
-            todo = splits[remaining] = [
-                (subset, tuple(i for i in remaining if i not in subset))
-                for r in range(1, len(remaining) + 1)
-                for subset in itertools.combinations(remaining, r)]
-        for subset, rest in todo:
-            for i in subset:
-                level[i] = -depth
-            if rest:
-                if depth + 1 < limit:
-                    walk(rest, depth + 1)
-                continue
-            count += 1
-            if count > cap:
-                raise EnumerationCapExceeded(cap)
-            current = tuple(level)
-            if moves:  # a rigid graph's orbits are single tuples
-                if current in covered:
+        size = len(remaining)
+        # at the last allowed depth only the subset of every remaining vertex ends in a leaf
+        for r in range(1 if depth + 1 < limit else size, size + 1):
+            for subset in itertools.combinations(remaining, r):
+                for i in subset:
+                    level[i] = -depth
+                if r < size:
+                    walk(tuple([i for i in remaining if i not in subset]), depth + 1)
                     continue
-                # earlier orbits are closed, so an image already covered is in this one
-                covered.add(current)
-                frontier = [current]
-                while frontier:
-                    member = frontier.pop()
-                    for move in moves:
-                        image = move(member)
-                        if image not in covered:
-                            covered.add(image)
-                            frontier.append(image)
-            kept.append((key(current), current))
+                count += 1
+                if count > cap:
+                    raise EnumerationCapExceeded(cap)
+                current = tuple(level)
+                if moves:  # a rigid graph's orbits are single tuples
+                    if current in covered:
+                        continue
+                    # earlier orbits are closed, so an image already covered is in this one
+                    covered.add(current)
+                    frontier = [current]
+                    while frontier:
+                        member = frontier.pop()
+                        for move in moves:
+                            image = move(member)
+                            if image not in covered:
+                                covered.add(image)
+                                frontier.append(image)
+                kept.append((key(current), current))
 
     if n:
         walk(tuple(range(n)), 0)

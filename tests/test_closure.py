@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,9 @@ def test_search_bounds_must_be_positive(bound, value):
     with pytest.raises(ValueError, match=bound):
         SearchBounds.from_strings([f"{bound}={value}"])
     assert SearchBounds(**{bound: 1}) != SearchBounds()
+    # frozen, so the check holds for the object's whole life
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(SearchBounds(), bound, value)
 
 
 def _random_stable_mu_graph(rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from drloci.fixtures import load_graph
@@ -128,6 +130,46 @@ def test_enumeration_cap():
         [(f"e{i}", (f"v{i}", f"v{i + 1}")) for i in range(6)])
     with pytest.raises(EnumerationCapExceeded):
         enumerate_level_structures(g, cap=10)
+
+
+def _path(n):
+    return MarkedDualGraph.build(
+        [(f"v{i}", 0) for i in range(n)],
+        [(f"e{i}", (f"v{i}", f"v{i + 1}")) for i in range(n - 1)])
+
+
+def _peak_mb(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+@pytest.mark.parametrize("max_levels", [None, 2])
+def test_enumeration_cap_bounds_memory(max_levels):
+    # the walk is lazy: the cap fires after a few candidates, before the
+    # splits of a 16-vertex set (2^16 of them) are ever listed
+    g = _path(16)
+    g._labeller
+
+    def run():
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_level_structures(g, max_levels=max_levels, cap=10)
+    assert _peak_mb(run) < 1
+
+
+def test_two_levels_memory_follows_the_output():
+    # only the leaf split is taken at the last allowed depth, and no split
+    # list is kept: the peak is the kept structures, not 3^n (subset, rest) pairs
+    g = _path(10)
+    g._labeller
+    found = []
+    assert _peak_mb(lambda: found.extend(enumerate_level_structures(g, max_levels=2))) < 6
+    # one level, plus the two-level splits up to reversal (Burnside)
+    assert len(found) == 1 + (2**10 - 2 + 2**5 - 2) // 2
 
 
 def test_isomorphic_self_and_relabeled():
