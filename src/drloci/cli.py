@@ -60,11 +60,15 @@ class _JsonErrorParser(argparse.ArgumentParser):
 def _load_json(path: str) -> dict:
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CliError(f"malformed document {path}: expected a JSON object")
+    return doc
 
 
 def _load_graph(path: str) -> tuple[MarkedDualGraph, LevelStructure | None]:
@@ -72,17 +76,17 @@ def _load_graph(path: str) -> tuple[MarkedDualGraph, LevelStructure | None]:
     try:
         graph = MarkedDualGraph.from_json(doc)
         levels = LevelStructure.from_json(doc["levels"]) if "levels" in doc else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CliError(f"malformed graph document {path}: {exc}") from exc
     return graph, levels
 
 
-def _load_decoration(path: str, kind=TwrDecoration):
+def _load_document(path: str, kind=TwrDecoration, what: str = "decoration"):
     doc = _load_json(path)
     try:
         return kind.from_json(doc)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CliError(f"malformed decoration document {path}: {exc}") from exc
+        raise CliError(f"malformed {what} document {path}: {exc}") from exc
 
 
 def _require_levels(levels: LevelStructure | None, args) -> LevelStructure:
@@ -129,7 +133,7 @@ def cmd_levels(args) -> int:
 def cmd_ev(args) -> int:
     graph, levels = _load_graph(args.graph)
     levels = _require_levels(levels, args)
-    dec = _load_decoration(args.decoration) if args.decoration else None
+    dec = _load_document(args.decoration) if args.decoration else None
     system = evaluation_system(graph, levels, dec)
     blocks = system.to_json()
     if not args.all:
@@ -144,7 +148,7 @@ def cmd_ev(args) -> int:
 def cmd_constraints(args) -> int:
     graph, levels = _load_graph(args.graph)
     levels = _require_levels(levels, args)
-    dec = _load_decoration(args.decoration) if args.decoration else None
+    dec = _load_document(args.decoration) if args.decoration else None
     system = evaluation_system(graph, levels, dec)
     space = system.solution_space()
     from .exact import format_rational
@@ -166,7 +170,7 @@ def cmd_constraints(args) -> int:
 def cmd_twist(args) -> int:
     graph, levels = _load_graph(args.graph)
     levels = _require_levels(levels, args)
-    dec = _load_decoration(args.decoration)
+    dec = _load_document(args.decoration)
     result = twist(graph, levels, dec)
     _emit({"command": "twist", **result.to_json()}, args)
     return 0
@@ -175,7 +179,7 @@ def cmd_twist(args) -> int:
 def cmd_stabilize(args) -> int:
     graph, levels = _load_graph(args.graph)
     levels = _require_levels(levels, args)
-    dec = _load_decoration(args.decoration, TwdrDecoration)
+    dec = _load_document(args.decoration, TwdrDecoration)
     report = validate_twdr(graph, levels, dec)
     if not report.ok:
         raise CliError(f"decoration is not fully marked and valid: {report.violations}")
@@ -218,8 +222,10 @@ class _CountAction(argparse.Action):
 def cmd_hurwitz(args) -> int:
     problem = HurwitzProblem.build(args.degree, args.genus, args.profile or [])
     cap = args.cap  # the parser checks --cap; the environment is checked here
-    if cap is None and (cap := int(os.environ.get("DRLOCI_HURWITZ_CAP", DEFAULT_DEGREE_CAP))) < 1:
-        raise ValueError(f"DRLOCI_HURWITZ_CAP must be a positive integer, got {cap}")
+    try:
+        cap = cap or _positive_int(os.environ.get("DRLOCI_HURWITZ_CAP", str(DEFAULT_DEGREE_CAP)))
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"DRLOCI_HURWITZ_CAP: {exc}") from None
     payload = {"command": "hurwitz", "problem": problem.to_json(),
                "rh": rh_check(problem), "cap_hit": False}
     try:
@@ -234,7 +240,7 @@ def cmd_hurwitz(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    cover = CombinatorialCover.from_json(_load_json(args.cover))
+    cover = _load_document(args.cover, CombinatorialCover, "cover")
     report = validate_cover(cover)
     payload = {"command": "cover", "validation": report.to_json()}
     accepted = report.ok
@@ -359,6 +365,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, EnumerationCapExceeded, TwistError, ValueError) as exc:
         _print_error(str(exc))
+        return 2
+    except Exception as exc:  # a bug, not a verdict: never exit 1 with a traceback
+        _print_error(f"internal error: {type(exc).__name__}: {exc}")
         return 2
 
 

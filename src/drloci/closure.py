@@ -20,7 +20,7 @@ The search computes each quantity once, at the stage it depends on:
    half-edge of a vertex is placed, its component is compiled into a
    Hurwitz problem (kept per vertex and local orders) and the branch is
    cut when the component is infeasible, fails Riemann-Hurwitz, or does
-   not exist.  Each distinct problem is decided once per search; a
+   not exist.  Each distinct problem is decided once per graph; a
    problem beyond the degree cap does not cut.
 4. Per isomorphism class, the candidate of least rank (level structure
    index, then per edge in graph order the index of its option) is
@@ -31,7 +31,12 @@ The search computes each quantity once, at the stage it depends on:
 Every candidate the enumeration yields passes ``validate_twr`` by
 construction, except on a lone vertex without half-edges, whose missing
 pole the component check rejects; ``verify_certificate`` re-runs it, and
-every other check, on each certificate.
+every other check, on each certificate.  The pure stages are memoized on
+the graph object (``graph.memos``), so ``search`` and every verification
+on it share them until the graph is dropped: the level filtration per
+level structure, the ``exists`` answer per Hurwitz problem (looked up only
+within the cap), and the verifier's solved system per level structure,
+values and pole half-edges.
 
 Completeness boundary: node multiplicities are capped by the total
 positive mu mass (or an explicit bound), and component realizability
@@ -49,10 +54,9 @@ from .decorations import TwrDecoration, site_key, validate_twr
 from .exact import AffineSubspace, format_rational
 from .graphs import (LevelStructure, MarkedDualGraph, canonical_key,
                      enumerate_level_structures, half_edge_id, validate)
-from . import homology
-from .homology import LevelFiltration, evaluation_system
-from .hurwitz import (DegreeCapExceeded, Genus0Realization, HurwitzProblem,
-                      InfeasibleComponent, component_problem, exists, rh_check)
+from .homology import evaluation_system
+from .hurwitz import (Genus0Realization, InfeasibleComponent, component_problem, exists,
+                      rh_check)
 from .witnesses import ComponentShape, realize_component
 
 DEFAULT_HURWITZ_CAP = 6
@@ -77,7 +81,10 @@ class SearchBounds:
             key = key.replace("-", "_")
             if key not in SearchBounds.__dataclass_fields__:
                 raise ValueError(f"unknown bound {key!r}")
-            values[key] = int(val)
+            try:
+                values[key] = int(val)
+            except ValueError:
+                raise ValueError(f"bound {key} must be a positive integer, got {val!r}") from None
         return SearchBounds(**values)
 
 
@@ -121,21 +128,12 @@ class ClosureCertificate:
         }
 
 
-def _edge_side_options(order_cap: int, can_zero: bool) -> list[tuple[int, bool, bool]]:
-    out = []
-    for o in range(order_cap):
-        out.append((o, False, False))
-        if can_zero:
-            out.append((o, False, True))
-    return out
-
-
 def _edge_options(graph: MarkedDualGraph, levels: LevelStructure, e: str,
                   max_deg: int) -> list[tuple[tuple[int, bool, bool], tuple[int, bool, bool]]]:
     """Admissible (order, pole, nodal-zero) pairs for the two sides."""
     a, b = graph.edge_ends[e]
     la, lb = levels.of[a], levels.of[b]
-    regular = _edge_side_options(max_deg, True)
+    regular = [(o, False, zmark) for o in range(max_deg) for zmark in (False, True)]
     poles = [(-m - 1, True, False) for m in range(1, max_deg + 1)]
     opts = []
     if la == lb:
@@ -334,8 +332,8 @@ def _free_sites(graph: MarkedDualGraph, dec: TwrDecoration) -> list[str]:
     return out
 
 
-def _solution_space(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecoration,
-                    filtration: LevelFiltration | None = None) -> AffineSubspace | None:
+def _solution_space(graph: MarkedDualGraph, levels: LevelStructure,
+                    dec: TwrDecoration) -> AffineSubspace | None:
     """Solution space of the evaluation system; None when it is inconsistent
     or forces a regular node value to zero (a different stratum).
 
@@ -343,14 +341,10 @@ def _solution_space(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDeco
     lower ends of vertical edges, which the level restriction never
     evaluates, so every symbol of the system is a free site.
     """
-    space = evaluation_system(graph, levels, dec, filtration=filtration).solution_space()
+    space = evaluation_system(graph, levels, dec).solution_space()
     if space is None or any(space.forces_value(s) == 0 for s in space.symbols):
         return None
     return space
-
-
-def _columns(space: AffineSubspace) -> dict[str, tuple[Fraction, ...]]:
-    return {s: space.column(s) for s in space.symbols}
 
 
 def _forced_groups(free_sites: list[str], columns: dict[str, tuple]) -> list[list[str]]:
@@ -456,13 +450,11 @@ def _attempt_witnesses(graph: MarkedDualGraph, dec: TwrDecoration,
 
 
 def _component_verdict(graph: MarkedDualGraph, dec: TwrDecoration, v: str,
-                       groups: list[list[str]], cap: int,
-                       decided: dict[HurwitzProblem, bool | None]) -> dict | None:
+                       groups: list[list[str]], cap: int) -> dict | None:
     """Oracle verdict of one component, or None when it fails.
 
-    ``decided`` memoizes ``exists`` under ``cap`` (None: cap exceeded); the
-    caller owns it and must not share it across caps.
-    """
+    ``exists`` answers are memoized per graph by problem, looked up only
+    within the cap, where they do not depend on it (beyond it: None)."""
     try:
         problem = component_problem(graph, dec, v, groups)
     except InfeasibleComponent:
@@ -470,12 +462,10 @@ def _component_verdict(graph: MarkedDualGraph, dec: TwrDecoration, v: str,
     ok_rh = rh_check(problem)
     if not ok_rh:
         return None
-    if problem not in decided:
-        try:
-            decided[problem] = exists(problem, cap)
-        except DegreeCapExceeded:
-            decided[problem] = None
-    verdict = decided[problem]
+    answers = graph.memos["exists"]
+    if problem.degree <= cap and problem not in answers:
+        answers[problem] = exists(problem, cap)
+    verdict = answers[problem] if problem.degree <= cap else None
     if verdict is False:
         return None
     return {"problem": problem, "rh": ok_rh, "exists": verdict, "cap_hit": verdict is None}
@@ -490,11 +480,11 @@ class _PatternJudge:
 
     def __init__(self, graph: MarkedDualGraph, space: AffineSubspace,
                  zero_marks: frozenset[str], zero_values: dict[str, Fraction],
-                 half_edges: dict[str, list[str]],
-                 cap: int, decided: dict[HurwitzProblem, bool | None]):
-        self.graph, self.space, self.columns = graph, space, _columns(space)
+                 half_edges: dict[str, list[str]], cap: int):
+        self.graph, self.space = graph, space
+        self.columns = {s: space.column(s) for s in space.symbols}
         self.zero_marks, self.zero_values = zero_marks, zero_values
-        self.half_edges, self.cap, self.decided = half_edges, cap, decided
+        self.half_edges, self.cap = half_edges, cap
         self.verdicts: dict[tuple, dict | None] = {}
 
     def verdict(self, v: str, orders: dict[str, tuple[int, bool]]) -> dict | None:
@@ -509,8 +499,7 @@ class _PatternJudge:
             free = [site_key(v, h) for h, (_, pole) in zip(hids, local)
                     if not pole and h not in self.zero_marks]
             groups = _forced_groups(free, self.columns)
-            self.verdicts[key] = _component_verdict(self.graph, dec, v, groups,
-                                                    self.cap, self.decided)
+            self.verdicts[key] = _component_verdict(self.graph, dec, v, groups, self.cap)
         return self.verdicts[key]
 
 
@@ -535,11 +524,9 @@ def _certificate(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecorat
     if witness is not None:
         realizations, pinned = witness
         sample = {s: pinned.particular.get(s, Fraction(0)) for s in space.symbols}
-        verdict = "accepted-exact"
-        notes = []
+        verdict, notes = "accepted-exact", []
     else:
-        realizations = None
-        sample = _sample_point(space, free)
+        realizations, sample = None, _sample_point(space, free)
         verdict = "accepted-modulo-genericity"
         notes = ["no exact realization witness; component existence by "
                  "Hurwitz oracle and value-genericity"]
@@ -577,23 +564,14 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
                   for v in graph.vertex_ids}
 
     best: dict[tuple, tuple] = {}
-    decided: dict[HurwitzProblem, bool | None] = {}
     for li, levels in enumerate(enumerate_level_structures(graph, cap=bounds.level_cap)):
-        filtration = None
-
         def judge_of(zero_marks):
-            nonlocal filtration
-            if filtration is None:
-                # resolved through the module, so that per-layer tracing
-                # (perfbench/tracing.py) counts it
-                filtration = homology.level_filtration(graph, levels)
             # the system reads a decoration only through its zero marks
             values = {site_key(graph.half_edge_vertex(h), h): Fraction(0) for h in zero_marks}
-            space = _solution_space(graph, levels, TwrDecoration.build({}, values), filtration)
+            space = _solution_space(graph, levels, TwrDecoration.build({}, values))
             if space is None:
                 return None
-            return _PatternJudge(graph, space, zero_marks, values, half_edges,
-                                 bounds.hurwitz_cap, decided)
+            return _PatternJudge(graph, space, zero_marks, values, half_edges, bounds.hurwitz_cap)
 
         for rank, orders, _, judge in _decorations(graph, levels, max_deg, judge_of):
             dec = TwrDecoration.build(orders, judge.zero_values)
@@ -602,6 +580,19 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
             if key not in best or rank < best[key][0]:
                 best[key] = (rank, levels, dec, judge)
     return [_certificate(graph, *best[k][1:]) for k in sorted(best)]
+
+
+def _verified_system(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecoration):
+    """Rows of the evaluation system of ``dec`` and the columns of its
+    solution space (None when it is inconsistent), memoized per graph by
+    every input the system reads: the levels, the values and the poles."""
+    key = (levels, dec.values, frozenset(h for h, (_, pole) in dec.orders if pole))
+    memo = graph.memos["verified_system"]
+    if key not in memo:
+        system = evaluation_system(graph, levels, dec)
+        space = system.solution_space()
+        memo[key] = system.all_rows(), space and {s: space.column(s) for s in space.symbols}
+    return memo[key]
 
 
 def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
@@ -626,12 +617,11 @@ def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
     if not twr.ok:
         reasons.append(f"decoration invalid: {twr.violations}")
         return {"verdict": "rejected", "reasons": reasons}
-    system = evaluation_system(graph, cert.levels, cert.decoration)
-    space = system.solution_space()
-    if space is None:
+    rows, columns = _verified_system(graph, cert.levels, cert.decoration)
+    if columns is None:
         reasons.append("evaluation system inconsistent")
         return {"verdict": "rejected", "reasons": reasons}
-    for row in system.all_rows():
+    for row in rows:
         sub = row.substitute(cert.sample)
         if not (sub.is_constant and sub.const == 0):
             reasons.append(f"sample does not satisfy {row.render()}")
@@ -639,9 +629,8 @@ def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
     for site in free:
         if cert.sample.get(site, Fraction(1)) == 0:
             reasons.append(f"regular node value vanishes at {site}")
-    groups = _forced_groups(free, _columns(space))
-    decided: dict[HurwitzProblem, bool | None] = {}
-    if any(_component_verdict(graph, cert.decoration, v, groups, hurwitz_cap, decided) is None
+    groups = _forced_groups(free, columns)
+    if any(_component_verdict(graph, cert.decoration, v, groups, hurwitz_cap) is None
            for v in graph.vertex_ids):
         reasons.append("component ramification data infeasible")
     if reasons:

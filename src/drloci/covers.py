@@ -217,13 +217,7 @@ def stabilize_marked_graph(graph: MarkedDualGraph) -> MarkedDualGraph:
     legs = {l: (v, m) for l, v, m in graph.legs}
 
     def incident(v):
-        out = []
-        for e, ends in edges.items():
-            if ends[0] == v:
-                out.append((e, 0))
-            if ends[1] == v:
-                out.append((e, 1))
-        return out
+        return [(e, s) for e, ends in edges.items() for s in (0, 1) if ends[s] == v]
 
     def legs_at(v):
         return [l for l, (vv, _) in legs.items() if vv == v]

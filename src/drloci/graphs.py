@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,6 +71,11 @@ class MarkedDualGraph:
     @cached_property
     def _labeller(self) -> "_Labeller":
         return _Labeller(self)
+
+    @cached_property
+    def memos(self) -> defaultdict[str, dict]:
+        """Memos of pure stages on this graph (stage -> key -> value); they die with it."""
+        return defaultdict(dict)
 
     def legs_of(self, v: str) -> list[tuple[str, int]]:
         return [(l, m) for l, vv, m in self.legs if vv == v]

@@ -99,14 +99,21 @@ class LevelFiltration:
     top_levels: list[int | None]
 
 
-def level_filtration(graph: MarkedDualGraph, levels: LevelStructure,
-                     zero_legs=None) -> LevelFiltration:
+def level_filtration(graph: MarkedDualGraph, levels: LevelStructure) -> LevelFiltration:
     """For each attained level i, generators of the image of the down-set
     homology inside the ambient relative homology; also the top level of
-    each ambient basis element."""
-    if zero_legs is None:
-        zero_legs = default_zero_legs(graph)
-    zlegs = list(zero_legs)
+    each ambient basis element.
+
+    Memoized per graph by level structure (the zero legs are the graph's);
+    callers share the result and must not mutate it."""
+    memo = graph.memos["level_filtration"]
+    if levels not in memo:
+        memo[levels] = _level_filtration(graph, levels)
+    return memo[levels]
+
+
+def _level_filtration(graph: MarkedDualGraph, levels: LevelStructure) -> LevelFiltration:
+    zlegs = default_zero_legs(graph)
     gen: dict[int, list[Chain]] = {}
     for i in levels.attained():
         sub = subcomplex_leq(graph, levels, i)
@@ -282,15 +289,9 @@ class EvaluationSystem:
 
 
 def evaluation_system(graph: MarkedDualGraph, levels: LevelStructure,
-                      dec: TwrDecoration | None, zero_legs=None,
-                      filtration: LevelFiltration | None = None) -> EvaluationSystem:
-    """Evaluation forms of a generating set of every level sublattice.
-
-    ``filtration``, when given, must be ``level_filtration(graph, levels,
-    zero_legs)``; callers that evaluate many decorations of one level
-    structure compute it once.
-    """
-    filt = filtration if filtration is not None else level_filtration(graph, levels, zero_legs)
+                      dec: TwrDecoration | None) -> EvaluationSystem:
+    """Evaluation forms of a generating set of every level sublattice."""
+    filt = level_filtration(graph, levels)
     blocks = []
     for i in filt.levels:
         gens = filt.generators[i]

@@ -333,3 +333,71 @@ def test_check_closure_env_cap_must_be_positive(capsys, dollar_files, monkeypatc
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "hurwitz_cap" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"graph"', "null"])
+@pytest.mark.parametrize("argv", [["validate"], ["levels"], ["check-closure"]])
+def test_graph_file_that_is_not_an_object_exits_2(capsys, tmp_path, text, argv):
+    # a top-level list once crashed with AttributeError and exit 1
+    p = tmp_path / "g.json"
+    p.write_text(text)
+    code = main([*argv, "--graph", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "expected a JSON object" in json.loads(captured.err)["error"]
+
+
+def test_graph_with_non_object_levels_exits_2(capsys, dollar_files, tmp_path):
+    gpath, dpath = dollar_files
+    doc = json.loads(open(gpath).read())
+    doc["levels"] = []
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(doc))
+    code = main(["ev", "--all", "--graph", str(p), "--decoration", dpath])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"].startswith(f"malformed graph document {p}")
+
+
+@pytest.mark.parametrize("cover", [[], {"source": []}, {"source": {}, "target": 1}])
+def test_malformed_cover_exits_2(capsys, tmp_path, cover):
+    p = tmp_path / "cover.json"
+    p.write_text(json.dumps(cover))
+    code = main(["cover", "--cover", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
+def test_unexpected_exception_is_a_json_internal_error(capsys, dollar_files, monkeypatch):
+    from drloci import cli
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "validate", broken)
+    gpath, _ = dollar_files
+    code = main(["validate", "--graph", gpath])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "internal error: ZeroDivisionError: boom"
+
+
+def test_hurwitz_env_cap_not_an_integer_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "abc")
+    code = main(["hurwitz", "--degree", "3", "--genus", "0", "--profile", "3", "--profile", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert "DRLOCI_HURWITZ_CAP" in error and "'abc'" in error
+
+
+@pytest.mark.parametrize("bound", ["hurwitz_cap=x", "max_degree=1.5", "level_cap="])
+def test_check_closure_bound_not_an_integer_names_the_bound(capsys, dollar_files, bound):
+    key, _, value = bound.partition("=")
+    gpath, _ = dollar_files
+    code = main(["check-closure", "--graph", gpath, "--bounds", bound])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert key in error and repr(value) in error

@@ -255,3 +255,97 @@ def test_partial_order_decoration_accepted_on_both_tilts():
     # the third tilt is isomorphic to the second and stays deduplicated
     mirrored = {"v1": 0, "v2": -2, "v3": -1}
     assert not any(c.levels.of == mirrored for c in certs)
+
+
+def _tampered(cert):
+    """Copies of a certificate, each broken in one field."""
+    dec = cert.decoration
+    from drloci.decorations import TwrDecoration
+    from drloci.graphs import LevelStructure
+    out = {}
+    h, (o, _) = next((h, op) for h, op in dec.orders if not op[1])
+    out["orders"] = TwrDecoration.build({**dec.order_of, h: (o + 10, False)}, dec.value_of)
+    if cert.sample:
+        s = min(cert.sample)
+        out["sample"] = {**cert.sample, s: cert.sample[s] + 1}
+    poles = [h for h, (_, pole) in dec.orders if pole]
+    # flattening puts a pole on a horizontal edge; a flat structure instead
+    # gets a vertex lowered, which changes its evaluation system
+    levels = dict(cert.levels.of)
+    levels = dict.fromkeys(levels, 0) if poles else {**levels, min(levels): -1}
+    out["levels"] = LevelStructure.build(levels)
+    if poles:
+        out["pole"] = TwrDecoration.build(
+            {**dec.order_of, poles[0]: (dec.order_of[poles[0]][0], False)}, dec.value_of)
+    field_of = {"orders": "decoration", "pole": "decoration"}
+    return {k: dataclasses.replace(cert, **{field_of.get(k, k): v}) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("name", ["dollar_unmarked_zeros", "dollar_cover", "dollar_matching",
+                                  "partial_order", "horizontal_nodes", "cherry"])
+def test_memos_do_not_leak_acceptance(name):
+    # one graph object: the search and every verification fill and read its memos
+    g = load_graph(name)
+    certs = search(g, g.mu)
+    assert certs
+    for cert in certs:
+        assert verify_certificate(g, g.mu, cert)["verdict"].startswith("accepted")
+    seen = set()
+    for cert in certs:
+        for kind, bad in _tampered(cert).items():
+            seen.add(kind)
+            verdict = verify_certificate(g, g.mu, bad)
+            assert verdict["verdict"] == "rejected", (kind, bad.to_json())
+    assert {"orders", "levels"} <= seen
+
+
+def test_verification_on_shared_and_fresh_graphs_agrees():
+    from drloci.fixtures import FIXTURES
+    from drloci.graphs import validate
+    checked = 0
+    for name in FIXTURES:
+        if "graph" not in FIXTURES[name]:
+            continue
+        g = load_graph(name)
+        if not validate(g).stable:
+            continue  # search refuses it
+        certs = search(g, g.mu)
+        shared = [verify_certificate(g, g.mu, c) for c in certs]
+        fresh = MarkedDualGraph.from_json(g.to_json())
+        assert shared == [verify_certificate(fresh, fresh.mu, c) for c in certs], name
+        checked += 1
+    assert checked >= 7
+
+
+def _cap_sensitive_graph():
+    # a degree-6 component that cap 4 leaves undecided is infeasible under
+    # cap 6, so cap 4 accepts one certificate more
+    return MarkedDualGraph.build(
+        [("v", 0)], [("e0", ("v", "v")), ("e1", ("v", "v"))],
+        [("a", "v", 2), ("b", "v", 2), ("c", "v", 2), ("p", "v", -4), ("q", "v", -2)])
+
+
+def test_memoized_hurwitz_answers_do_not_cross_caps():
+    def fresh():
+        return _cap_sensitive_graph()
+
+    def as_json(certs):
+        return [c.to_json() for c in certs]
+
+    cap4, cap6 = SearchBounds(hurwitz_cap=4), SearchBounds(hurwitz_cap=6)
+    g = fresh()
+    under6 = search(g, g.mu, cap6)
+    assert ([verify_certificate(g, g.mu, c, 4) for c in under6]
+            == [verify_certificate(fresh(), g.mu, c, 4) for c in under6])
+    under4 = search(g, g.mu, cap4)
+    assert as_json(under4) == as_json(search(fresh(), g.mu, cap4))
+    assert len(under4) == len(under6) + 1
+    # the other order: answers beyond cap 4 were never stored
+    h = fresh()
+    under4 = search(h, h.mu, cap4)
+    assert as_json(search(h, h.mu, cap6)) == as_json(under6)
+    keys6 = {c.key(h) for c in under6}
+    extra = [c for c in under4 if c.key(h) not in keys6]
+    assert len(extra) == 1
+    assert verify_certificate(h, h.mu, extra[0], 6)["verdict"] == "rejected"
+    assert verify_certificate(h, h.mu, extra[0], 4)["verdict"].startswith("accepted")
