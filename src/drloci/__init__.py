@@ -14,10 +14,9 @@ from .covers import CombinatorialCover, closure_via_covers, validate_cover
 from .decorations import (TwdrDecoration, TwrDecoration, validate_twdr,
                           validate_twr)
 from .graphs import (LevelStructure, MarkedDualGraph,
-                     enumerate_level_structures, isomorphic, subcomplex_eq,
-                     subcomplex_leq, validate)
+                     enumerate_level_structures, isomorphic, validate)
 from .homology import (evaluate, evaluation_system, level_filtration,
-                       relative_h1, restrict_to_level, solve_constraints)
+                       relative_h1, restrict_to_level)
 from .hurwitz import (HurwitzProblem, component_problem, exists,
                       realize_genus0, rh_check)
 from .partitions import associated_partition, check_extension, ord_df
@@ -33,8 +32,6 @@ __all__ = [
     "enumerate_level_structures", "evaluate", "evaluation_system", "exists",
     "isomorphic", "level_filtration", "ord_df", "pushforward_check",
     "realize_genus0", "relative_h1", "restrict_to_level", "rh_check",
-    "search", "solve_constraints", "stabilize", "subcomplex_eq",
-    "subcomplex_leq", "twist",
-    "validate", "validate_cover", "validate_twdr", "validate_twr",
-    "verify_certificate",
+    "search", "stabilize", "twist", "validate", "validate_cover",
+    "validate_twdr", "validate_twr", "verify_certificate",
 ]

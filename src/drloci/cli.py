@@ -219,13 +219,19 @@ class _CountAction(argparse.Action):
         setattr(namespace, "profile", items)
 
 
+def _env_hurwitz_cap() -> int:
+    """The cap DRLOCI_HURWITZ_CAP sets, else the default."""
+    text = os.environ.get("DRLOCI_HURWITZ_CAP", str(DEFAULT_DEGREE_CAP))
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError:
+        raise CliError("DRLOCI_HURWITZ_CAP: hurwitz_cap must be a positive integer, "
+                       f"got {text!r}") from None
+
+
 def cmd_hurwitz(args) -> int:
     problem = HurwitzProblem.build(args.degree, args.genus, args.profile or [])
-    cap = args.cap  # the parser checks --cap; the environment is checked here
-    try:
-        cap = cap or _positive_int(os.environ.get("DRLOCI_HURWITZ_CAP", str(DEFAULT_DEGREE_CAP)))
-    except argparse.ArgumentTypeError as exc:
-        raise CliError(f"DRLOCI_HURWITZ_CAP: {exc}") from None
+    cap = args.cap or _env_hurwitz_cap()  # the environment is read only without --cap
     payload = {"command": "hurwitz", "problem": problem.to_json(),
                "rh": rh_check(problem), "cap_hit": False}
     try:
@@ -257,10 +263,8 @@ def cmd_cover(args) -> int:
 def cmd_check_closure(args) -> int:
     graph, _ = _load_graph(args.graph)
     mu = _mu(args.mu) if args.mu else graph.mu
-    # later items win: the environment, then --bounds, then --hurwitz-cap
-    items = list(args.bounds)
-    if "DRLOCI_HURWITZ_CAP" in os.environ:
-        items.insert(0, f"hurwitz_cap={os.environ['DRLOCI_HURWITZ_CAP']}")
+    # later items win: the environment (or the default), then --bounds, then --hurwitz-cap
+    items = [f"hurwitz_cap={_env_hurwitz_cap()}", *args.bounds]
     if args.hurwitz_cap is not None:
         items.append(f"hurwitz_cap={args.hurwitz_cap}")
     bounds = SearchBounds.from_strings(items)

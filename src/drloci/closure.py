@@ -55,17 +55,15 @@ from .exact import AffineSubspace, format_rational
 from .graphs import (LevelStructure, MarkedDualGraph, canonical_key,
                      enumerate_level_structures, half_edge_id, validate)
 from .homology import evaluation_system
-from .hurwitz import (Genus0Realization, InfeasibleComponent, component_problem, exists,
-                      rh_check)
+from .hurwitz import (DEFAULT_DEGREE_CAP, Genus0Realization, InfeasibleComponent,
+                      component_problem, exists, rh_check)
 from .witnesses import ComponentShape, realize_component
-
-DEFAULT_HURWITZ_CAP = 6
 
 
 @dataclass(frozen=True)
 class SearchBounds:
     max_degree: int | None = None
-    hurwitz_cap: int = DEFAULT_HURWITZ_CAP
+    hurwitz_cap: int = DEFAULT_DEGREE_CAP
     level_cap: int = 200_000
 
     def __post_init__(self):
@@ -597,7 +595,7 @@ def _verified_system(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDec
 
 def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
                        cert: ClosureCertificate,
-                       hurwitz_cap: int = DEFAULT_HURWITZ_CAP) -> dict:
+                       hurwitz_cap: int = DEFAULT_DEGREE_CAP) -> dict:
     """Re-run every check of a certificate, deciding components under the
     Hurwitz cap the search ran with; verdicts: accepted-exact,
     accepted-modulo-genericity, or rejected with reasons."""

@@ -20,6 +20,7 @@ infinity) is the given stable graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import MarkedDualGraph, half_edge_id, isomorphic
 
@@ -45,23 +46,23 @@ class CombinatorialCover:
             tuple(sorted(degrees.items())),
         )
 
-    @property
+    @cached_property
     def vmap(self) -> dict[str, str]:
         return dict(self.vertex_map)
 
-    @property
+    @cached_property
     def emap(self) -> dict[str, str]:
         return dict(self.edge_map)
 
-    @property
+    @cached_property
     def lmap(self) -> dict[str, str]:
         return dict(self.leg_map)
 
-    @property
+    @cached_property
     def mult_of(self) -> dict[str, int]:
         return dict(self.mults)
 
-    @property
+    @cached_property
     def degree_of(self) -> dict[str, int]:
         return dict(self.degrees)
 
@@ -199,7 +200,7 @@ def validate_cover(cover: CombinatorialCover) -> CoverReport:
             errs.append(("fiber-degree", tl, f"leg fiber sums to {sum(fiber)} != {degree}"))
     for te, _ in tgt.edges:
         for ts in (0, 1):
-            fiber = [cover.mult_of[half_edge_id(e, s)]
+            fiber = [mult[half_edge_id(e, s)]
                      for (e, s), over in side_over.items() if over == (te, ts)]
             if sum(fiber) != degree:
                 errs.append(("fiber-degree", f"{te}.{ts}",

@@ -64,9 +64,6 @@ class TwrDecoration:
     def is_pole(self, hid: str) -> bool:
         return self.order_of[hid][1]
 
-    def ord(self, hid: str) -> int:
-        return self.order_of[hid][0]
-
     def is_zero_site(self, vertex: str, point: str) -> bool:
         return self.value_of.get(site_key(vertex, point)) == 0
 

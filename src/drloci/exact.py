@@ -146,13 +146,6 @@ class LinearForm:
                 c[k] = c.get(k, Fraction(0)) + v
         return LinearForm.build(c, const)
 
-    def value(self, values: dict[str, Fraction]) -> Fraction:
-        out = self.substitute(values)
-        if not out.is_constant:
-            missing = [k for k, _ in out.coeffs]
-            raise ValueError(f"missing values for {missing}")
-        return out.const
-
     def normalized_vector(self, symbols: list[str]) -> tuple[int, ...]:
         """Integer coefficient vector (unknowns then constant), primitive,
         first nonzero entry positive.  Used for verbatim row comparisons."""
@@ -218,14 +211,14 @@ class AffineSubspace:
         return self.column(s1) == self.column(s2)
 
     def contains(self, point: dict[str, Fraction]) -> bool:
-        """Exact membership test for a fully specified point."""
-        rows = []
-        rhs = []
-        for i, s in enumerate(self.symbols):
-            rows.append([b.get(s, Fraction(0)) for b in self.basis])
-            rhs.append(point.get(s, Fraction(0)) - self.particular.get(s, Fraction(0)))
-        sol = solve_rational(rows, rhs)
-        return sol is not None
+        """Exact membership test for a fully specified point: point -
+        particular is a combination of the basis vectors, whose
+        coefficients (unknowns named by basis index) solve one form per
+        coordinate."""
+        forms = [LinearForm.build({str(j): b.get(s, Fraction(0)) for j, b in enumerate(self.basis)},
+                                  self.particular.get(s, Fraction(0)) - point.get(s, Fraction(0)))
+                 for s in self.symbols]
+        return solve_forms(forms) is not None
 
     def pinned(self, symbol: str, value: Fraction) -> "AffineSubspace | None":
         """Intersect with the hyperplane {symbol = value}.
@@ -277,37 +270,6 @@ class AffineSubspace:
             other.contains(self.sample([Fraction(1) if i == j else Fraction(0)
                                         for j in range(self.dim)]))
             for i in range(self.dim))
-
-
-def solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of rows*x = rhs over Q, or None if inconsistent."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    a = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = a[i][n]
-    return x
 
 
 def solve_forms(forms: list[LinearForm], symbols: list[str] | None = None) -> AffineSubspace | None:

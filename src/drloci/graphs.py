@@ -4,10 +4,10 @@ A marked dual graph has vertices labeled by geometric genus, edges for
 the nodes (self-loops and parallel edges allowed), and legs for the
 marked points, each leg carrying an integer order label mu.  A level
 structure is a normalized map from vertices to {0,-1,...,-L}; it splits
-edges into horizontal (equal levels) and vertical ones and induces the
-level subcomplexes used by the evaluation machinery: the full subgraph
-below a level, and the level slice in which every edge descending from
-the level is cut in the middle.
+edges into horizontal (equal levels) and vertical ones.  The evaluation
+machinery in ``homology`` reads from it the down-set below a level and
+the level slice in which every edge descending from the level is cut in
+the middle.
 """
 
 from __future__ import annotations
@@ -242,75 +242,12 @@ class LevelStructure:
         a, b = graph.edge_ends[edge_id]
         return self.of[a] == self.of[b]
 
-    def upper_side(self, graph: MarkedDualGraph, edge_id: str) -> int:
-        """Side index of q_e^+.
-
-        For horizontal edges the choice is arbitrary in principle; we fix
-        the side at the lexicographically smaller vertex id (side 0 for
-        self-loops) so that outputs are reproducible.
-        """
-        a, b = graph.edge_ends[edge_id]
-        la, lb = self.of[a], self.of[b]
-        if la > lb:
-            return 0
-        if lb > la:
-            return 1
-        return 0 if a <= b else 1
-
-    def edge_levels(self, graph: MarkedDualGraph, edge_id: str) -> tuple[int, int]:
-        """(l(e+), l(e-))."""
-        up = self.upper_side(graph, edge_id)
-        ends = graph.edge_ends[edge_id]
-        return self.of[ends[up]], self.of[ends[1 - up]]
-
     def to_json(self) -> dict:
         return {v: lv for v, lv in self.level}
 
     @staticmethod
     def from_json(doc: dict) -> "LevelStructure":
         return LevelStructure.build({str(k): int(v) for k, v in doc.items()})
-
-
-@dataclass(frozen=True)
-class LevelSubcomplex:
-    """A level slice or down-set of a level graph, as a cell complex fragment.
-
-    ``half_legs`` lists the cut legs h(q_e^+) of the slice: pairs
-    (edge id, side of q_e^+), one per edge descending from the level.
-    """
-
-    vertices: tuple[str, ...]
-    edges: tuple[str, ...]
-    legs: tuple[str, ...]
-    half_legs: tuple[tuple[str, int], ...] = ()
-
-
-def subcomplex_leq(graph: MarkedDualGraph, levels: LevelStructure, i: int) -> LevelSubcomplex:
-    """Down-set: vertices of level <= i, edges between them, their legs."""
-    vs = tuple(v for v in graph.vertex_ids if levels.of[v] <= i)
-    vset = set(vs)
-    es = tuple(e for e, (a, b) in graph.edges if a in vset and b in vset)
-    ls = tuple(l for l, v, _ in graph.legs if v in vset)
-    return LevelSubcomplex(vs, es, ls)
-
-
-def subcomplex_eq(graph: MarkedDualGraph, levels: LevelStructure, i: int) -> LevelSubcomplex:
-    """Level slice: level-i vertices, horizontal edges among them, legs,
-    plus one cut half-leg per edge from level i down to a lower level."""
-    vs = tuple(v for v in graph.vertex_ids if levels.of[v] == i)
-    vset = set(vs)
-    es = []
-    half = []
-    for e, (a, b) in graph.edges:
-        la, lb = levels.of[a], levels.of[b]
-        if la == i and lb == i:
-            es.append(e)
-        elif la == i and lb < i:
-            half.append((e, 0))
-        elif lb == i and la < i:
-            half.append((e, 1))
-    ls = tuple(l for l, v, _ in graph.legs if v in vset)
-    return LevelSubcomplex(vs, tuple(es), ls, tuple(half))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +279,7 @@ class _Labeller:
         code = {c: i for i, c in enumerate(sorted({c for r in self.colour for c in r.values()}))}
         self.code = [{lv: code[c] for lv, c in row.items()} for row in self.colour]
 
-    def refine(self, level: tuple[int, ...], extra: list | None = None):
+    def refine(self, level: tuple[int, ...]):
         """Colour refinement: each round replaces the colour c of v by (c,
         sorted colours of v's neighbours) until a round splits no class.
         Returns the ranks each round sorted neighbours by, keys that sort and
@@ -352,9 +289,7 @@ class _Labeller:
             keys = [row[lv] for row, lv in zip(self.code, level)]
         except KeyError:  # a level outside {0, ..., 1-n}: not normalized
             self._tabulate(set(level).union(self.colour[0]))
-            return self.refine(level, extra)
-        if extra is not None:
-            keys = list(zip(keys, extra))
+            return self.refine(level)
         ranks, classes = [], len(set(keys))
         while classes < self.n:
             index = {c: i for i, c in enumerate(sorted(set(keys)))}
@@ -368,21 +303,17 @@ class _Labeller:
             keys, classes = sig, split
         return ranks, keys, classes
 
-    def key(self, level: tuple[int, ...], edge_data=None, vertex_data=None) -> tuple:
-        """``canonical_key`` at ``level``, one level per vertex in ``vertex_ids``."""
-        extra = [(vertex_data(v),) for v in self.graph.vertex_ids] if vertex_data else None
-        return self._key(level, extra, edge_data)
-
     def level_key(self, level: tuple[int, ...]) -> tuple:
         """``key(level)``, but at round 0 the vertex row is the colour codes in
         chain order, which sort and compare as the colours do.  Codes belong to
         this graph, so only keys of one graph compare; one of round >= 1 differs
         from one of round 0 at position 0 and never compares further."""
-        return self._key(level, None, None, codes=True)
+        return self.key(level, codes=True)
 
-    def _key(self, level: tuple[int, ...], extra, edge_data, codes: bool = False) -> tuple:
-        """(refinement rounds, vertex row, edge row, leg row) at ``level``."""
-        ranks, keys, classes = self.refine(level, extra)
+    def key(self, level: tuple[int, ...], edge_data=None, codes: bool = False) -> tuple:
+        """``canonical_key`` at ``level``, one level per vertex in ``vertex_ids``:
+        (refinement rounds, vertex row, edge row, leg row)."""
+        ranks, keys, classes = self.refine(level)
         chain = tuple(sorted(range(self.n), key=keys.__getitem__))
         groups = chain if classes == self.n else tuple(
             tuple(c) for _, c in itertools.groupby(chain, keys.__getitem__))
@@ -394,8 +325,6 @@ class _Labeller:
         if codes and not ranks:
             return (0, tuple(sorted(keys)), *rows)
         colours = [row[lv] for row, lv in zip(self.colour, level)]
-        if extra is not None:
-            colours = [c[:4] + (x,) for c, x in zip(colours, extra)]
         for rank in ranks:  # one nesting per round
             colours = [(c, tuple([colours[u] for u in sorted(ns, key=rank.__getitem__)]))
                        for c, ns in zip(colours, self.nbrs)]
@@ -425,11 +354,11 @@ class _Labeller:
 
 
 def canonical_key(graph: MarkedDualGraph, levels: LevelStructure | None = None,
-                  edge_data=None, vertex_data=None) -> tuple:
+                  edge_data=None) -> tuple:
     """Canonical form of the (colored, leveled, decorated) graph.
 
     ``edge_data(edge_id, side) -> hashable`` attaches per-half-edge data
-    (decorations) to the key; ``vertex_data(v) -> hashable`` likewise.
+    (decorations) to the key.
     The key is (refinement rounds, vertex row, edge row, leg row); the
     round count also fixes how deeply the vertex colours are nested, so
     any two keys compare.  The graph's labeller (built once per graph)
@@ -439,8 +368,7 @@ def canonical_key(graph: MarkedDualGraph, levels: LevelStructure | None = None,
     permutations within classes.
     """
     of = levels.of if levels is not None else dict.fromkeys(graph.vertex_ids, 0)
-    return graph._labeller.key(tuple(of[v] for v in graph.vertex_ids),
-                               edge_data, vertex_data)
+    return graph._labeller.key(tuple(of[v] for v in graph.vertex_ids), edge_data)
 
 
 def isomorphic(a: MarkedDualGraph, b: MarkedDualGraph,

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .decorations import TwrDecoration, site_key
 from .exact import AffineSubspace, LinearForm, integer_kernel_basis, solve_forms
-from .graphs import LevelStructure, MarkedDualGraph, half_edge_id, subcomplex_leq
+from .graphs import LevelStructure, MarkedDualGraph, half_edge_id
 
 Cell = tuple[str, str]  # ("edge", id) or ("leg", id)
 Chain = dict[Cell, int]
@@ -79,14 +79,12 @@ def _kernel_chains(graph: MarkedDualGraph,
     return chains
 
 
-def relative_h1(graph: MarkedDualGraph, zero_legs=None) -> list[Chain]:
+def relative_h1(graph: MarkedDualGraph) -> list[Chain]:
     """Basis of H1(graph, Z; Z) as integer chains on edges and zero legs.
 
     Rank = |E| - |V| + 1 + max(|Z| - 1, 0) on connected graphs.
     """
-    if zero_legs is None:
-        zero_legs = default_zero_legs(graph)
-    return _kernel_chains(graph, [e for e, _ in graph.edges], list(zero_legs))
+    return _kernel_chains(graph, [e for e, _ in graph.edges], list(default_zero_legs(graph)))
 
 
 @dataclass
@@ -95,14 +93,13 @@ class LevelFiltration:
 
     levels: list[int]
     generators: dict[int, list[Chain]]
-    ambient: list[Chain]
-    top_levels: list[int | None]
 
 
 def level_filtration(graph: MarkedDualGraph, levels: LevelStructure) -> LevelFiltration:
-    """For each attained level i, generators of the image of the down-set
-    homology inside the ambient relative homology; also the top level of
-    each ambient basis element.
+    """For each attained level i, generators of the image of the homology
+    of the down-set of i (the vertices of level <= i, the edges among them
+    and their zero legs) inside the relative homology.  The down-set of the
+    top level is the whole graph, so its generators are ``relative_h1``.
 
     Memoized per graph by level structure (the zero legs are the graph's);
     callers share the result and must not mutate it."""
@@ -116,14 +113,11 @@ def _level_filtration(graph: MarkedDualGraph, levels: LevelStructure) -> LevelFi
     zlegs = default_zero_legs(graph)
     gen: dict[int, list[Chain]] = {}
     for i in levels.attained():
-        sub = subcomplex_leq(graph, levels, i)
-        vset = set(sub.vertices)
-        sub_edges = list(sub.edges)
+        vset = {v for v in graph.vertex_ids if levels.of[v] <= i}
+        sub_edges = [e for e, (a, b) in graph.edges if a in vset and b in vset]
         sub_legs = [l for l in zlegs if graph.leg_info[l][0] in vset]
         gen[i] = _kernel_chains(graph, sub_edges, sub_legs)
-    ambient = relative_h1(graph, zlegs)
-    tops = [chain_support_top_level(c, graph, levels) for c in ambient]
-    return LevelFiltration(levels.attained(), gen, ambient, tops)
+    return LevelFiltration(levels.attained(), gen)
 
 
 @dataclass(frozen=True)
@@ -299,8 +293,3 @@ def evaluation_system(graph: MarkedDualGraph, levels: LevelStructure,
                 for g in gens]
         blocks.append(LevelBlock(i, gens, rows))
     return EvaluationSystem(graph, levels, blocks)
-
-
-def solve_constraints(system: EvaluationSystem) -> AffineSubspace | None:
-    """Affine solution space of the full system over Q; None if inconsistent."""
-    return system.solution_space()

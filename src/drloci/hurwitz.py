@@ -151,13 +151,6 @@ def _join(blocks: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _transitive(perms: list[tuple[int, ...]], d: int) -> bool:
-    blocks = tuple(range(d))
-    for p in perms:
-        blocks = _join(blocks, p)
-    return set(blocks) == {0}
-
-
 def _shape(perm: tuple[int, ...], blocks: tuple[int, ...]) -> tuple:
     """A permutation and an invariant partition up to simultaneous
     relabelling: the sorted cycle types of the permutation on the blocks."""

@@ -3,13 +3,46 @@ must reproduce field by field.
 
 It finds the particular solution with ``solve_rational``, then reduces
 the coefficient matrix a second time to read off the kernel.
+``solve_rational`` also serves as the reference for
+``AffineSubspace.contains``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from drloci.exact import AffineSubspace, LinearForm, solve_rational
+from drloci.exact import AffineSubspace, LinearForm
+
+
+def solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """One solution of rows*x = rhs over Q, or None if inconsistent."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    a = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(m)]
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        p = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if a[i][n] != 0:
+            return None
+    x = [Fraction(0)] * n
+    for i, c in enumerate(piv_cols):
+        x[c] = a[i][n]
+    return x
 
 
 def plain_solve_forms(forms: list[LinearForm], symbols: list[str] | None = None) -> AffineSubspace | None:

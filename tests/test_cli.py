@@ -392,6 +392,18 @@ def test_hurwitz_env_cap_not_an_integer_names_the_variable(capsys, monkeypatch):
     assert "DRLOCI_HURWITZ_CAP" in error and "'abc'" in error
 
 
+def test_check_closure_env_cap_not_an_integer_names_the_variable(capsys, dollar_files,
+                                                                 monkeypatch):
+    # the error once read "bound hurwitz_cap must be ...", without the variable
+    gpath, _ = dollar_files
+    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "abc")
+    code = main(["check-closure", "--graph", gpath])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert "DRLOCI_HURWITZ_CAP" in error and "hurwitz_cap" in error and "'abc'" in error
+
+
 @pytest.mark.parametrize("bound", ["hurwitz_cap=x", "max_degree=1.5", "level_cap="])
 def test_check_closure_bound_not_an_integer_names_the_bound(capsys, dollar_files, bound):
     key, _, value = bound.partition("=")

@@ -1,13 +1,12 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drloci.exact import (LinearForm, format_rational, integer_kernel_basis,
-                          parse_rational, primitive, solve_forms, solve_rational)
+                          parse_rational, primitive, solve_forms)
 
-from plain_exact import plain_solve_forms
+from plain_exact import plain_solve_forms, solve_rational
 
 
 def test_rational_round_trip():
@@ -33,11 +32,6 @@ def test_integer_kernel_saturated():
     assert len(basis) == 1
     assert primitive(basis[0]) in ([2, -1], [-2, 1])
     assert basis[0] in ([2, -1], [-2, 1])
-
-
-def test_solve_rational_inconsistent():
-    assert solve_rational([[Fraction(1)], [Fraction(1)]],
-                          [Fraction(0), Fraction(1)]) is None
 
 
 def test_solve_forms_affine_space():
@@ -87,11 +81,11 @@ def test_render():
 
 def test_substitute_and_value():
     form = LinearForm.build({"a": Fraction(2), "b": Fraction(1)}, Fraction(-4))
-    assert form.value({"a": Fraction(1), "b": Fraction(2)}) == 0
+    assert form.substitute({"a": Fraction(1), "b": Fraction(2)}).is_zero
+    assert form.substitute({"a": Fraction(1), "b": Fraction(3)}) == LinearForm((), Fraction(1))
     partial = form.substitute({"a": Fraction(1)})
     assert partial.coeff_map() == {"b": Fraction(1)}
-    with pytest.raises(ValueError):
-        form.value({"a": Fraction(1)})
+    assert not partial.is_constant
 
 
 @st.composite
@@ -123,3 +117,21 @@ def test_solve_forms_matches_two_pass_reference(system):
     assert got.symbols == want.symbols
     assert got.particular == want.particular
     assert got.basis == want.basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_systems(), st.lists(st.integers(min_value=-3, max_value=3), min_size=7, max_size=7))
+def test_contains_accepts_samples_and_rejects_moved_points(system, params):
+    space = solve_forms(*system)
+    if space is None:
+        return
+    point = space.sample([Fraction(t) for t in params[:space.dim]])  # at most 7 unknowns
+    assert space.contains(point)
+    columns = [[b.get(s, Fraction(0)) for b in space.basis] for s in space.symbols]
+    rejected = 0
+    for s in space.symbols:
+        # the moved point stays exactly when the unit vector at s is in span(basis)
+        inside = solve_rational(columns, [Fraction(t == s) for t in space.symbols]) is not None
+        assert space.contains({**point, s: point[s] + 1}) == inside
+        rejected += not inside
+    assert (rejected > 0) == (space.dim < len(space.symbols))

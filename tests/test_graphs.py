@@ -5,8 +5,7 @@ import pytest
 from drloci.fixtures import load_graph
 from drloci.graphs import (EnumerationCapExceeded, LevelStructure,
                            MarkedDualGraph, canonical_key,
-                           enumerate_level_structures, isomorphic,
-                           subcomplex_eq, subcomplex_leq, validate)
+                           enumerate_level_structures, isomorphic, validate)
 
 
 def theta():
@@ -54,45 +53,6 @@ def test_genus_invariant_under_subdivision():
         [("e1a", ("v1", "w")), ("e1b", ("w", "v2")),
          ("e2", ("v1", "v2")), ("e3", ("v1", "v2"))])
     assert sub.total_genus == g.total_genus
-
-
-def test_subcomplex_leq_dollar():
-    g = dollar()
-    lv = LevelStructure.build({"v1": 0, "v2": -1})
-    sub = subcomplex_leq(g, lv, -1)
-    assert sub.vertices == ("v2",)
-    assert sub.edges == ()
-    assert set(sub.legs) == {"z1", "z2", "z3"}
-    assert subcomplex_leq(g, lv, 0).vertices == ("v1", "v2")
-    assert subcomplex_leq(g, lv, -5).vertices == ()
-
-
-def test_subcomplex_eq_dollar_cuts_downward_edges():
-    g = dollar()
-    lv = LevelStructure.build({"v1": 0, "v2": -1})
-    sub = subcomplex_eq(g, lv, 0)
-    assert sub.vertices == ("v1",)
-    assert set(sub.legs) == {"p"}
-    assert set(sub.half_legs) == {("q1", 0), ("q2", 0), ("q3", 0)}
-
-
-def test_subcomplex_eq_no_downward():
-    g = load_graph("horizontal_nodes")
-    lv = LevelStructure.build({"v1": 0, "v2": -1, "v3": -1})
-    sub = subcomplex_eq(g, lv, -1)
-    assert set(sub.vertices) == {"v2", "v3"}
-    assert sub.edges == ("q3",)
-    assert set(sub.legs) == {"z2", "z3"}
-    assert sub.half_legs == ()
-
-
-def test_half_leg_count_matches_vertical_edges():
-    g = load_graph("level_dependence")
-    lv = LevelStructure.from_json({"v1": 0, "v2": -1, "v3": -1, "v4": -2, "v5": -2})
-    sub = subcomplex_eq(g, lv, -1)
-    vertical_from = [e for e, _ in g.edges
-                     if lv.edge_levels(g, e) == (-1, -2)]
-    assert len(sub.half_legs) == len(vertical_from) == 4
 
 
 def test_enumerate_dollar_three_structures():

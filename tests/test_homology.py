@@ -4,8 +4,8 @@ import pytest
 
 from drloci.decorations import TwrDecoration
 from drloci.exact import LinearForm
-from drloci.fixtures import load_decoration, load_graph, load_levels
-from drloci.graphs import LevelStructure, MarkedDualGraph
+from drloci.fixtures import FIXTURES, fixture_names, load_decoration, load_graph, load_levels
+from drloci.graphs import LevelStructure, MarkedDualGraph, enumerate_level_structures
 from drloci.homology import (chain_support_top_level, default_zero_legs,
                              evaluate, evaluation_system, level_filtration,
                              relative_h1, restrict_to_level)
@@ -57,8 +57,20 @@ def test_filtration_dollar():
 def test_filtration_reports_top_levels():
     g = dollar()
     lv = load_levels("dollar_unmarked_zeros")
-    filt = level_filtration(g, lv)
-    assert sorted(filt.top_levels) == [-1, -1, 0, 0]
+    tops = [chain_support_top_level(c, g, lv) for c in relative_h1(g)]
+    assert sorted(tops) == [-1, -1, 0, 0]
+
+
+def test_top_level_generators_are_relative_h1():
+    # the top level's down-set is the whole graph
+    cases = [(load_graph(name), lv) for name in fixture_names() if "graph" in FIXTURES[name]
+             for lv in enumerate_level_structures(load_graph(name))]
+    rng = random.Random(5)
+    for _ in range(100):
+        g = random_connected_graph(rng, max_vertices=6)
+        cases.append((g, random_levels(rng, g)))
+    for g, lv in cases:
+        assert level_filtration(g, lv).generators[lv.attained()[0]] == relative_h1(g)
 
 
 def test_filtration_compact_type_tree():
@@ -221,9 +233,8 @@ def test_mu_zero_legs_join_relative_homology():
 
 
 def test_solve_constraints_named_operation():
-    from drloci.homology import solve_constraints
     g = dollar()
     system = evaluation_system(g, load_levels("dollar_unmarked_zeros"),
                                load_decoration("dollar_unmarked_zeros"))
-    space = solve_constraints(system)
+    space = system.solution_space()
     assert space is not None and space.dim == 1

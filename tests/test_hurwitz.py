@@ -149,7 +149,8 @@ def test_realize_genus0_coordinate_collision():
 
 def _exists_unpruned(d, genus, profiles):
     # independent route: enumerate full tuples without fixing any factor
-    from drloci.hurwitz import _cycle_type, _compose, _transitive
+    from drloci.hurwitz import _cycle_type, _compose
+    from plain_oracles import _transitive
     problem = P(d, genus, profiles)
     if not rh_check(problem):
         return False
