@@ -115,3 +115,17 @@ def test_stabilize_marked_graph_slides_leg():
 def test_cover_json_round_trip():
     cover = load_cover("cherry")
     assert CombinatorialCover.from_json(cover.to_json()) == cover
+
+
+def test_stabilize_marked_graph_contracts_bridge():
+    # an unmarked rational vertex on two nodes is replaced by one node
+    g = MarkedDualGraph.build(
+        [("a", 1), ("m", 0), ("b", 1)], [("e2", ("m", "b")), ("e1", ("a", "m"))],
+        [("z", "a", 1), ("p", "b", -1)])
+    st = stabilize_marked_graph(g)
+    assert st.vertex_ids == ("a", "b")
+    assert st.edges == (("ctr:e1", ("b", "a")),)
+    assert st.legs == (("p", "b", -1), ("z", "a", 1))
+    # a rational vertex on a lone self-loop is not a stabilization input: kept
+    loop = MarkedDualGraph.build([("m", 0)], [("l", ("m", "m"))])
+    assert stabilize_marked_graph(loop) == loop

@@ -24,6 +24,18 @@ def test_degree_balance_readable_from_decoration():
     assert rep.unmarked_zero_orders["v1"] == 3
 
 
+def test_explicit_marked_zero_vertices_replace_the_legs():
+    g = load_graph("dollar_unmarked_zeros")
+    lv = load_levels("dollar_unmarked_zeros")
+    dec = load_decoration("dollar_unmarked_zeros")
+    assert dec.marked_zero_vertices is None
+    # v1 has unmarked zero orders left, so declaring it marked breaks its balance
+    both = TwrDecoration.build(dec.order_of, dec.value_of, ["v1", "v2"])
+    rep = validate_twr(g, lv, both)
+    assert [(c, w) for c, w, _ in rep.violations] == [("prescribed-vanishing", "v1")]
+    assert validate_twr(g, lv, TwrDecoration.build(dec.order_of, dec.value_of, [])).ok
+
+
 def test_pole_on_horizontal_edge_rejected():
     g = load_graph("horizontal_nodes")
     lv = load_levels("horizontal_nodes")

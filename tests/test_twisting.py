@@ -151,3 +151,21 @@ def test_pushforward_checks_on_random_twrs():
         pf = pushforward_check(tw.graph, cm.shared_levels_src, tw.decoration,
                                g2, cm.shared_levels_dst, dec2, cm)
         assert pf.ok, pf.details
+
+
+def test_stabilize_names_a_foreign_bridge_by_its_least_edge():
+    # a rational bridge that twist did not make (its edges are not e:a, e:b)
+    g = MarkedDualGraph.build(
+        [("a", 1), ("m", 0), ("b", 1)], [("e2", ("m", "b")), ("e1", ("a", "m"))],
+        [("z", "a", 1), ("p", "a", -1)])
+    lv = LevelStructure.build({"a": 0, "m": -1, "b": -2})
+    base = TwrDecoration.build({"e1.0": (0, False), "e1.1": (-2, True),
+                                "e2.0": (0, False), "e2.1": (-2, True)})
+    twdr = TwdrDecoration.build(
+        base, [("c0", "a", 1), ("c1", "a", 1), ("c2", "b", 1), ("c3", "b", 1)])
+    g2, lv2, dec2, cm = stabilize(g, lv, twdr)
+    assert g2.edges == (("ctr:e1", ("a", "b")),)
+    assert dec2.order_of == {"ctr:e1.0": (0, False), "ctr:e1.1": (-2, True)}
+    assert cm.contracted_vertices == {"m": ("bridge", "ctr:e1")}
+    assert cm.edge_map == {"e1": ("ctr:e1", 1), "e2": ("", 0)}
+    assert lv2.of == {"a": 0, "b": -1}

@@ -79,3 +79,17 @@ def test_zero_valued_target_rejected():
                            targets={"a": Fraction(0)}, flexible={},
                            mults={"a": 1})
     assert realize_component(shape) is None
+
+
+def test_single_fiber_values_at_flexible_points():
+    # both branches: unmarked zeros (f = w + P) and marked zeros (split shift pair)
+    for zeros in ({}, {"z1": 1, "z2": 1, "z3": 1}):
+        shape = ComponentShape("v", zeros=zeros, poles={"p": 3},
+                               targets={"a": Fraction(5), "b": Fraction(5),
+                                        "c": Fraction(5)},
+                               flexible={"s": 1, "t": 1},
+                               mults={"a": 1, "b": 1, "c": 1, "s": 1, "t": 1})
+        real, vals = realize_component(shape)
+        assert real.poles == {INF: 3}
+        assert set(vals) == {"s", "t"}
+        assert all(v not in (0, 5, INF) for v in vals.values())
