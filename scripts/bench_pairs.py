@@ -9,7 +9,9 @@ Each DIR is a checkout holding src/ and perfbench/ (for instance made with
 each checkout, from that checkout, for run.py's own default run length;
 the side that runs first alternates by pair.  Then each side runs once with
 --seconds 0 for each of seeds 1, 3 and 7, and the output digests it prints
-are recorded.  The JSON written holds every run
+are recorded.  Each side also records the line count of its
+src/drloci/*.py and the *.calls counts of one --trace 1 --seconds 0 run
+per workload on its first seed.  The JSON written holds every run
 and, per workload and metric, each side's median and quartiles, how many
 pairs the change won (lower is better for every end-to-end metric) and the
 relative change of the median.
@@ -28,11 +30,12 @@ SIDES = ("parent", "change")
 DIGEST_SEEDS = (1, 3, 7)
 
 
-def run_once(checkout: Path, workload: str, seed: int, *extra: str) -> tuple[dict, str]:
+def run_once(checkout: Path, workload: str, seed: int, *extra: str,
+             trace: int = 0) -> tuple[dict, str]:
     """One run of the checkout's own perfbench/run.py: its JSON and stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--trace", "0", *extra],
+         "--trace", str(trace), *extra],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stderr
 
@@ -86,11 +89,23 @@ def main(argv=None) -> int:
                 print(workload, seed, side, result["metrics"]["run_s"]["value"], file=sys.stderr)
 
     digests = {side: [] for side in SIDES}
-    for workload in dict.fromkeys(item.rsplit(":", 1)[0] for item in args.run):
+    calls = {side: {} for side in SIDES}
+    first_seeds: dict[str, int] = {}
+    for item in args.run:
+        workload, first = item.rsplit(":", 1)
+        first_seeds.setdefault(workload, int(first))
+    for workload, first in first_seeds.items():
         for seed in DIGEST_SEEDS:
             for side in SIDES:
                 _, err = run_once(checkout[side], workload, seed, "--seconds", "0")
                 digests[side] += [line for line in err.splitlines() if line.startswith("sha256 ")]
+        for side in SIDES:
+            traced, _ = run_once(checkout[side], workload, first, "--seconds", "0", trace=1)
+            calls[side][workload] = {name: m["value"] for name, m in traced["metrics"].items()
+                                     if name.endswith(".calls")}
+    src_lines = {side: sum(len(p.read_text().splitlines())
+                           for p in (checkout[side] / "src" / "drloci").glob("*.py"))
+                 for side in SIDES}
 
     doc = {
         "what": "Paired cold-start benchmark runs of a parent and a changed checkout.",
@@ -102,6 +117,8 @@ def main(argv=None) -> int:
         "summary": summarize(runs),
         "digests": digests,
         "digests_equal": digests["parent"] == digests["change"],
+        "src_lines": src_lines,
+        "traced_calls": calls,
         "runs": runs,
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

@@ -35,8 +35,9 @@ every other check, on each certificate.  The pure stages are memoized on
 the graph object (``graph.memos``), so ``search`` and every verification
 on it share them until the graph is dropped: the level filtration per
 level structure, the ``exists`` answer per Hurwitz problem (looked up only
-within the cap), and the verifier's solved system per level structure,
-values and pole half-edges.
+within the cap), and the solved evaluation system per level structure,
+values and pole half-edges, which the search fills per zero pattern (a
+decoration without poles) and the verifier per certificate.
 
 Completeness boundary: node multiplicities are capped by the total
 positive mu mass (or an explicit bound), and component realizability
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .decorations import TwrDecoration, site_key, validate_twr
+from .decorations import TwrDecoration, component_divisor, site_key, validate_twr
 from .exact import AffineSubspace, format_rational
 from .graphs import (LevelStructure, MarkedDualGraph, canonical_key,
                      enumerate_level_structures, half_edge_id, validate)
@@ -292,57 +293,51 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
             memo[key] = frozenset(out)
         return memo[key]
 
-    for flags in sorted(completions(0)):
-        zero_marks = frozenset(h for step, pair in zip(plan, flags)
-                               for h, z in zip((step.h0, step.h1), pair) if z)
-        judge = judge_of(zero_marks) if judge_of is not None else None
-        if judge_of is not None and judge is None:
-            continue
-        orders: dict[str, tuple[int, bool]] = {}
-        choice = [0] * len(plan)
+    try:
+        for flags in sorted(completions(0)):
+            zero_marks = frozenset(h for step, pair in zip(plan, flags)
+                                   for h, z in zip((step.h0, step.h1), pair) if z)
+            judge = judge_of(zero_marks) if judge_of is not None else None
+            if judge_of is not None and judge is None:
+                continue
+            orders: dict[str, tuple[int, bool]] = {}
+            choice = [0] * len(plan)
 
-        def rec(k: int):
-            if k == len(plan):
-                if judge is None or all(judge.verdict(v, orders) for v in idle):
-                    yield tuple(choice), dict(orders), zero_marks, judge
-                return
-            step, rest = plan[k], flags[k + 1:]
-            for j, e0, e1 in place(k, step.by_flags[flags[k]]):
-                if rest not in completions(k + 1):
-                    continue
-                orders[step.h0] = e0
-                orders[step.h1] = e1
-                choice[k] = j
-                if judge is None or all(judge.verdict(v, orders) for v in step.closing):
-                    yield from rec(k + 1)
+            def rec(k: int):
+                if k == len(plan):
+                    if judge is None or all(judge.verdict(v, orders) for v in idle):
+                        yield tuple(choice), dict(orders), zero_marks, judge
+                    return
+                step, rest = plan[k], flags[k + 1:]
+                for j, e0, e1 in place(k, step.by_flags[flags[k]]):
+                    if rest not in completions(k + 1):
+                        continue
+                    orders[step.h0] = e0
+                    orders[step.h1] = e1
+                    choice[k] = j
+                    if judge is None or all(judge.verdict(v, orders) for v in step.closing):
+                        yield from rec(k + 1)
 
-        yield from rec(0)
+            yield from rec(0)
+    finally:  # the recursive closures refer to themselves: free them without the collector
+        rec = completions = None
 
 
 def _free_sites(graph: MarkedDualGraph, dec: TwrDecoration) -> list[str]:
     """Site keys of the node preimages that are neither poles nor zeros."""
-    out = []
-    for e, ends in graph.edges:
-        for s, v in enumerate(ends):
-            hid = half_edge_id(e, s)
-            if not dec.is_pole(hid) and not dec.is_zero_site(v, hid):
-                out.append(site_key(v, hid))
-    return out
+    return [s for v in graph.vertex_ids for s in component_divisor(graph, dec, v)[2]]
 
 
-def _solution_space(graph: MarkedDualGraph, levels: LevelStructure,
-                    dec: TwrDecoration) -> AffineSubspace | None:
-    """Solution space of the evaluation system; None when it is inconsistent
-    or forces a regular node value to zero (a different stratum).
-
-    Depends on ``dec`` only through its zero marks: pole sites sit on the
-    lower ends of vertical edges, which the level restriction never
-    evaluates, so every symbol of the system is a free site.
-    """
-    space = evaluation_system(graph, levels, dec).solution_space()
-    if space is None or any(space.forces_value(s) == 0 for s in space.symbols):
-        return None
-    return space
+def _solved_system(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecoration):
+    """Rows of the evaluation system of ``dec`` and its solution space (None
+    when it is inconsistent), memoized per graph by every input the system
+    reads: the levels, the values and the pole half-edges."""
+    key = (levels, dec.values, frozenset(h for h, (_, pole) in dec.orders if pole))
+    memo = graph.memos["solved_system"]
+    if key not in memo:
+        system = evaluation_system(graph, levels, dec)
+        memo[key] = system.all_rows(), system.solution_space()
+    return memo[key]
 
 
 def _forced_groups(free_sites: list[str], columns: dict[str, tuple]) -> list[list[str]]:
@@ -371,32 +366,15 @@ def _realize_in_order(graph: MarkedDualGraph, dec: TwrDecoration,
     current = start
     realizations: dict[str, Genus0Realization] = {}
     for v in order:
-        zeros: dict[str, int] = {}
-        poles: dict[str, int] = {}
+        zeros, poles, mults = component_divisor(graph, dec, v)
         targets: dict[str, Fraction] = {}
         flexible: dict[str, int] = {}
-        mults: dict[str, int] = {}
-        for l, m in graph.legs_of(v):
-            if m > 0:
-                zeros[l] = m
-            else:
-                poles[l] = -m
-        for e, s in graph.edges_at(v):
-            hid = half_edge_id(e, s)
-            o, pole = dec.order_of[hid]
-            site = site_key(v, hid)
-            if pole:
-                poles[site] = -o - 1
-                continue
-            if dec.is_zero_site(v, hid):
-                zeros[site] = o + 1
-                continue
-            mults[site] = o + 1
+        for site, m in mults.items():
             forced = current.forces_value(site) if site in current.symbols else None
             if forced is not None:
                 targets[site] = forced
             else:
-                flexible[site] = o + 1
+                flexible[site] = m
         result = realize_component(ComponentShape(v, zeros, poles, targets, flexible, mults))
         if result is None:
             return None
@@ -564,10 +542,11 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
     best: dict[tuple, tuple] = {}
     for li, levels in enumerate(enumerate_level_structures(graph, cap=bounds.level_cap)):
         def judge_of(zero_marks):
-            # the system reads a decoration only through its zero marks
+            # the system reads a decoration only through its zero marks; a pattern
+            # forcing a regular node value to zero lies in a different stratum
             values = {site_key(graph.half_edge_vertex(h), h): Fraction(0) for h in zero_marks}
-            space = _solution_space(graph, levels, TwrDecoration.build({}, values))
-            if space is None:
+            _, space = _solved_system(graph, levels, TwrDecoration.build({}, values))
+            if space is None or any(space.forces_value(s) == 0 for s in space.symbols):
                 return None
             return _PatternJudge(graph, space, zero_marks, values, half_edges, bounds.hurwitz_cap)
 
@@ -578,19 +557,6 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
             if key not in best or rank < best[key][0]:
                 best[key] = (rank, levels, dec, judge)
     return [_certificate(graph, *best[k][1:]) for k in sorted(best)]
-
-
-def _verified_system(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecoration):
-    """Rows of the evaluation system of ``dec`` and the columns of its
-    solution space (None when it is inconsistent), memoized per graph by
-    every input the system reads: the levels, the values and the poles."""
-    key = (levels, dec.values, frozenset(h for h, (_, pole) in dec.orders if pole))
-    memo = graph.memos["verified_system"]
-    if key not in memo:
-        system = evaluation_system(graph, levels, dec)
-        space = system.solution_space()
-        memo[key] = system.all_rows(), space and {s: space.column(s) for s in space.symbols}
-    return memo[key]
 
 
 def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
@@ -615,8 +581,8 @@ def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
     if not twr.ok:
         reasons.append(f"decoration invalid: {twr.violations}")
         return {"verdict": "rejected", "reasons": reasons}
-    rows, columns = _verified_system(graph, cert.levels, cert.decoration)
-    if columns is None:
+    rows, space = _solved_system(graph, cert.levels, cert.decoration)
+    if space is None:
         reasons.append("evaluation system inconsistent")
         return {"verdict": "rejected", "reasons": reasons}
     for row in rows:
@@ -627,7 +593,7 @@ def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
     for site in free:
         if cert.sample.get(site, Fraction(1)) == 0:
             reasons.append(f"regular node value vanishes at {site}")
-    groups = _forced_groups(free, columns)
+    groups = _forced_groups(free, {s: space.column(s) for s in space.symbols})
     if any(_component_verdict(graph, cert.decoration, v, groups, hurwitz_cap) is None
            for v in graph.vertex_ids):
         reasons.append("component ramification data infeasible")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import MarkedDualGraph, half_edge_id, isomorphic
+from .graphs import MarkedDualGraph, half_edge_id, incident, isomorphic
 
 
 @dataclass(frozen=True)
@@ -217,9 +217,6 @@ def stabilize_marked_graph(graph: MarkedDualGraph) -> MarkedDualGraph:
     edges = {e: ends for e, ends in graph.edges}
     legs = {l: (v, m) for l, v, m in graph.legs}
 
-    def incident(v):
-        return [(e, s) for e, ends in edges.items() for s in (0, 1) if ends[s] == v]
-
     def legs_at(v):
         return [l for l, (vv, _) in legs.items() if vv == v]
 
@@ -229,7 +226,7 @@ def stabilize_marked_graph(graph: MarkedDualGraph) -> MarkedDualGraph:
         for v in list(vertices):
             if vertices[v] != 0:
                 continue
-            inc = incident(v)
+            inc = incident(edges.items(), v)
             ls = legs_at(v)
             if len(inc) + len(ls) > 2:
                 continue

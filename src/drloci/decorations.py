@@ -139,14 +139,34 @@ class DecorationReport:
     def add(self, clause: str, where: str, detail: str) -> None:
         self.violations.append((clause, where, detail))
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [{"clause": c, "where": w, "detail": d}
-                           for c, w, d in self.violations],
-            "degrees": self.degrees,
-            "deficits": self.deficits,
-        }
+
+def component_divisor(graph: MarkedDualGraph, dec: TwrDecoration, v: str
+                      ) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+    """Zeros, poles and free points (node preimages that are neither) of
+    the function on component v, each as point -> multiplicity.
+
+    Legs are keyed by leg id; a leg of mu >= 0 is a zero of multiplicity
+    mu.  Node preimages are keyed by site key: a pole flag makes a pole of
+    multiplicity -ord - 1, a value 0 a nodal zero of multiplicity ord + 1,
+    and any other preimage is free, of multiplicity ord + 1.  Half-edges
+    without an order are skipped.
+    """
+    zeros = {l: m for l, m in graph.legs_of(v) if m >= 0}
+    poles = {l: -m for l, m in graph.legs_of(v) if m < 0}
+    free: dict[str, int] = {}
+    for e, s in graph.edges_at(v):
+        hid = half_edge_id(e, s)
+        if hid not in dec.order_of:
+            continue
+        o, is_pole = dec.order_of[hid]
+        site = site_key(v, hid)
+        if is_pole:
+            poles[site] = -o - 1
+        elif dec.is_zero_site(v, hid):
+            zeros[site] = o + 1
+        else:
+            free[site] = o + 1
+    return zeros, poles, free
 
 
 def _vertex_accounting(graph: MarkedDualGraph, dec: TwrDecoration,
@@ -154,42 +174,27 @@ def _vertex_accounting(graph: MarkedDualGraph, dec: TwrDecoration,
                        extra: TwdrDecoration | None = None) -> None:
     zero_vs = dec.zero_vertices(graph)
     for v, g in graph.vertices:
-        poles = 0
-        zeros_known = 0
-        ord_sum = 0
-        for l, m in graph.legs_of(v):
-            ord_sum += m - 1
-            if m < 0:
-                poles += -m
-            else:
-                zeros_known += m
-        for e, s in graph.edges_at(v):
-            hid = half_edge_id(e, s)
-            if hid not in dec.order_of:
-                continue  # reported separately
-            o, is_pole = dec.order_of[hid]
-            ord_sum += o
-            if is_pole:
-                poles += -o - 1
-            elif dec.is_zero_site(v, hid):
-                zeros_known += o + 1
+        zeros, poles, free = component_divisor(graph, dec, v)  # missing orders: reported apart
+        degree, zeros_known = sum(poles.values()), sum(zeros.values())
+        # ord(df) is m - 1 at a point of multiplicity m, and -m - 1 at a pole
+        ord_sum = (zeros_known + sum(free.values()) - degree
+                   - len(zeros) - len(free) - len(poles))
         if extra is not None:
-            for _, o in extra.extra_at(v):
-                ord_sum += o
-        report.degrees[v] = poles
-        report.unmarked_zero_orders[v] = poles - zeros_known
+            ord_sum += sum(o for _, o in extra.extra_at(v))
+        report.degrees[v] = degree
+        report.unmarked_zero_orders[v] = degree - zeros_known
         deficit = 2 * g - 2 - ord_sum
         report.deficits[v] = deficit
-        if poles < 1:
+        if degree < 1:
             report.add("nonconstant", v, "component function has no poles (degree 0)")
         if v in zero_vs:
-            if zeros_known != poles:
+            if zeros_known != degree:
                 report.add("prescribed-vanishing", v,
                            f"marked-zero component must balance with marked/nodal zeros: "
-                           f"zeros {zeros_known} != degree {poles}")
-        elif zeros_known > poles:
+                           f"zeros {zeros_known} != degree {degree}")
+        elif zeros_known > degree:
             report.add("prescribed-vanishing", v,
-                       f"known zero orders {zeros_known} exceed degree {poles}")
+                       f"known zero orders {zeros_known} exceed degree {degree}")
         if extra is None:
             if deficit < 0:
                 report.add("order-identity", v,

@@ -36,6 +36,12 @@ def split_half_edge(hid: str) -> tuple[str, int]:
     return edge_id, int(side)
 
 
+def incident(edges, v: str) -> list[tuple[str, int]]:
+    """(edge id, side) pairs at v among ``edges``, an iterable of (edge id,
+    (end 0, end 1)) pairs; a self-loop appears twice."""
+    return [(e, s) for e, ends in edges for s in (0, 1) if ends[s] == v]
+
+
 @dataclass(frozen=True)
 class MarkedDualGraph:
     """Dual graph: vertices (id, genus), edges (id, (v,v)), legs (id, v, mu)."""
@@ -82,7 +88,7 @@ class MarkedDualGraph:
 
     def edges_at(self, v: str) -> list[tuple[str, int]]:
         """(edge id, side) pairs incident to v; self-loops appear twice."""
-        return [(e, s) for e, ends in self.edges for s in (0, 1) if ends[s] == v]
+        return incident(self.edges, v)
 
     def valence(self, v: str) -> int:
         return len(self.edges_at(v)) + len(self.legs_of(v))
@@ -257,13 +263,15 @@ class LevelStructure:
 class _Labeller:
     """Canonical labelling of one graph, built once per graph as index
     arrays over ``vertex_ids``: edge ends, legs and neighbours.  The colour
-    (genus, level, sorted leg mus, degree, ()) of each vertex at each level
-    is tabulated with an integer code that sorts and compares as it does."""
+    (genus, level, sorted leg mus, degree) of each vertex at each level is
+    tabulated with an integer code that sorts and compares as it does.  It
+    keeps no reference to the graph, which holds it."""
 
     def __init__(self, graph: MarkedDualGraph):
         ids = graph.vertex_ids
         index = {v: i for i, v in enumerate(ids)}
-        self.graph, self.n = graph, len(ids)
+        self.n, self.genera = len(ids), [g for _, g in graph.vertices]
+        self.edge_ids = [e for e, _ in graph.edges]
         self.ends = [(index[a], index[b]) for _, (a, b) in graph.edges]
         self.legs = [(index[v], m) for _, v, m in graph.legs]
         # the far end of every half-edge at each vertex; a loop counts twice
@@ -274,8 +282,8 @@ class _Labeller:
 
     def _tabulate(self, levels) -> None:
         base = [(g, tuple(sorted(m for v, m in self.legs if v == i)), len(self.nbrs[i]))
-                for i, (_, g) in enumerate(self.graph.vertices)]
-        self.colour = [{lv: (g, lv, mus, deg, ()) for lv in levels} for g, mus, deg in base]
+                for i, g in enumerate(self.genera)]
+        self.colour = [{lv: (g, lv, mus, deg) for lv in levels} for g, mus, deg in base]
         code = {c: i for i, c in enumerate(sorted({c for r in self.colour for c in r.values()}))}
         self.code = [{lv: code[c] for lv, c in row.items()} for row in self.colour]
 
@@ -303,23 +311,20 @@ class _Labeller:
             keys, classes = sig, split
         return ranks, keys, classes
 
-    def level_key(self, level: tuple[int, ...]) -> tuple:
-        """``key(level)``, but at round 0 the vertex row is the colour codes in
-        chain order, which sort and compare as the colours do.  Codes belong to
-        this graph, so only keys of one graph compare; one of round >= 1 differs
-        from one of round 0 at position 0 and never compares further."""
-        return self.key(level, codes=True)
-
     def key(self, level: tuple[int, ...], edge_data=None, codes: bool = False) -> tuple:
         """``canonical_key`` at ``level``, one level per vertex in ``vertex_ids``:
-        (refinement rounds, vertex row, edge row, leg row)."""
+        (refinement rounds, vertex row, edge row, leg row).  With ``codes``, a
+        key of round 0 has the colour codes in chain order for its vertex row,
+        which sort and compare as the colours do.  Codes belong to this graph,
+        so only keys of one graph compare; one of round >= 1 differs from one
+        of round 0 at position 0 and never compares further."""
         ranks, keys, classes = self.refine(level)
         chain = tuple(sorted(range(self.n), key=keys.__getitem__))
         groups = chain if classes == self.n else tuple(
             tuple(c) for _, c in itertools.groupby(chain, keys.__getitem__))
         if edge_data:
             rows = self._rows(groups, [(a, b, edge_data(e, 0), edge_data(e, 1))
-                                       for (a, b), (e, _) in zip(self.ends, self.graph.edges)])
+                                       for (a, b), e in zip(self.ends, self.edge_ids)])
         elif (rows := self.rows.get(groups)) is None:  # without edge data: by the classes alone
             rows = self.rows[groups] = self._rows(groups, [(a, b, (), ()) for a, b in self.ends])
         if codes and not ranks:
@@ -440,7 +445,7 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
     vs = graph.vertex_ids
     n = len(vs)
     limit = n if max_levels is None else max_levels
-    key = graph._labeller.level_key
+    key = graph._labeller.key
     # a generator exists only with >= 2 vertices, so each getter returns a tuple
     moves = [operator.itemgetter(*p) for p in _automorphism_generators(graph)]
     # positions in id order (a repeated id's last, as a dict keeps); the trailing
@@ -481,7 +486,7 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
                             if image not in covered:
                                 covered.add(image)
                                 frontier.append(image)
-                kept.append((key(current), current))
+                kept.append((key(current, codes=True), current))
 
     if n:
         walk(tuple(range(n)), 0)

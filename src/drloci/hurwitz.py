@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .decorations import TwrDecoration, site_key
-from .graphs import MarkedDualGraph, half_edge_id
+from .decorations import TwrDecoration, component_divisor
+from .graphs import MarkedDualGraph
 
 INF = "inf"
 
@@ -230,31 +230,16 @@ def component_problem(graph: MarkedDualGraph, dec: TwrDecoration, vertex: str,
     must be a nonnegative number of simple branch points.
     """
     g = graph.genus_of[vertex]
-    zeros: list[int] = []
-    poles: list[int] = []
-    free_sites: dict[str, int] = {}
-    for l, m in graph.legs_of(vertex):
-        if m > 0:
-            zeros.append(m)
-        elif m < 0:
-            poles.append(-m)
-    for e, s in graph.edges_at(vertex):
-        hid = half_edge_id(e, s)
-        o, is_pole = dec.order_of[hid]
-        if is_pole:
-            poles.append(-o - 1)
-        elif dec.is_zero_site(vertex, hid):
-            zeros.append(o + 1)
-        else:
-            free_sites[site_key(vertex, hid)] = o + 1
-    d = sum(poles)
+    zero_points, pole_points, free_sites = component_divisor(graph, dec, vertex)
+    zeros = [m for m in zero_points.values() if m > 0]  # a leg of mu 0 is no zero of f
+    d = sum(pole_points.values())
     if d < 1:
         raise InfeasibleComponent(f"{vertex}: no poles, degree 0")
     unmarked = d - sum(zeros)
     if unmarked < 0:
         raise InfeasibleComponent(f"{vertex}: zero orders exceed degree {d}")
     zero_profile = tuple(sorted(zeros + [1] * unmarked, reverse=True))
-    profiles = [zero_profile, tuple(sorted(poles, reverse=True))]
+    profiles = [zero_profile, tuple(sorted(pole_points.values(), reverse=True))]
     grouped: set[str] = set()
     for group in forced_groups or []:
         sites = [s for s in group if s in free_sites]

@@ -52,10 +52,3 @@ def mult_of_ord_df(order: int) -> tuple[int, bool]:
     if order >= 0:
         return order + 1, False
     return -order - 1, True
-
-
-def zeros_and_poles(mu: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Index sets (Z, P): entries >= 0 count as zeros, < 0 as poles."""
-    zs = [i for i, m in enumerate(mu) if m >= 0]
-    ps = [i for i, m in enumerate(mu) if m < 0]
-    return zs, ps

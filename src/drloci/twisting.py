@@ -24,7 +24,7 @@ from fractions import Fraction
 from .decorations import (DecorationReport, TwdrDecoration, TwrDecoration,
                           site_key, validate_twdr, validate_twr)
 from .exact import LinearForm, solve_forms
-from .graphs import LevelStructure, MarkedDualGraph, half_edge_id
+from .graphs import LevelStructure, MarkedDualGraph, half_edge_id, incident
 from .homology import (Chain, chain_support_top_level, evaluate,
                        level_filtration, restrict_to_level)
 
@@ -230,25 +230,18 @@ def stabilize(graph: MarkedDualGraph, levels: LevelStructure,
     for l, v, m in graph.legs:
         legs_by_vertex.setdefault(v, []).append((l, v, m))
 
-    def incident(v: str) -> list[tuple[str, int]]:
-        out = []
-        for e, ends in edges.items():
-            if ends[0] == v:
-                out.append((e, 0))
-            if ends[1] == v:
-                out.append((e, 1))
-        return out
-
-    def is_unstable(v: str) -> bool:
-        return vertices[v] == 0 and v not in legs_by_vertex and len(incident(v)) <= 2
+    def unstable_on(v: str, nodes: int) -> list[tuple[str, int]] | None:
+        """The nodes at v, when v is an unmarked rational vertex on ``nodes`` of them."""
+        at = incident(edges.items(), v)
+        return at if vertices[v] == 0 and v not in legs_by_vertex and len(at) == nodes else None
 
     # delete rational tails, cascading
     changed = True
     while changed:
         changed = False
         for v in list(vertices):
-            if is_unstable(v) and len(incident(v)) == 1:
-                (e, s) = incident(v)[0]
+            if at := unstable_on(v, 1):
+                (e, s) = at[0]
                 anchor = edges[e][1 - s]
                 # the anchor keeps no trace of the removed node
                 for side in (0, 1):
@@ -264,11 +257,8 @@ def stabilize(graph: MarkedDualGraph, levels: LevelStructure,
                 changed = True
 
     # contract rational bridges, one middle vertex at a time
-    while True:
-        mid = next((v for v in vertices if is_unstable(v) and len(incident(v)) == 2), None)
-        if mid is None:
-            break
-        (e1, s1), (e2, s2) = incident(mid)
+    while (mid := next((v for v in vertices if unstable_on(v, 2)), None)) is not None:
+        (e1, s1), (e2, s2) = incident(edges.items(), mid)
         if e1 == e2:
             raise TwistError(f"unstable self-loop at {mid} cannot be contracted")
         # f1 is traversed outer -> mid, f2 mid -> outer; keep twist naming
@@ -309,7 +299,7 @@ def stabilize(graph: MarkedDualGraph, levels: LevelStructure,
         contracted[mid] = ("bridge", new_id)
 
     for v in vertices:
-        if vertices[v] == 0 and len(incident(v)) + len(legs_by_vertex.get(v, ())) <= 2:
+        if vertices[v] == 0 and len(incident(edges.items(), v) + legs_by_vertex.get(v, [])) <= 2:
             raise TwistError(f"stabilization leaves marked component {v} unstable")
 
     # rebuild preserving the source ordering so round trips are bit-exact
@@ -362,12 +352,6 @@ class PushforwardReport:
     @property
     def ok(self) -> bool:
         return self.inclusion_ok and self.rows_match and self.vanishing_equivalent
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "inclusion": self.inclusion_ok,
-                "rows_match": self.rows_match,
-                "vanishing_equivalent": self.vanishing_equivalent,
-                "details": self.details}
 
 
 def _translate_form(form: LinearForm, site_map: dict[str, str]) -> LinearForm | None:

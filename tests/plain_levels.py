@@ -16,14 +16,12 @@ import itertools
 from drloci.graphs import EnumerationCapExceeded, LevelStructure, MarkedDualGraph
 
 
-def _vertex_colors(graph: MarkedDualGraph, levels: LevelStructure | None,
-                   extra: dict[str, tuple] | None) -> dict[str, tuple]:
+def _vertex_colors(graph: MarkedDualGraph, levels: LevelStructure | None) -> dict[str, tuple]:
     colors = {}
     for v, g in graph.vertices:
         mus = tuple(sorted(m for _, m in graph.legs_of(v)))
         lv = levels.of[v] if levels else 0
-        colors[v] = (g, lv, mus, len(graph.edges_at(v)),
-                     extra.get(v, ()) if extra else ())
+        colors[v] = (g, lv, mus, len(graph.edges_at(v)))
     return colors
 
 
@@ -42,9 +40,8 @@ def _refine(graph: MarkedDualGraph, colors: dict[str, tuple]) -> dict[str, tuple
 
 
 def canonical_key(graph: MarkedDualGraph, levels: LevelStructure | None = None,
-                  edge_data=None, vertex_data=None) -> tuple:
-    extra = {v: (vertex_data(v),) for v in graph.vertex_ids} if vertex_data else None
-    colors = _refine(graph, _vertex_colors(graph, levels, extra))
+                  edge_data=None) -> tuple:
+    colors = _refine(graph, _vertex_colors(graph, levels))
     classes: dict[tuple, list[str]] = {}
     for v in graph.vertex_ids:
         classes.setdefault(colors[v], []).append(v)

@@ -14,9 +14,10 @@ import itertools
 from fractions import Fraction
 
 from drloci.closure import (ClosureCertificate, SearchBounds, _attempt_witnesses,
-                            _free_sites, _sample_point, _solution_space)
+                            _free_sites, _sample_point)
 from drloci.decorations import TwrDecoration, site_key
 from drloci.graphs import enumerate_level_structures, validate
+from drloci.homology import evaluation_system
 from drloci.hurwitz import (DegreeCapExceeded, InfeasibleComponent, component_problem,
                             exists, rh_check)
 
@@ -79,7 +80,11 @@ def plain_search(graph, mu=None, bounds=None, decorations=plain_decorations):
                 site_key(graph.half_edge_vertex(h), h): Fraction(0) for h in zero_marks})
             pattern = frozenset(zero_marks)
             if pattern not in solved:
-                solved[pattern] = _solution_space(graph, levels, dec)
+                space = evaluation_system(graph, levels, dec).solution_space()
+                # a regular node value forced to zero: a different stratum
+                if space is not None and any(space.forces_value(s) == 0 for s in space.symbols):
+                    space = None
+                solved[pattern] = space
             space = solved[pattern]
             if space is None:
                 continue

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -315,6 +317,24 @@ def test_verification_on_shared_and_fresh_graphs_agrees():
         assert shared == [verify_certificate(fresh, fresh.mu, c) for c in certs], name
         checked += 1
     assert checked >= 7
+
+
+def test_graph_and_memos_freed_without_the_cycle_collector():
+    from drloci.fixtures import FIXTURES
+    from drloci.graphs import validate
+    names = [n for n in FIXTURES if "graph" in FIXTURES[n] and validate(load_graph(n)).stable]
+    assert len(names) >= 7
+    gc.disable()
+    try:
+        for name in names:
+            g = load_graph(name)
+            for cert in search(g, g.mu):
+                verify_certificate(g, g.mu, cert)
+            alive = weakref.ref(g)
+            del g
+            assert alive() is None, name
+    finally:
+        gc.enable()
 
 
 def _cap_sensitive_graph():

@@ -1,5 +1,7 @@
-from drloci.decorations import (TwdrDecoration, TwrDecoration, validate_twdr,
-                                validate_twr)
+from fractions import Fraction
+
+from drloci.decorations import (TwdrDecoration, TwrDecoration, component_divisor,
+                                validate_twdr, validate_twr)
 from drloci.fixtures import load_decoration, load_graph, load_levels
 from drloci.graphs import LevelStructure, MarkedDualGraph
 from drloci.twisting import twist
@@ -22,6 +24,19 @@ def test_degree_balance_readable_from_decoration():
     # on the marked-zero component the known zero orders exhaust the degree
     assert rep.unmarked_zero_orders["v2"] == 0
     assert rep.unmarked_zero_orders["v1"] == 3
+
+
+def test_component_divisor_reads_legs_and_node_preimages():
+    g = MarkedDualGraph.build(
+        [("a", 1), ("b", 1)], [("e", ("a", "b")), ("f", ("a", "b"))],
+        [("z", "a", 2), ("w", "a", 0), ("p", "a", -1), ("q", "b", -1)])
+    dec = TwrDecoration.build({"e.0": (1, False), "e.1": (-3, True), "f.0": (0, False)},
+                              {"a:f.0": Fraction(0)})
+    # a leg of mu 0 is a zero (of multiplicity 0); value 0 makes f.0 a nodal zero
+    assert component_divisor(g, dec, "a") == ({"z": 2, "w": 0, "a:f.0": 1}, {"p": 1},
+                                              {"a:e.0": 2})
+    # f.1 has no order and is skipped
+    assert component_divisor(g, dec, "b") == ({}, {"q": 1, "b:e.1": 2}, {})
 
 
 def test_explicit_marked_zero_vertices_replace_the_legs():

@@ -121,13 +121,13 @@ def test_cap_counts_every_candidate(graph):
 def test_one_canonical_key_per_structure(monkeypatch):
     # enumeration keys level tuples with the graph's labeller directly
     calls = []
-    level_key = graphs._Labeller.level_key
+    key = graphs._Labeller.key
 
     def counting_key(self, *args, **kwargs):
         calls.append(args)
-        return level_key(self, *args, **kwargs)
+        return key(self, *args, **kwargs)
 
-    monkeypatch.setattr(graphs._Labeller, "level_key", counting_key)
+    monkeypatch.setattr(graphs._Labeller, "key", counting_key)
     shapes = [complete(5), load_graph("level_dependence"), load_graph("theta"), star(6)]
     for graph in shapes + random_graphs(14, 20, 5) + [distinct_colour6(0), distinct_colour6(1)]:
         calls.clear()
@@ -153,7 +153,7 @@ def assert_level_keys_order_as_canonical_keys(graph) -> Counter:
     in the order of ``canonical_key`` and are equal exactly where it is;
     returns how many keys of each round count were compared."""
     tuples = list(level_tuples(len(graph.vertices)))
-    mine = [graph._labeller.level_key(t) for t in tuples]
+    mine = [graph._labeller.key(t, codes=True) for t in tuples]
     theirs = [canonical_key(graph, LevelStructure.build(dict(zip(graph.vertex_ids, t))))
               for t in tuples]
     order = sorted(range(len(tuples)), key=mine.__getitem__)

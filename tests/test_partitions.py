@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drloci.partitions import (associated_partition, check_extension,
-                               mult_of_ord_df, ord_df, zeros_and_poles)
+                               mult_of_ord_df, ord_df)
 
 
 def test_associated_partition_examples():
@@ -46,9 +46,3 @@ def test_mult_of_ord_df_inverse(o):
 def test_mult_of_ord_df_rejects_minus_one():
     with pytest.raises(ValueError):
         mult_of_ord_df(-1)
-
-
-def test_zero_classification_includes_zero_entries():
-    zs, ps = zeros_and_poles((1, 0, -1))
-    assert zs == [0, 1]
-    assert ps == [2]
