@@ -7,14 +7,17 @@ Each DIR is a checkout holding src/ and perfbench/ (for instance made with
 `git archive`).  For every --run WORKLOAD:FIRST_SEED, pair i runs
 `python3 perfbench/run.py --workload WORKLOAD --seed FIRST_SEED+i` once in
 each checkout, from that checkout, for run.py's own default run length;
-the side that runs first alternates by pair.  Then each side runs once with
+the side that runs first alternates by pair.  After each run the median
+time of every operation is read from that checkout's
+perfbench/out/WORKLOAD-seedN-trace0.json.  Then each side runs once with
 --seconds 0 for each of seeds 1, 3 and 7, and the output digests it prints
 are recorded.  Each side also records the line count of its
 src/drloci/*.py and the *.calls counts of one --trace 1 --seconds 0 run
 per workload on its first seed.  The JSON written holds every run
 and, per workload and metric, each side's median and quartiles, how many
 pairs the change won (lower is better for every end-to-end metric) and the
-relative change of the median.
+relative change of the median; per operation, each side's median over the
+pairs of its time and the relative change of that median.
 """
 
 import argparse
@@ -51,18 +54,25 @@ def summarize(runs: list[dict]) -> dict:
         mine = [r for r in runs if r["workload"] == workload]
         by_pair = {}
         for r in mine:
-            by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r
         pairs = [by_pair[p] for p in sorted(by_pair)]
         entry = {}
-        for metric in pairs[0]["parent"]["metrics"]:
-            values = {s: [p[s]["metrics"][metric]["value"] for p in pairs] for s in SIDES}
+        for metric in pairs[0]["parent"]["result"]["metrics"]:
+            values = {s: [p[s]["result"]["metrics"][metric]["value"] for p in pairs]
+                      for s in SIDES}
             wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
             stats = {s: spread(values[s]) for s in SIDES}
             entry[metric] = {
                 **stats, "change_wins": f"{wins}/{len(pairs)}",
                 "median_change": stats["change"]["median"] / stats["parent"]["median"] - 1}
         for count in ("failed", "attempted"):
-            entry[count] = {s: sum(p[s][count] for p in pairs) for s in SIDES}
+            entry[count] = {s: sum(p[s]["result"][count] for p in pairs) for s in SIDES}
+        entry["operations"] = {}
+        for name in pairs[0]["parent"]["operations"]:
+            medians = {s: statistics.median(p[s]["operations"][name] for p in pairs)
+                       for s in SIDES}
+            entry["operations"][name] = {
+                **medians, "median_change": medians["change"] / medians["parent"] - 1}
         summary[workload] = entry
     return summary
 
@@ -84,8 +94,12 @@ def main(argv=None) -> int:
             seed = int(first) + pair
             for order, side in enumerate(SIDES[::-1] if pair % 2 else SIDES, 1):
                 result, _ = run_once(checkout[side], workload, seed)
+                report = checkout[side] / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+                operations = json.loads(report.read_text())["operations"]
                 runs.append({"workload": workload, "seed": seed, "pair": pair, "side": side,
-                             "order_in_pair": order, "result": result})
+                             "order_in_pair": order, "result": result,
+                             "operations": {name: op["median_s"]
+                                            for name, op in operations.items()}})
                 print(workload, seed, side, result["metrics"]["run_s"]["value"], file=sys.stderr)
 
     digests = {side: [] for side in SIDES}

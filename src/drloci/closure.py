@@ -33,11 +33,14 @@ construction, except on a lone vertex without half-edges, whose missing
 pole the component check rejects; ``verify_certificate`` re-runs it, and
 every other check, on each certificate.  The pure stages are memoized on
 the graph object (``graph.memos``), so ``search`` and every verification
-on it share them until the graph is dropped: the level filtration per
-level structure, the ``exists`` answer per Hurwitz problem (looked up only
-within the cap), and the solved evaluation system per level structure,
-values and pole half-edges, which the search fills per zero pattern (a
-decoration without poles) and the verifier per certificate.
+on it share them until the graph is dropped: the graph's ``validate``
+report, the level filtration per level structure, the ``exists`` answer
+per Hurwitz problem (looked up only within the cap), and the solved
+evaluation system per level structure, values and pole half-edges, which
+the search fills per zero pattern (a decoration without poles) and the
+verifier per certificate.  When it returns, the search keeps only the
+systems that a verification of its certificates reads: those of the
+certificates without a pole at a node.
 
 Completeness boundary: node multiplicities are capped by the total
 positive mu mass (or an explicit bound), and component realizability
@@ -328,11 +331,24 @@ def _free_sites(graph: MarkedDualGraph, dec: TwrDecoration) -> list[str]:
     return [s for v in graph.vertex_ids for s in component_divisor(graph, dec, v)[2]]
 
 
+def _graph_report(graph: MarkedDualGraph):
+    """``validate(graph)``, memoized per graph."""
+    memo = graph.memos["validate"]
+    if () not in memo:
+        memo[()] = validate(graph)
+    return memo[()]
+
+
+def _system_key(levels: LevelStructure, dec: TwrDecoration) -> tuple:
+    """Every input the evaluation system of ``dec`` reads: the levels, the
+    values and the pole half-edges."""
+    return levels, dec.values, frozenset(h for h, (_, pole) in dec.orders if pole)
+
+
 def _solved_system(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecoration):
     """Rows of the evaluation system of ``dec`` and its solution space (None
-    when it is inconsistent), memoized per graph by every input the system
-    reads: the levels, the values and the pole half-edges."""
-    key = (levels, dec.values, frozenset(h for h, (_, pole) in dec.orders if pole))
+    when it is inconsistent), memoized per graph by ``_system_key``."""
+    key = _system_key(levels, dec)
     memo = graph.memos["solved_system"]
     if key not in memo:
         system = evaluation_system(graph, levels, dec)
@@ -525,7 +541,7 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
     the level structure's index, then the decoration's rank.
     """
     bounds = bounds or SearchBounds()
-    rep = validate(graph)
+    rep = _graph_report(graph)
     if not rep.ok:
         raise ValueError(f"invalid graph: {rep.errors}")
     if not rep.stable:
@@ -556,7 +572,12 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
             rank = (li, rank)
             if key not in best or rank < best[key][0]:
                 best[key] = (rank, levels, dec, judge)
-    return [_certificate(graph, *best[k][1:]) for k in sorted(best)]
+    certs = [_certificate(graph, *best[k][1:]) for k in sorted(best)]
+    # keep only the systems that a verification of these certificates reads
+    kept = {_system_key(c.levels, c.decoration) for c in certs}
+    memo = graph.memos["solved_system"]
+    graph.memos["solved_system"] = {k: memo[k] for k in kept if k in memo}
+    return certs
 
 
 def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
@@ -566,7 +587,7 @@ def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
     Hurwitz cap the search ran with; verdicts: accepted-exact,
     accepted-modulo-genericity, or rejected with reasons."""
     reasons: list[str] = []
-    rep = validate(graph)
+    rep = _graph_report(graph)
     if not rep.ok or not rep.stable:
         reasons.append("graph invalid or unstable")
     if sorted(mu) != sorted(graph.mu):

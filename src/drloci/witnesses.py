@@ -12,7 +12,10 @@ which makes three situations constructive:
 * a single pole point and one common target value w: with unconstrained
   zeros take w + P(z) for monic split P; with marked zeros search for a
   monic integer-rooted P whose shift P - k also splits with the fiber
-  multiplicities, and use (w/k) * P.
+  multiplicities, and use (w/k) * P.  Before that search, two counts on
+  the multiplicities alone rule out most pairs: Riemann-Hurwitz for
+  z -> P(z) (P' has room for the ramification over 0 and k) and Rolle
+  (P' has a zero between consecutive real roots of P, and of P - k).
 
 Anything else returns None and the caller downgrades the verdict to
 "modulo value-genericity".
@@ -109,9 +112,31 @@ def split_shift_pair(zero_mults: tuple[int, ...], fiber_mults: tuple[int, ...],
     differ by a nonzero constant k = P - Q; returns (R, S, k).
 
     S is the lexicographically first root tuple in [-bound, bound] that
-    has a partner, and R the lexicographically first partner of S."""
+    has a partner, and R the lexicographically first partner of S.
+
+    With every multiplicity >= 1, the multiplicities alone rule out most
+    pairs before any root is tried.  Write a_i, b_j for the multiplicities
+    of the roots r_i of P and s_j of Q, p and q for their numbers, d for
+    the degree and e = p + q - d - 1.
+
+    * P - Q = k != 0 gives P' = Q'.
+    * The roots r_i and s_j are distinct, because P(s_j) = k.
+    * So P' = d * prod (z - r_i)^(a_i - 1) * prod (z - s_j)^(b_j - 1) * C
+      with deg C = e >= 0 (Riemann-Hurwitz for z -> P(z)).
+    * Integer roots are real.  So each gap between consecutive roots of P
+      holds a zero of P' that is an s_j with b_j >= 2 or a real root of C
+      (Rolle): p - 1 <= e + #{b_j >= 2}, and the same holds for Q:
+      q - 1 <= e + #{a_i >= 2}.
+
+    Neither condition depends on ``bound``, so no returned triple changes."""
     if sum(zero_mults) != sum(fiber_mults):
         return None
+    if min(zero_mults + fiber_mults, default=1) >= 1:
+        p, q = len(zero_mults), len(fiber_mults)
+        e = p + q - sum(zero_mults) - 1
+        if (e < 0 or p - 1 > e + sum(b >= 2 for b in fiber_mults)
+                or q - 1 > e + sum(a >= 2 for a in zero_mults)):
+            return None
     # the fiber's signatures, when they are the fewer, bound the zero table
     wanted = None
     if len(fiber_mults) < len(zero_mults):

@@ -7,8 +7,8 @@ import pytest
 
 from drloci.closure import SearchBounds, search, verify_certificate
 from drloci.exact import LinearForm, solve_forms
-from drloci.fixtures import load_graph
-from drloci.graphs import MarkedDualGraph
+from drloci.fixtures import FIXTURES, load_graph
+from drloci.graphs import MarkedDualGraph, validate
 
 
 def all_equal_space(symbols):
@@ -223,7 +223,6 @@ def _random_stable_mu_graph(rng):
         for m in list(pos) + negs:
             legs.append((f"m{len(legs)}", f"v{rng.randrange(n)}", m))
         g = MarkedDualGraph.build(vertices, edges, legs)
-        from drloci.graphs import validate
         rep = validate(g)
         if rep.ok and rep.stable:
             return g
@@ -302,8 +301,6 @@ def test_memos_do_not_leak_acceptance(name):
 
 
 def test_verification_on_shared_and_fresh_graphs_agrees():
-    from drloci.fixtures import FIXTURES
-    from drloci.graphs import validate
     checked = 0
     for name in FIXTURES:
         if "graph" not in FIXTURES[name]:
@@ -320,8 +317,6 @@ def test_verification_on_shared_and_fresh_graphs_agrees():
 
 
 def test_graph_and_memos_freed_without_the_cycle_collector():
-    from drloci.fixtures import FIXTURES
-    from drloci.graphs import validate
     names = [n for n in FIXTURES if "graph" in FIXTURES[n] and validate(load_graph(n)).stable]
     assert len(names) >= 7
     gc.disable()
@@ -369,3 +364,50 @@ def test_memoized_hurwitz_answers_do_not_cross_caps():
     assert len(extra) == 1
     assert verify_certificate(h, h.mu, extra[0], 6)["verdict"] == "rejected"
     assert verify_certificate(h, h.mu, extra[0], 4)["verdict"].startswith("accepted")
+
+
+def test_validate_runs_once_per_graph(monkeypatch):
+    from drloci import closure
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(closure, "validate", counting)
+    g = load_graph("partial_order")
+    certs = search(g, g.mu)
+    assert certs
+    for cert in certs:
+        assert verify_certificate(g, g.mu, cert)["verdict"].startswith("accepted")
+    assert len(calls) == 1
+
+
+def test_search_without_certificates_keeps_no_solved_system():
+    # level_dependence with v5 raised to genus 1, so it is stable, and mu (2, -2):
+    # the search solves over a thousand zero patterns and finds no certificate
+    doc = FIXTURES["level_dependence"]["graph"]
+    g = MarkedDualGraph.from_json({
+        **doc,
+        "vertices": [{**v, "genus": 1} if v["id"] == "v5" else v for v in doc["vertices"]],
+        "legs": [{**l, "mu": 2 if l["mu"] > 0 else -2} for l in doc["legs"]]})
+    assert search(g, g.mu) == []
+    assert g.memos["solved_system"] == {}
+
+
+def test_search_keeps_the_solved_systems_its_certificates_read(monkeypatch):
+    from drloci import homology
+    solves = []
+
+    def counting(*args):
+        solves.append(args)
+        return solve_forms(*args)
+
+    monkeypatch.setattr(homology, "solve_forms", counting)
+    g = load_graph("dollar_matching")
+    certs = search(g, g.mu)
+    assert len(solves) == 9 and len(g.memos["solved_system"]) == 1
+    [cert] = certs
+    assert not any(pole for _, (_, pole) in cert.decoration.orders)
+    assert verify_certificate(g, g.mu, cert)["verdict"] == "accepted-exact"
+    assert len(solves) == 9

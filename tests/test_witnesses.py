@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from drloci import witnesses
 from drloci.hurwitz import INF
 from drloci.witnesses import ComponentShape, _expand, _eval_poly, \
     realize_component, split_shift_pair
@@ -24,6 +27,29 @@ def test_split_shift_pair_simple_triples():
 
 def test_split_shift_pair_rejects_unbalanced():
     assert split_shift_pair((2, 1), (1, 1, 1, 1)) is None
+
+
+CUT_PAIRS = [
+    # Riemann-Hurwitz: p + q - d - 1 < 0
+    ((3, 2), (4, 1)), ((5, 1), (3, 3)), ((4, 2), (3, 3)),
+    ((4,), (2, 1, 1)), ((5,), (3, 1, 1)), ((6,), (3, 2, 1)),
+    # Rolle: z^3 = k has one real root
+    ((3,), (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("zero,fiber", CUT_PAIRS, ids=[
+    "_".join("-".join(map(str, m)) for m in pair) for pair in CUT_PAIRS])
+def test_split_shift_pair_cuts_decide_without_roots(monkeypatch, zero, fiber):
+    def no_roots(*args):
+        raise AssertionError("root tuples enumerated")
+
+    monkeypatch.setattr(witnesses, "_root_tuples", no_roots)
+    split_shift_pair.cache_clear()
+    try:
+        assert split_shift_pair(zero, fiber) is None
+    finally:
+        split_shift_pair.cache_clear()
 
 
 def test_untargeted_component():
