@@ -5,24 +5,28 @@ structure carries an inequality-form decoration whose evaluation system
 vanishes identically, with every component's ramification data realizable.
 The search computes each quantity once, at the stage it depends on:
 
-1. Per normalized level structure, the zero patterns (which node
+1. Only level structures where each vertex has a leg of mu < 0 or a
+   neighbour on a strictly higher level: df has a pole on every component,
+   at a pole leg or at the lower end of a vertical edge.
+2. Per normalized level structure, the zero patterns (which node
    preimages are nodal zeros) that some admissible order assignment
    completes (poles only on strictly lower ends, order sums >= -2,
    per-vertex divisor balance and order deficit), and the level
    filtration.
-2. Per zero pattern, the exact solution space of the evaluation system,
+3. Per zero pattern, the exact solution space of the evaluation system,
    the test that no regular node value is forced to zero, and the column
    of every constrained site: two sites are forced equal exactly when
    their columns are equal.  Pole sites sit on the lower ends of vertical
    edges, which the level restriction never evaluates, so the system
    reads a decoration only through its zero pattern.
-3. Per pattern, the orders are placed edge by edge; as soon as the last
+4. Per pattern, the orders are placed edge by edge; as soon as the last
    half-edge of a vertex is placed, its component is compiled into a
    Hurwitz problem (kept per vertex and local orders) and the branch is
    cut when the component is infeasible, fails Riemann-Hurwitz, or does
-   not exist.  Each distinct problem is decided once per graph; a
-   problem beyond the degree cap does not cut.
-4. Per isomorphism class, the candidate of least rank (level structure
+   not exist.  Each component is compiled once per ``search`` call (not
+   per graph: verification compiles its own); each distinct problem is
+   decided once per graph; a problem beyond the degree cap does not cut.
+5. Per isomorphism class, the candidate of least rank (level structure
    index, then per edge in graph order the index of its option) is
    kept, so the traversal order does not change the result.  Genus-0-only
    representatives are upgraded to exact certificates when explicit
@@ -467,16 +471,17 @@ class _PatternJudge:
     """Solution space and component verdicts of one zero pattern.
 
     A component's verdict depends only on its own half-edge orders and on
-    the pattern's columns, so it is kept per (vertex, local orders).
+    the pattern's columns, so it is kept per (vertex, local orders); the
+    search's ``compiled`` keys it by every input ``_component_verdict`` reads.
     """
 
     def __init__(self, graph: MarkedDualGraph, space: AffineSubspace,
                  zero_marks: frozenset[str], zero_values: dict[str, Fraction],
-                 half_edges: dict[str, list[str]], cap: int):
+                 half_edges: dict[str, list[str]], cap: int, compiled: dict):
         self.graph, self.space = graph, space
         self.columns = {s: space.column(s) for s in space.symbols}
         self.zero_marks, self.zero_values = zero_marks, zero_values
-        self.half_edges, self.cap = half_edges, cap
+        self.half_edges, self.cap, self.compiled = half_edges, cap, compiled
         self.verdicts: dict[tuple, dict | None] = {}
 
     def verdict(self, v: str, orders: dict[str, tuple[int, bool]]) -> dict | None:
@@ -491,7 +496,10 @@ class _PatternJudge:
             free = [site_key(v, h) for h, (_, pole) in zip(hids, local)
                     if not pole and h not in self.zero_marks]
             groups = _forced_groups(free, self.columns)
-            self.verdicts[key] = _component_verdict(self.graph, dec, v, groups, self.cap)
+            inputs = (v, local, tuple(zeros), tuple(map(tuple, groups)), self.cap)
+            if inputs not in self.compiled:
+                self.compiled[inputs] = _component_verdict(self.graph, dec, v, groups, self.cap)
+            self.verdicts[key] = self.compiled[inputs]
         return self.verdicts[key]
 
 
@@ -556,7 +564,9 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
                   for v in graph.vertex_ids}
 
     best: dict[tuple, tuple] = {}
-    for li, levels in enumerate(enumerate_level_structures(graph, cap=bounds.level_cap)):
+    structures = enumerate_level_structures(graph, cap=bounds.level_cap, pole_carrying=True)
+    compiled: dict[tuple, dict | None] = {}  # component verdicts of this search, by input
+    for li, levels in enumerate(structures):
         def judge_of(zero_marks):
             # the system reads a decoration only through its zero marks; a pattern
             # forcing a regular node value to zero lies in a different stratum
@@ -564,7 +574,8 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
             _, space = _solved_system(graph, levels, TwrDecoration.build({}, values))
             if space is None or any(space.forces_value(s) == 0 for s in space.symbols):
                 return None
-            return _PatternJudge(graph, space, zero_marks, values, half_edges, bounds.hurwitz_cap)
+            return _PatternJudge(graph, space, zero_marks, values, half_edges,
+                                 bounds.hurwitz_cap, compiled)
 
         for rank, orders, _, judge in _decorations(graph, levels, max_deg, judge_of):
             dec = TwrDecoration.build(orders, judge.zero_values)

@@ -427,7 +427,8 @@ def _automorphism_generators(graph: MarkedDualGraph) -> list[tuple[int, ...]]:
 
 
 def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = None,
-                               cap: int = 200_000) -> list[LevelStructure]:
+                               cap: int = 200_000,
+                               pole_carrying: bool = False) -> list[LevelStructure]:
     """All normalized level structures up to levelled-graph isomorphism.
 
     Candidates are the ordered set partitions of the vertex set (top class
@@ -439,13 +440,19 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
     skipped; every candidate still counts toward ``cap``.  Each kept tuple
     is keyed by the graph's labeller (sorting as ``canonical_key`` does),
     and only kept tuples become ``LevelStructure``s, in key order.
+
+    With ``pole_carrying``, each depth draws from the remaining vertices
+    with a leg of mu < 0 or a neighbour placed higher (a component's df
+    needs a pole): the full list filtered, in its order, as automorphisms
+    preserve the condition; ``cap`` counts only the candidates walked.
     """
     if max_levels is not None and max_levels < 1:
         raise ValueError(f"max_levels must be at least 1, got {max_levels}")
     vs = graph.vertex_ids
     n = len(vs)
     limit = n if max_levels is None else max_levels
-    key = graph._labeller.key
+    lab = graph._labeller
+    key, poles = lab.key, {i for i, m in lab.legs if m < 0}
     # a generator exists only with >= 2 vertices, so each getter returns a tuple
     moves = [operator.itemgetter(*p) for p in _automorphism_generators(graph)]
     # positions in id order (a repeated id's last, as a dict keeps); the trailing
@@ -460,10 +467,13 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
 
     def walk(remaining: tuple[int, ...], depth: int):
         nonlocal count
-        size = len(remaining)
+        size, pool = len(remaining), remaining
+        if pole_carrying:  # a vertex here needs a pole leg or a neighbour placed higher
+            pool = tuple([i for i in remaining if i in poles
+                          or any(j not in remaining for j in lab.nbrs[i])])
         # at the last allowed depth only the subset of every remaining vertex ends in a leaf
-        for r in range(1 if depth + 1 < limit else size, size + 1):
-            for subset in itertools.combinations(remaining, r):
+        for r in range(1 if depth + 1 < limit else size, len(pool) + 1):
+            for subset in itertools.combinations(pool, r):
                 for i in subset:
                     level[i] = -depth
                 if r < size:

@@ -304,6 +304,20 @@ def test_levels_max_levels_bounds_depth(capsys, dollar_files):
     assert code == 0 and doc["count"] == 1
 
 
+def test_level_cap_counts_the_structures_the_search_walks(capsys, tmp_path):
+    # the genus-1 6-path with mu (2, -2) has 4 683 level structures, of which
+    # the 25 where every vertex can carry a pole are walked; `levels` lists all
+    doc = {"vertices": [{"id": f"v{i}", "genus": 1} for i in range(6)],
+           "edges": [{"id": f"e{i}", "ends": [f"v{i}", f"v{i + 1}"]} for i in range(5)],
+           "legs": [{"id": "z", "vertex": "v0", "mu": 2}, {"id": "p", "vertex": "v3", "mu": -2}]}
+    path = tmp_path / "path6.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "check-closure", "--graph", str(path), "--bounds", "level_cap=100")
+    assert code == 0 and out["member"] == "yes"
+    code, out = run(capsys, "levels", "--graph", str(path))
+    assert code == 0 and out["count"] == 4683
+
+
 @pytest.mark.parametrize("bound", ["max_degree=0", "max_degree=-1", "hurwitz_cap=0",
                                    "hurwitz_cap=-1", "level_cap=0", "max_degree=two"])
 def test_check_closure_bounds_must_be_positive(capsys, dollar_files, bound):

@@ -411,3 +411,25 @@ def test_search_keeps_the_solved_systems_its_certificates_read(monkeypatch):
     assert not any(pole for _, (_, pole) in cert.decoration.orders)
     assert verify_certificate(g, g.mu, cert)["verdict"] == "accepted-exact"
     assert len(solves) == 9
+
+
+def test_component_verdicts_compiled_once_per_search(monkeypatch):
+    from drloci import closure
+    calls = []
+    compile_component = closure._component_verdict
+
+    def counting(graph, dec, v, groups, cap):
+        calls.append((v, dec.orders, dec.values, tuple(map(tuple, groups)), cap))
+        return compile_component(graph, dec, v, groups, cap)
+
+    monkeypatch.setattr(closure, "_component_verdict", counting)
+    g = load_graph("partial_order")
+    certs = search(g, g.mu)
+    assert certs and len(calls) == len(set(calls))
+    searched = len(calls)
+    verdicts = [verify_certificate(g, g.mu, c) for c in certs]
+    # the verifier compiles every component itself, on any graph object
+    assert len(calls) == searched + len(certs) * len(g.vertices)
+    fresh = MarkedDualGraph.from_json(g.to_json())
+    assert verdicts == [verify_certificate(fresh, fresh.mu, c) for c in certs]
+    assert all(v["verdict"].startswith("accepted") for v in verdicts)

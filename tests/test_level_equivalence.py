@@ -65,6 +65,22 @@ def random_graphs(seed: int, count: int, max_vertices: int):
     return [random_connected_graph(rng, max_vertices=max_vertices) for _ in range(count)]
 
 
+def pole_carrying(graph: MarkedDualGraph, levels: LevelStructure) -> bool:
+    """Every vertex has a leg of mu < 0 or a neighbour on a higher level."""
+    ok = {v for _, v, m in graph.legs if m < 0}
+    for _, (a, b) in graph.edges:
+        if levels.of[a] != levels.of[b]:
+            ok.add(a if levels.of[a] < levels.of[b] else b)
+    return ok >= set(graph.vertex_ids)
+
+
+def assert_pruned_walk_filters(graph, **kwargs) -> int:
+    """The pole-carrying walk returns the full list filtered, in its order."""
+    want = [ls for ls in enumerate_level_structures(graph, **kwargs) if pole_carrying(graph, ls)]
+    assert enumerate_level_structures(graph, pole_carrying=True, **kwargs) == want
+    return len(want)
+
+
 def assert_same_enumeration(graph, **kwargs):
     try:
         want = plain_levels.enumerate_level_structures(graph, **kwargs)
@@ -94,6 +110,16 @@ def test_same_structures_under_max_levels():
     for graph in graphs_:
         for max_levels in (1, 2, 3):
             assert_same_enumeration(graph, max_levels=max_levels)
+
+
+def test_pruned_walk_filters_fixtures_and_random_graphs():
+    graphs_ = [load_graph(name) for name in GRAPH_FIXTURES] + random_graphs(11, 40, 5)
+    graphs_ += [g for g in random_graphs(12, 40, 6) if len(g.vertices) == 6][:4]
+    kept = 0
+    for graph in graphs_:
+        for max_levels in (None, 1, 2, 3):
+            kept += assert_pruned_walk_filters(graph, max_levels=max_levels)
+    assert kept > 0
 
 
 def complete(n: int, genera=None) -> MarkedDualGraph:
@@ -287,3 +313,31 @@ def test_genus1_chains_enumerate_and_search(graph):
     assert len(enumerate_level_structures(graph)) == burnside_count(graph)
     if graph.legs:
         assert closure.search(graph) == []
+
+
+@pytest.mark.parametrize("cycle", [True, False], ids=["cycle", "path"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_pruned_walk_filters_genus1_chains(n, cycle):
+    # mu (2, -2) with the pole in the middle; both legs on v0, which a
+    # cycle's reflection through v0 fixes; pole legs on v0 and v(n-1), which
+    # a reflection swaps
+    middle = chain(n, 1, cycle, [("z", "v0", 2), ("p", f"v{n // 2}", -2)])
+    assert assert_pruned_walk_filters(middle)
+    for max_levels in (2, 3):
+        assert_pruned_walk_filters(middle, max_levels=max_levels)
+    for legs in ([("z", "v0", 2), ("p", "v0", -2)], [("p", "v0", -1), ("q", f"v{n - 1}", -1)]):
+        graph = chain(n, 1, cycle, legs)
+        for max_levels in ((None, 2, 3) if n < 7 else (2, 3)):
+            assert_pruned_walk_filters(graph, max_levels=max_levels)
+
+
+def test_level_cap_counts_the_pole_carrying_walk():
+    # the genus-1 8-path: 545 835 ordered partitions, no automorphism, and
+    # 129 pole-carrying structures
+    graph = chain(8, 1, legs=[("z", "v0", 2), ("p", "v4", -2)])
+    assert len(enumerate_level_structures(graph, pole_carrying=True)) == 129
+    assert len(enumerate_level_structures(graph, cap=129, pole_carrying=True)) == 129
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_level_structures(graph, cap=128, pole_carrying=True)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_level_structures(graph)

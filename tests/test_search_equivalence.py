@@ -20,11 +20,19 @@ from plain_decorations import plain_decorations
 from plain_search import plain_search
 from randgen import random_connected_graph
 from test_decoration_pruning import DOLLAR_2_2_M4, TRIANGLE
+from test_level_equivalence import chain
 
 CHAIN4 = MarkedDualGraph.build(
     [("a", 1), ("b", 0), ("c", 0), ("d", 1)],
     [("e1", ("a", "b")), ("e2", ("b", "c")), ("e3", ("c", "d")), ("e4", ("b", "c"))],
     [("z1", "b", 2), ("z2", "c", 1), ("p", "a", -3)])
+
+# some zero patterns give a component the same local orders and nodal zeros
+# but different forced groups, and a different verdict
+LOOP_TRIANGLE = MarkedDualGraph.build(
+    [("v0", 2), ("v1", 0), ("v2", 0)],
+    [("e0", ("v0", "v1")), ("e1", ("v0", "v2")), ("e2", ("v2", "v2")), ("e3", ("v1", "v2"))],
+    [("l0", "v2", 3), ("l1", "v0", -2), ("bal", "v1", -1)])
 
 
 def certificate_bytes(certs) -> str:
@@ -61,6 +69,21 @@ def test_search_matches_plain_on_named_graphs(name):
     # the plain enumeration takes a minute on chain4 for its 64 decorations
     source = ranked_decorations if name == "chain4" else plain_decorations
     assert_same_search(named_graphs()[name], decorations=source)
+
+
+def test_search_matches_plain_when_forced_groups_differ():
+    # the search shares component verdicts across patterns and level
+    # structures only when the forced groups agree too
+    assert len(assert_same_search(LOOP_TRIANGLE, decorations=ranked_decorations)) == 44
+
+
+@pytest.mark.parametrize("cycle", [True, False], ids=["cycle", "path"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_search_matches_plain_on_genus1_chains(n, cycle):
+    # the plain search walks every level structure, the search only those
+    # where each vertex can carry a pole
+    graph = chain(n, 1, cycle, [("z", "v0", 2), ("p", f"v{n // 2}", -2)])
+    assert_same_search(graph, decorations=ranked_decorations)
 
 
 @pytest.mark.parametrize("bounds", [SearchBounds(hurwitz_cap=2), SearchBounds(max_degree=4)],
