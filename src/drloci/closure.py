@@ -13,19 +13,20 @@ The search computes each quantity once, at the stage it depends on:
    completes (poles only on strictly lower ends, order sums >= -2,
    per-vertex divisor balance and order deficit), and the level
    filtration.
-3. Per zero pattern, the exact solution space of the evaluation system,
+3. Per zero pattern, the exact solution space of the evaluation system
+   (the level structure's rows, built once, with the zeros substituted),
    the test that no regular node value is forced to zero, and the column
    of every constrained site: two sites are forced equal exactly when
    their columns are equal.  Pole sites sit on the lower ends of vertical
    edges, which the level restriction never evaluates, so the system
    reads a decoration only through its zero pattern.
-4. Per pattern, the orders are placed edge by edge; as soon as the last
-   half-edge of a vertex is placed, its component is compiled into a
-   Hurwitz problem (kept per vertex and local orders) and the branch is
-   cut when the component is infeasible, fails Riemann-Hurwitz, or does
-   not exist.  Each component is compiled once per ``search`` call (not
-   per graph: verification compiles its own); each distinct problem is
-   decided once per graph; a problem beyond the degree cap does not cut.
+4. Per pattern, the orders are placed edge by edge, an option only when
+   both ends' local orders still complete, over the vertex's own
+   half-edges, to orders passing the viability tests and then the
+   component verdict (feasible, Riemann-Hurwitz, exists).  Each component
+   is compiled once per ``search`` call (not per graph: verification
+   compiles its own); each distinct problem is decided once per graph; a
+   problem beyond the degree cap does not cut.
 5. Per isomorphism class, the candidate of least rank (level structure
    index, then per edge in graph order the index of its option) is
    kept, so the traversal order does not change the result.  Genus-0-only
@@ -39,12 +40,13 @@ every other check, on each certificate.  The pure stages are memoized on
 the graph object (``graph.memos``), so ``search`` and every verification
 on it share them until the graph is dropped: the graph's ``validate``
 report, the level filtration per level structure, the ``exists`` answer
-per Hurwitz problem (looked up only within the cap), and the solved
-evaluation system per level structure, values and pole half-edges, which
-the search fills per zero pattern (a decoration without poles) and the
-verifier per certificate.  When it returns, the search keeps only the
-systems that a verification of its certificates reads: those of the
-certificates without a pole at a node.
+per Hurwitz problem (looked up only within the cap), the undecorated
+evaluation rows per level structure, and the solved system per level
+structure, values and pole half-edges, which the search fills per zero
+pattern (a decoration without poles) and the verifier per certificate.
+When it returns, the search keeps only the rows of its certificates'
+level structures and the systems that a verification of them reads:
+those of the certificates without a pole at a node.
 
 Completeness boundary: node multiplicities are capped by the total
 positive mu mass (or an explicit bound), and component realizability
@@ -62,7 +64,7 @@ from .decorations import TwrDecoration, component_divisor, site_key, validate_tw
 from .exact import AffineSubspace, format_rational
 from .graphs import (LevelStructure, MarkedDualGraph, canonical_key,
                      enumerate_level_structures, half_edge_id, validate)
-from .homology import evaluation_system
+from .homology import evaluation_system, solved_rows
 from .hurwitz import (DEFAULT_DEGREE_CAP, Genus0Realization, InfeasibleComponent,
                       component_problem, exists, rh_check)
 from .witnesses import ComponentShape, realize_component
@@ -157,19 +159,15 @@ def _edge_options(graph: MarkedDualGraph, levels: LevelStructure, e: str,
 
 
 class _Step(NamedTuple):
-    """One edge of the walk: its end vertices and half-edges, the
-    half-edges still open at each end after it (all, and possible poles),
-    its options per zero-flag pair grouped by first side, the vertices it
-    closes, and the vertices a completion from it on depends on."""
+    """One edge of the walk: its end vertices and half-edges, its options
+    per zero-flag pair grouped by first side, and the vertices a
+    completion from it on depends on."""
 
     a: int
     b: int
     h0: str
     h1: str
-    open_a: tuple[int, int]
-    open_b: tuple[int, int]
     by_flags: dict[tuple[bool, bool], list]
-    closing: list[str]
     still: tuple[int, ...]
 
 
@@ -187,7 +185,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
     counts m - 1), the half-edges still open, and how many of those can
     still be poles (the lower ends of vertical edges).  Regular orders are
     >= 0 and a pole of mass m adds -(m+1) to O, so a vertex can no longer
-    close, and the branch is cut, when P > max_deg or Z > max_deg; when no
+    close (``viable`` fails) when P > max_deg or Z > max_deg; when no
     pole can come and P < 1, Z > P or O > 2g-2; when poles can still come
     but even the remaining pole budget B = max_deg - P spent on
     min(open poles, B) poles leaves O - B - min(open poles, B) > 2g-2;
@@ -196,38 +194,47 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
     First, the zero patterns (which node preimages are nodal zeros) that
     have an admissible completion are collected: per edge and state of
     the vertices still open, the suffixes of zero flags that complete it.
-    Then, pattern by pattern, the orders are placed over the options
-    matching the pattern, entering only states that complete it.
-    ``judge_of``, when given, maps a pattern to its judge, or to None to
-    skip the pattern; a branch is cut when ``judge.verdict(v, orders)``
-    is None as the last half-edge of v is placed.  A vertex without
+    Then, pattern by pattern, an option is placed only when the new local
+    orders of both ends are ``feasible``: some values of the vertex's
+    other half-edges under the pattern pass ``viable`` after each one and,
+    once it is closed, the judge.  ``judge_of``, when given, maps a pattern
+    to its judge, or to None to skip the pattern; a closed vertex fails
+    when ``judge.verdict(v, orders)`` is None.  A vertex without
     half-edges is judged at the leaf.
     """
     vids = graph.vertex_ids
     index = {v: i for i, v in enumerate(vids)}
     n = len(index)
     top = [2 * g - 2 for _, g in graph.vertices]
-    pole_mass, zero_mass, order_sum = [0] * n, [0] * n, [0] * n
-    marked = [False] * n
+    # per vertex, (P, Z, O) of its legs, which ``place`` moves while patterns are collected
+    mass, marked = [(0, 0, 0)] * n, [False] * n
     for _, v, m in graph.legs:
         i = index[v]
-        if m < 0:
-            pole_mass[i] -= m
-        else:
-            zero_mass[i] += m
+        p, z, o = mass[i]
+        mass[i] = (p - m, z, o + m - 1) if m < 0 else (p, z + m, o + m - 1)
         marked[i] = marked[i] or m > 0
-        order_sum[i] += m - 1
 
     def side(opt: tuple[int, bool, bool]):
         o, pole, zmark = opt
-        return (o, pole), o, -o - 1 if pole else 0, o + 1 if zmark else 0
+        return (o, pole), (-o - 1 if pole else 0, o + 1 if zmark else 0, o)
 
-    # walking the edges backwards, count per vertex the half-edges on the
-    # edges placed after the current one, and how many of them can be poles
-    later_all, later_poles = [0] * n, [0] * n
+    # per vertex, its half-edges in walk order (that of graph.edges_at): their
+    # site keys and slots (edge index, side, whether it can be a pole: the
+    # lower end of a vertical edge)
+    hids, sites, slots = [[] for _ in vids], [[] for _ in vids], [[] for _ in vids]
+    for k, (e, ends) in enumerate(graph.edges):
+        for s, v in enumerate(ends):
+            h, i = half_edge_id(e, s), index[v]
+            hids[i].append(h)
+            sites[i].append(site_key(v, h))
+            slots[i].append((k, s, levels.of[v] < levels.of[ends[1 - s]]))
+    # after each slot, the half-edges still open at its vertex: all, and possible poles
+    after: dict[tuple, tuple[int, int]] = {}
+    for slot in slots:
+        for t, x in enumerate(slot):
+            after[x[:2]] = len(slot) - t - 1, sum(y[2] for y in slot[t + 1:])
     plan = []
-    for e, (a, b) in reversed(graph.edges):
-        ia, ib = index[a], index[b]
+    for k, (e, (a, b)) in enumerate(graph.edges):
         # per zero-flag pair, the options grouped by their first side
         by_flags: dict[tuple[bool, bool], dict] = {}
         for j, (s0, s1) in enumerate(_edge_options(graph, levels, e, max_deg)):
@@ -236,20 +243,13 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
                 firsts[s0] = (side(s0), [])
             firsts[s0][1].append((j, side(s1)))
         by_flags = {pair: list(firsts.values()) for pair, firsts in by_flags.items()}
-        closing = [vids[i] for i in dict.fromkeys((ia, ib)) if later_all[i] == 0]
-        open_a, open_b = (later_all[ia], later_poles[ia]), (later_all[ib], later_poles[ib])
-        later_all[ia] += 1
-        later_all[ib] += 1
-        still = tuple(i for i in range(n) if later_all[i])
-        plan.append(_Step(ia, ib, half_edge_id(e, 0), half_edge_id(e, 1), open_a, open_b,
-                          by_flags, closing, still))
-        if levels.of[a] != levels.of[b]:
-            later_poles[ib if levels.of[a] > levels.of[b] else ia] += 1
-    plan.reverse()
-    idle = [v for v in vids if later_all[index[v]] == 0]
+        still = tuple(i for i, s in enumerate(slots) if s and s[-1][0] >= k)
+        plan.append(_Step(index[a], index[b], half_edge_id(e, 0), half_edge_id(e, 1),
+                          by_flags, still))
+    idle = [v for v, s in zip(vids, slots) if not s]
+    edges_of = [[k for k, *_ in slot] for slot in slots]
 
-    def viable(i: int, still_open: tuple[int, int]) -> bool:
-        p, z, o = pole_mass[i], zero_mass[i], order_sum[i]
+    def viable(i: int, p: int, z: int, o: int, still_open: tuple[int, int]) -> bool:
         if p > max_deg or z > max_deg:
             return False
         n_open, n_poles = still_open
@@ -264,24 +264,18 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
         """Apply each viable option of edge k in turn, yielding it.  The
         first side is checked once for all its second sides, unless both
         sides sit on one vertex."""
-        a, b, open_a, open_b = plan[k].a, plan[k].b, plan[k].open_a, plan[k].open_b
-        for (e0, do0, dp0, dz0), seconds in options:
-            order_sum[a] += do0
-            pole_mass[a] += dp0
-            zero_mass[a] += dz0
-            if a == b or viable(a, open_a):
-                for j, (e1, do1, dp1, dz1) in seconds:
-                    order_sum[b] += do1
-                    pole_mass[b] += dp1
-                    zero_mass[b] += dz1
-                    if viable(b, open_b):
+        a, b, open_a, open_b = plan[k].a, plan[k].b, after[k, 0], after[k, 1]
+        pa, za, oa = base_a = mass[a]
+        for (e0, (dp, dz, do)), seconds in options:
+            mass[a] = pa + dp, za + dz, oa + do
+            if a == b or viable(a, *mass[a], open_a):
+                pb, zb, ob = base_b = mass[b]
+                for j, (e1, (dp, dz, do)) in seconds:
+                    mass[b] = pb + dp, zb + dz, ob + do
+                    if viable(b, *mass[b], open_b):
                         yield j, e0, e1
-                    order_sum[b] -= do1
-                    pole_mass[b] -= dp1
-                    zero_mass[b] -= dz1
-            order_sum[a] -= do0
-            pole_mass[a] -= dp0
-            zero_mass[a] -= dz0
+                mass[b] = base_b
+        mass[a] = base_a
 
     memo: dict[tuple, frozenset] = {}
 
@@ -289,7 +283,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
         """Zero-flag suffixes, from edge k on, that complete the state."""
         if k == len(plan):
             return frozenset([()])
-        key = (k, *((pole_mass[i], zero_mass[i], order_sum[i]) for i in plan[k].still))
+        key = (k, *(mass[i] for i in plan[k].still))
         if key not in memo:
             out = set()
             for pair, options in plan[k].by_flags.items():
@@ -300,6 +294,29 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
             memo[key] = frozenset(out)
         return memo[key]
 
+    def feasible(i: int, prefix: tuple) -> bool:
+        """Whether vertex i, with the orders ``prefix`` on its first half-edges,
+        passes ``viable`` and completes over its other slots' values to orders
+        passing it after each one and, once closed, the judge (memoized)."""
+        known, values = vertex[i]
+        ok = known.get(prefix)
+        if ok is None:
+            p, z, o = mass[i]
+            for e, adds in zip(prefix, values):
+                dp, dz, do = adds[e]
+                p, z, o = p + dp, z + dz, o + do
+            t = len(prefix)
+            ok = viable(i, p, z, o, after[slots[i][t - 1][:2]])
+            if ok and t == len(values):
+                ok = judge is None or bool(judge.verdict(vids[i], dict(zip(hids[i], prefix))))
+            elif ok:
+                ok = any(feasible(i, (*prefix, e)) for e in values[t])
+            known[prefix] = ok
+        return ok
+
+    # per vertex, zero-flag pairs and forced groups (all a verdict reads of the
+    # pattern) -> its answers, and per slot the orders allowed and their adds
+    tables: dict[tuple, tuple[dict[tuple, bool], list[dict]]] = {}
     try:
         for flags in sorted(completions(0)):
             zero_marks = frozenset(h for step, pair in zip(plan, flags)
@@ -307,27 +324,41 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
             judge = judge_of(zero_marks) if judge_of is not None else None
             if judge_of is not None and judge is None:
                 continue
+            vertex = []
+            for i, slot in enumerate(slots):
+                classes = list(map(judge.columns.get, sites[i], sites[i])) if judge else []
+                key = (i, *map(flags.__getitem__, edges_of[i]), *map(classes.index, classes))
+                if key not in tables:
+                    tables[key] = ({}, [dict((f, x)[s] for f, xs in plan[k].by_flags[flags[k]]
+                                             for _, x in xs) for k, s, _ in slot])
+                vertex.append(tables[key])
             orders: dict[str, tuple[int, bool]] = {}
             choice = [0] * len(plan)
+            prefix: list[tuple] = [()] * n
 
             def rec(k: int):
                 if k == len(plan):
                     if judge is None or all(judge.verdict(v, orders) for v in idle):
                         yield tuple(choice), dict(orders), zero_marks, judge
                     return
-                step, rest = plan[k], flags[k + 1:]
-                for j, e0, e1 in place(k, step.by_flags[flags[k]]):
-                    if rest not in completions(k + 1):
+                step = plan[k]
+                a, b = step.a, step.b
+                before_a, before_b = prefix[a], prefix[b]
+                for (e0, _), seconds in step.by_flags[flags[k]]:
+                    pa = (*before_a, e0)
+                    if a != b and not feasible(a, pa):
                         continue
-                    orders[step.h0] = e0
-                    orders[step.h1] = e1
-                    choice[k] = j
-                    if judge is None or all(judge.verdict(v, orders) for v in step.closing):
-                        yield from rec(k + 1)
+                    for j, (e1, _) in seconds:
+                        pb = (*(pa if a == b else before_b), e1)
+                        if feasible(b, pb):
+                            prefix[a], prefix[b] = pa, pb
+                            orders[step.h0], orders[step.h1], choice[k] = e0, e1, j
+                            yield from rec(k + 1)
+                prefix[a], prefix[b] = before_a, before_b
 
             yield from rec(0)
     finally:  # the recursive closures refer to themselves: free them without the collector
-        rec = completions = None
+        rec = completions = feasible = None
 
 
 def _free_sites(graph: MarkedDualGraph, dec: TwrDecoration) -> list[str]:
@@ -351,12 +382,16 @@ def _system_key(levels: LevelStructure, dec: TwrDecoration) -> tuple:
 
 def _solved_system(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecoration):
     """Rows of the evaluation system of ``dec`` and its solution space (None
-    when it is inconsistent), memoized per graph by ``_system_key``."""
+    when it is inconsistent), memoized per graph by ``_system_key``.  Exact
+    values are substituted into the level structure's rows (``solved_rows``)."""
     key = _system_key(levels, dec)
     memo = graph.memos["solved_system"]
     if key not in memo:
-        system = evaluation_system(graph, levels, dec)
-        memo[key] = system.all_rows(), system.solution_space()
+        if any(isinstance(x, str) for _, x in dec.values):
+            system = evaluation_system(graph, levels, dec)
+            memo[key] = system.all_rows(), system.solution_space()
+        else:
+            memo[key] = solved_rows(graph, levels, dec.value_of)
     return memo[key]
 
 
@@ -479,7 +514,8 @@ class _PatternJudge:
                  zero_marks: frozenset[str], zero_values: dict[str, Fraction],
                  half_edges: dict[str, list[str]], cap: int, compiled: dict):
         self.graph, self.space = graph, space
-        self.columns = {s: space.column(s) for s in space.symbols}
+        ids: dict[tuple, int] = {}  # equal columns, equal ids: cheaper to hash than Fractions
+        self.columns = {s: ids.setdefault(space.column(s), len(ids)) for s in space.symbols}
         self.zero_marks, self.zero_values = zero_marks, zero_values
         self.half_edges, self.cap, self.compiled = half_edges, cap, compiled
         self.verdicts: dict[tuple, dict | None] = {}
@@ -491,13 +527,13 @@ class _PatternJudge:
         key = (v, local)
         if key not in self.verdicts:
             zeros = [h for h in hids if h in self.zero_marks]
-            dec = TwrDecoration.build(dict(zip(hids, local)),
-                                      {site_key(v, h): Fraction(0) for h in zeros})
             free = [site_key(v, h) for h, (_, pole) in zip(hids, local)
                     if not pole and h not in self.zero_marks]
             groups = _forced_groups(free, self.columns)
             inputs = (v, local, tuple(zeros), tuple(map(tuple, groups)), self.cap)
             if inputs not in self.compiled:
+                dec = TwrDecoration.build(dict(zip(hids, local)),
+                                          {site_key(v, h): Fraction(0) for h in zeros})
                 self.compiled[inputs] = _component_verdict(self.graph, dec, v, groups, self.cap)
             self.verdicts[key] = self.compiled[inputs]
         return self.verdicts[key]
@@ -584,10 +620,11 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
             if key not in best or rank < best[key][0]:
                 best[key] = (rank, levels, dec, judge)
     certs = [_certificate(graph, *best[k][1:]) for k in sorted(best)]
-    # keep only the systems that a verification of these certificates reads
+    # keep only the systems and rows that a verification of these certificates reads
     kept = {_system_key(c.levels, c.decoration) for c in certs}
-    memo = graph.memos["solved_system"]
+    memo, rows = graph.memos["solved_system"], graph.memos["level_rows"]
     graph.memos["solved_system"] = {k: memo[k] for k in kept if k in memo}
+    graph.memos["level_rows"] = {k[0]: rows[k[0]] for k in kept if k[0] in rows}
     return certs
 
 

@@ -86,3 +86,24 @@ def plain_decorations(graph: MarkedDualGraph, levels: LevelStructure,
             place(a, half_edge_id(e, 0), s0, -1)
 
     yield from rec(0)
+
+
+def judged_plain_decorations(graph: MarkedDualGraph, levels: LevelStructure,
+                             max_deg: int, judge_of):
+    """The plain enumeration as (rank, orders, zero marks), keeping only the
+    decorations whose zero pattern ``judge_of`` maps to a judge that gives
+    every vertex a verdict.  The rank names, edge by edge, the index of the
+    option taken in the edge's option list, so this is in rank order."""
+    options = [_edge_options(graph, levels, e, max_deg) for e, _ in graph.edges]
+    judges: dict[frozenset, object] = {}
+    for orders, zero_marks in plain_decorations(graph, levels, max_deg):
+        zero_marks = frozenset(zero_marks)
+        if zero_marks not in judges:
+            judges[zero_marks] = judge_of(zero_marks)
+        judge = judges[zero_marks]
+        if judge is None or not all(judge.verdict(v, orders) for v in graph.vertex_ids):
+            continue
+        rank = tuple(opts.index(tuple((*orders[h], h in zero_marks)
+                                      for h in (half_edge_id(e, 0), half_edge_id(e, 1))))
+                     for (e, _), opts in zip(graph.edges, options))
+        yield rank, orders, zero_marks
