@@ -20,7 +20,7 @@ from .homology import (evaluate, evaluation_system, level_filtration,
 from .hurwitz import (HurwitzProblem, component_problem, exists,
                       realize_genus0, rh_check)
 from .partitions import associated_partition, check_extension, ord_df
-from .twisting import check_local_max, pushforward_check, stabilize, twist
+from .twisting import check_local_max, stabilize, twist
 
 __version__ = "0.1.0"
 
@@ -30,8 +30,8 @@ __all__ = [
     "TwrDecoration", "associated_partition", "check_extension",
     "check_local_max", "closure_via_covers", "component_problem",
     "enumerate_level_structures", "evaluate", "evaluation_system", "exists",
-    "isomorphic", "level_filtration", "ord_df", "pushforward_check",
-    "realize_genus0", "relative_h1", "restrict_to_level", "rh_check",
-    "search", "stabilize", "twist", "validate", "validate_cover",
-    "validate_twdr", "validate_twr", "verify_certificate",
+    "isomorphic", "level_filtration", "ord_df", "realize_genus0",
+    "relative_h1", "restrict_to_level", "rh_check", "search", "stabilize",
+    "twist", "validate", "validate_cover", "validate_twdr", "validate_twr",
+    "verify_certificate",
 ]

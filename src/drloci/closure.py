@@ -11,10 +11,10 @@ The search computes each quantity once, at the stage it depends on:
 2. Per normalized level structure, the zero patterns (which node
    preimages are nodal zeros) that some admissible order assignment
    completes (poles only on strictly lower ends, order sums >= -2,
-   per-vertex divisor balance and order deficit), and the level
-   filtration.
+   per-vertex divisor balance and order deficit), and the undecorated
+   evaluation rows, built from the level filtration.
 3. Per zero pattern, the exact solution space of the evaluation system
-   (the level structure's rows, built once, with the zeros substituted),
+   (the level structure's rows with the zeros substituted),
    the test that no regular node value is forced to zero, and the column
    of every constrained site: two sites are forced equal exactly when
    their columns are equal.  Pole sites sit on the lower ends of vertical
@@ -36,17 +36,14 @@ The search computes each quantity once, at the stage it depends on:
 Every candidate the enumeration yields passes ``validate_twr`` by
 construction, except on a lone vertex without half-edges, whose missing
 pole the component check rejects; ``verify_certificate`` re-runs it, and
-every other check, on each certificate.  The pure stages are memoized on
-the graph object (``graph.memos``), so ``search`` and every verification
-on it share them until the graph is dropped: the graph's ``validate``
-report, the level filtration per level structure, the ``exists`` answer
-per Hurwitz problem (looked up only within the cap), the undecorated
-evaluation rows per level structure, and the solved system per level
-structure, values and pole half-edges, which the search fills per zero
-pattern (a decoration without poles) and the verifier per certificate.
-When it returns, the search keeps only the rows of its certificates'
-level structures and the systems that a verification of them reads:
-those of the certificates without a pole at a node.
+every other check, on each certificate.  Pure stages are memoized on the
+graph object (``graph.memos``) until the graph is dropped.  ``search`` and
+every verification share the graph's ``validate`` report, the ``exists``
+answer per Hurwitz problem (looked up only within the cap), and the
+undecorated evaluation rows per level structure (when it returns, the
+search keeps only its certificates' level structures).  The solved system
+per certificate (level structure, values and pole half-edges) is memoized
+for verifications only: every zero pattern the search solves is distinct.
 
 Completeness boundary: node multiplicities are capped by the total
 positive mu mass (or an explicit bound), and component realizability
@@ -64,7 +61,7 @@ from .decorations import TwrDecoration, component_divisor, site_key, validate_tw
 from .exact import AffineSubspace, format_rational
 from .graphs import (LevelStructure, MarkedDualGraph, canonical_key,
                      enumerate_level_structures, half_edge_id, validate)
-from .homology import evaluation_system, solved_rows
+from .homology import solved_rows
 from .hurwitz import (DEFAULT_DEGREE_CAP, Genus0Realization, InfeasibleComponent,
                       component_problem, exists, rh_check)
 from .witnesses import ComponentShape, realize_component
@@ -172,7 +169,7 @@ class _Step(NamedTuple):
 
 
 def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
-                 max_deg: int, judge_of=None):
+                 max_deg: int, judge_of):
     """All admissible decorations, zero pattern by zero pattern.
 
     Yields (rank, orders, zero marks, judge).  The rank is the tuple, over
@@ -197,10 +194,11 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
     Then, pattern by pattern, an option is placed only when the new local
     orders of both ends are ``feasible``: some values of the vertex's
     other half-edges under the pattern pass ``viable`` after each one and,
-    once it is closed, the judge.  ``judge_of``, when given, maps a pattern
-    to its judge, or to None to skip the pattern; a closed vertex fails
-    when ``judge.verdict(v, orders)`` is None.  A vertex without
-    half-edges is judged at the leaf.
+    once it is closed, the judge.  ``judge_of`` maps a pattern to its
+    judge, or to None to skip the pattern; a closed vertex fails when
+    ``judge.verdict(v, orders)`` is None, and the judge's ``columns`` (site
+    to column id) give the forced groups a vertex's answers depend on.  A
+    vertex without half-edges is judged at the leaf.
     """
     vids = graph.vertex_ids
     index = {v: i for i, v in enumerate(vids)}
@@ -308,7 +306,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
             t = len(prefix)
             ok = viable(i, p, z, o, after[slots[i][t - 1][:2]])
             if ok and t == len(values):
-                ok = judge is None or bool(judge.verdict(vids[i], dict(zip(hids[i], prefix))))
+                ok = bool(judge.verdict(vids[i], dict(zip(hids[i], prefix))))
             elif ok:
                 ok = any(feasible(i, (*prefix, e)) for e in values[t])
             known[prefix] = ok
@@ -321,12 +319,12 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
         for flags in sorted(completions(0)):
             zero_marks = frozenset(h for step, pair in zip(plan, flags)
                                    for h, z in zip((step.h0, step.h1), pair) if z)
-            judge = judge_of(zero_marks) if judge_of is not None else None
-            if judge_of is not None and judge is None:
+            judge = judge_of(zero_marks)
+            if judge is None:
                 continue
             vertex = []
             for i, slot in enumerate(slots):
-                classes = list(map(judge.columns.get, sites[i], sites[i])) if judge else []
+                classes = list(map(judge.columns.get, sites[i], sites[i]))
                 key = (i, *map(flags.__getitem__, edges_of[i]), *map(classes.index, classes))
                 if key not in tables:
                     tables[key] = ({}, [dict((f, x)[s] for f, xs in plan[k].by_flags[flags[k]]
@@ -338,7 +336,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
 
             def rec(k: int):
                 if k == len(plan):
-                    if judge is None or all(judge.verdict(v, orders) for v in idle):
+                    if all(judge.verdict(v, orders) for v in idle):
                         yield tuple(choice), dict(orders), zero_marks, judge
                     return
                 step = plan[k]
@@ -374,24 +372,15 @@ def _graph_report(graph: MarkedDualGraph):
     return memo[()]
 
 
-def _system_key(levels: LevelStructure, dec: TwrDecoration) -> tuple:
-    """Every input the evaluation system of ``dec`` reads: the levels, the
-    values and the pole half-edges."""
-    return levels, dec.values, frozenset(h for h, (_, pole) in dec.orders if pole)
-
-
 def _solved_system(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecoration):
-    """Rows of the evaluation system of ``dec`` and its solution space (None
-    when it is inconsistent), memoized per graph by ``_system_key``.  Exact
-    values are substituted into the level structure's rows (``solved_rows``)."""
-    key = _system_key(levels, dec)
+    """``solved_rows`` for the exact values of ``dec``: the rows of its
+    evaluation system and their solution space (None when inconsistent),
+    memoized per graph by every input the system reads: the levels, the
+    values and the pole half-edges."""
+    key = levels, dec.values, frozenset(h for h, (_, pole) in dec.orders if pole)
     memo = graph.memos["solved_system"]
     if key not in memo:
-        if any(isinstance(x, str) for _, x in dec.values):
-            system = evaluation_system(graph, levels, dec)
-            memo[key] = system.all_rows(), system.solution_space()
-        else:
-            memo[key] = solved_rows(graph, levels, dec.value_of)
+        memo[key] = solved_rows(graph, levels, dec.value_of)
     return memo[key]
 
 
@@ -505,9 +494,10 @@ def _component_verdict(graph: MarkedDualGraph, dec: TwrDecoration, v: str,
 class _PatternJudge:
     """Solution space and component verdicts of one zero pattern.
 
-    A component's verdict depends only on its own half-edge orders and on
-    the pattern's columns, so it is kept per (vertex, local orders); the
-    search's ``compiled`` keys it by every input ``_component_verdict`` reads.
+    A component's verdict depends only on its own half-edge orders and
+    nodal zeros and on the forced groups among its free sites; the search's
+    ``compiled`` keeps it by those inputs, across patterns and level
+    structures.
     """
 
     def __init__(self, graph: MarkedDualGraph, space: AffineSubspace,
@@ -518,25 +508,21 @@ class _PatternJudge:
         self.columns = {s: ids.setdefault(space.column(s), len(ids)) for s in space.symbols}
         self.zero_marks, self.zero_values = zero_marks, zero_values
         self.half_edges, self.cap, self.compiled = half_edges, cap, compiled
-        self.verdicts: dict[tuple, dict | None] = {}
 
     def verdict(self, v: str, orders: dict[str, tuple[int, bool]]) -> dict | None:
         """Oracle verdict of component v under ``orders``; None when it fails."""
         hids = self.half_edges[v]
         local = tuple(orders[h] for h in hids)
-        key = (v, local)
-        if key not in self.verdicts:
-            zeros = [h for h in hids if h in self.zero_marks]
-            free = [site_key(v, h) for h, (_, pole) in zip(hids, local)
-                    if not pole and h not in self.zero_marks]
-            groups = _forced_groups(free, self.columns)
-            inputs = (v, local, tuple(zeros), tuple(map(tuple, groups)), self.cap)
-            if inputs not in self.compiled:
-                dec = TwrDecoration.build(dict(zip(hids, local)),
-                                          {site_key(v, h): Fraction(0) for h in zeros})
-                self.compiled[inputs] = _component_verdict(self.graph, dec, v, groups, self.cap)
-            self.verdicts[key] = self.compiled[inputs]
-        return self.verdicts[key]
+        zeros = [h for h in hids if h in self.zero_marks]
+        free = [site_key(v, h) for h, (_, pole) in zip(hids, local)
+                if not pole and h not in self.zero_marks]
+        groups = _forced_groups(free, self.columns)
+        inputs = (v, local, tuple(zeros), tuple(map(tuple, groups)), self.cap)
+        if inputs not in self.compiled:
+            dec = TwrDecoration.build(dict(zip(hids, local)),
+                                      {site_key(v, h): Fraction(0) for h in zeros})
+            self.compiled[inputs] = _component_verdict(self.graph, dec, v, groups, self.cap)
+        return self.compiled[inputs]
 
 
 def _decoration_key(graph: MarkedDualGraph, levels: LevelStructure,
@@ -607,7 +593,7 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
             # the system reads a decoration only through its zero marks; a pattern
             # forcing a regular node value to zero lies in a different stratum
             values = {site_key(graph.half_edge_vertex(h), h): Fraction(0) for h in zero_marks}
-            _, space = _solved_system(graph, levels, TwrDecoration.build({}, values))
+            _, space = solved_rows(graph, levels, values)
             if space is None or any(space.forces_value(s) == 0 for s in space.symbols):
                 return None
             return _PatternJudge(graph, space, zero_marks, values, half_edges,
@@ -620,11 +606,8 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
             if key not in best or rank < best[key][0]:
                 best[key] = (rank, levels, dec, judge)
     certs = [_certificate(graph, *best[k][1:]) for k in sorted(best)]
-    # keep only the systems and rows that a verification of these certificates reads
-    kept = {_system_key(c.levels, c.decoration) for c in certs}
-    memo, rows = graph.memos["solved_system"], graph.memos["level_rows"]
-    graph.memos["solved_system"] = {k: memo[k] for k in kept if k in memo}
-    graph.memos["level_rows"] = {k[0]: rows[k[0]] for k in kept if k[0] in rows}
+    rows = graph.memos["level_rows"]  # keep the rows a verification of these reads
+    graph.memos["level_rows"] = {c.levels: rows[c.levels] for c in certs}
     return certs
 
 
@@ -649,6 +632,10 @@ def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
     twr = validate_twr(graph, cert.levels, cert.decoration)
     if not twr.ok:
         reasons.append(f"decoration invalid: {twr.violations}")
+    symbolic = sorted(s for s, x in cert.decoration.values if isinstance(x, str))
+    if symbolic:
+        reasons.append(f"symbolic node values at {symbolic}; certificates carry exact values")
+    if reasons:
         return {"verdict": "rejected", "reasons": reasons}
     rows, space = _solved_system(graph, cert.levels, cert.decoration)
     if space is None:

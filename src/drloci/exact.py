@@ -201,14 +201,10 @@ class AffineSubspace:
         return self.particular.get(symbol, Fraction(0))
 
     def column(self, symbol: str) -> tuple[Fraction, ...]:
-        """The particular value and basis coefficients of ``symbol``."""
+        """The particular value and basis coefficients of ``symbol``; two
+        coordinates agree on the whole space exactly when their columns do."""
         return (self.particular.get(symbol, Fraction(0)),
                 *(b.get(symbol, Fraction(0)) for b in self.basis))
-
-    def forces_equal(self, s1: str, s2: str) -> bool:
-        """Two coordinates agree on the whole space exactly when their
-        columns are equal."""
-        return self.column(s1) == self.column(s2)
 
     def contains(self, point: dict[str, Fraction]) -> bool:
         """Exact membership test for a fully specified point: point -

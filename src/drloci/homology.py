@@ -99,17 +99,7 @@ def level_filtration(graph: MarkedDualGraph, levels: LevelStructure) -> LevelFil
     """For each attained level i, generators of the image of the homology
     of the down-set of i (the vertices of level <= i, the edges among them
     and their zero legs) inside the relative homology.  The down-set of the
-    top level is the whole graph, so its generators are ``relative_h1``.
-
-    Memoized per graph by level structure (the zero legs are the graph's);
-    callers share the result and must not mutate it."""
-    memo = graph.memos["level_filtration"]
-    if levels not in memo:
-        memo[levels] = _level_filtration(graph, levels)
-    return memo[levels]
-
-
-def _level_filtration(graph: MarkedDualGraph, levels: LevelStructure) -> LevelFiltration:
+    top level is the whole graph, so its generators are ``relative_h1``."""
     zlegs = default_zero_legs(graph)
     gen: dict[int, list[Chain]] = {}
     for i in levels.attained():

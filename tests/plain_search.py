@@ -3,9 +3,10 @@
 
 Decorations come from the plain enumeration, in its order, unless
 another source of the same sequence is given.  Each one is
-solved through its zero pattern, grouped by pairwise ``forces_equal``
-tests, and decided component by component; the first decoration to
-arrive in each isomorphism class represents it.
+solved through its zero pattern, its free sites are grouped by pairwise
+comparison of their ``column``s, and it is decided component by
+component; the first decoration to arrive in each isomorphism class
+represents it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def plain_forced_groups(free_sites, space):
 
     constrained = set(space.symbols)
     for s1, s2 in itertools.combinations(free_sites, 2):
-        if s1 in constrained and s2 in constrained and space.forces_equal(s1, s2):
+        if s1 in constrained and s2 in constrained and space.column(s1) == space.column(s2):
             parent[find(s1)] = find(s2)
     groups: dict[str, list[str]] = {}
     for s in free_sites:

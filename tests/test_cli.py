@@ -60,6 +60,34 @@ def test_constraints_solution(capsys, dollar_files):
     assert doc["consistent"] and doc["solution_dim"] == 1
 
 
+@pytest.fixture
+def shared_unknown_decoration(tmp_path):
+    doc = dict(FIXTURES["dollar_unmarked_zeros"]["decoration"])
+    doc["values"] = {"v1:q1.0": "?x", "v1:q2.0": "?x"}
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_ev_sites_sharing_a_named_unknown(capsys, dollar_files, shared_unknown_decoration):
+    gpath, _ = dollar_files
+    code, doc = run(capsys, "ev", "--graph", gpath, "--decoration", shared_unknown_decoration)
+    # q1 and q2 carry one unknown x, so their difference vanishes
+    assert code == 0
+    assert doc["levels"]["0"]["constraints"] == ["v1:q3.0 - x"]
+    assert doc["levels"]["0"]["solution_dim"] == 1
+
+
+def test_constraints_sites_sharing_a_named_unknown(capsys, dollar_files,
+                                                   shared_unknown_decoration):
+    gpath, _ = dollar_files
+    code, doc = run(capsys, "constraints", "--graph", gpath,
+                    "--decoration", shared_unknown_decoration)
+    assert code == 0 and doc["consistent"]
+    assert doc["constraints"] == ["v1:q3.0 - x"]
+    assert doc["basis"] == [{"v1:q3.0": "1", "x": "1"}]
+
+
 def test_hurwitz_negative_verdict_exit_code(capsys):
     code, doc = run(capsys, "hurwitz", "--degree", "4", "--genus", "0",
                     "--profile", "2,2", "--profile", "2,2", "--profile", "3,1")

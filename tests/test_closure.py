@@ -2,10 +2,12 @@ import dataclasses
 import gc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from drloci.closure import SearchBounds, search, verify_certificate
+from drloci.decorations import TwrDecoration
 from drloci.exact import LinearForm, solve_forms
 from drloci.fixtures import FIXTURES, load_graph
 from drloci.graphs import MarkedDualGraph, validate
@@ -142,7 +144,8 @@ def test_horizontal_graph_unique_certificate():
 
 
 def test_certificates_twist_with_equivalent_systems():
-    from drloci.twisting import pushforward_check, stabilize, twist
+    from drloci.twisting import stabilize, twist
+    from plain_pushforward import pushforward_check
     for name in ("dollar_unmarked_zeros", "dollar_cover", "dollar_matching", "cherry"):
         g = load_graph(name)
         for cert in search(g, g.mu):
@@ -395,7 +398,7 @@ def test_search_without_certificates_keeps_no_solved_system():
     assert g.memos["solved_system"] == {}
 
 
-def test_search_keeps_the_solved_systems_its_certificates_read(monkeypatch):
+def test_search_writes_no_solved_system_and_verification_fills_it(monkeypatch):
     from drloci import homology
     solves = []
 
@@ -405,12 +408,38 @@ def test_search_keeps_the_solved_systems_its_certificates_read(monkeypatch):
 
     monkeypatch.setattr(homology, "solve_forms", counting)
     g = load_graph("dollar_matching")
+    [cert] = search(g, g.mu)
+    # one solve per zero pattern, each distinct, so nothing to share
+    assert len(solves) == 9 and "level_filtration" not in g.memos
+    assert g.memos["solved_system"] == {}
+    for _ in range(2):
+        assert verify_certificate(g, g.mu, cert)["verdict"] == "accepted-exact"
+        assert len(solves) == 10 and len(g.memos["solved_system"]) == 1
+
+
+def test_symbolic_node_value_is_rejected_with_a_reason():
+    g = load_graph("dollar_matching")
+    [cert] = search(g, g.mu)
+    site = next(iter(cert.sample))
+    doc = cert.decoration.to_json()
+    doc["values"] = {**doc.get("values", {}), site: "?x"}
+    dec = TwrDecoration.from_json(doc)
+    verdict = verify_certificate(g, g.mu, dataclasses.replace(cert, decoration=dec))
+    assert verdict["verdict"] == "rejected"
+    assert any("symbolic" in r and site in r for r in verdict["reasons"])
+
+
+def test_readme_memo_table_names_the_memos_a_search_and_verification_fill():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("| Memo | Key |"):]
+    table = section[:section.index("\n\n")].splitlines()[2:]
+    names = sorted(row.split("`")[1] for row in table)
+    g = load_graph("partial_order")
     certs = search(g, g.mu)
-    assert len(solves) == 9 and len(g.memos["solved_system"]) == 1
-    [cert] = certs
-    assert not any(pole for _, (_, pole) in cert.decoration.orders)
-    assert verify_certificate(g, g.mu, cert)["verdict"] == "accepted-exact"
-    assert len(solves) == 9
+    assert certs
+    for cert in certs:
+        verify_certificate(g, g.mu, cert)
+    assert names == sorted(g.memos)
 
 
 def test_component_verdicts_compiled_once_per_search(monkeypatch):

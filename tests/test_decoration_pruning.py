@@ -32,13 +32,27 @@ DOLLAR_2_2_M4 = MarkedDualGraph.build(
     [("z1", "a", 2), ("z2", "b", 2), ("p", "a", -4)])
 
 
+class AcceptAll:
+    """A judge that forces no sites equal and passes every vertex: the walk
+    under it yields every admissible decoration."""
+
+    columns: dict = {}
+
+    def verdict(self, v, orders):
+        return True
+
+
+def unjudged(zero_marks) -> AcceptAll:
+    return AcceptAll()
+
+
 def search_degree(graph: MarkedDualGraph) -> int:
     """The node multiplicity cap ``search`` uses by default."""
     return max(1, sum(m for m in graph.mu if m > 0))
 
 
 def assert_same_and_valid(graph, levels, max_deg):
-    walk = sorted(_decorations(graph, levels, max_deg), key=lambda item: item[0])
+    walk = sorted(_decorations(graph, levels, max_deg, unjudged), key=lambda item: item[0])
     options = [(e, _edge_options(graph, levels, e, max_deg)) for e, _ in graph.edges]
     for rank, orders, zero_marks, _ in walk:
         # the rank names, edge by edge, the option the decoration took

@@ -40,7 +40,7 @@ def test_solve_forms_affine_space():
     space = solve_forms(forms, ["x", "y", "z", "w"])
     assert space.dim == 2  # y free, w free
     assert space.forces_value("z") == 2
-    assert space.forces_equal("x", "y")
+    assert space.column("x") == space.column("y")
     assert space.forces_value("x") is None
 
 

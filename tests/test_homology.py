@@ -186,8 +186,8 @@ def test_evaluation_system_dollar_expected_spaces():
     assert system.block(0).verdict() == "conditional"
     space = system.solution_space()
     assert space.dim == 1
-    assert space.forces_equal("v1:q1.0", "v1:q2.0")
-    assert space.forces_equal("v1:q1.0", "v1:q3.0")
+    assert space.column("v1:q1.0") == space.column("v1:q2.0")
+    assert space.column("v1:q1.0") == space.column("v1:q3.0")
 
 
 def test_integer_matrix_entries_bounded_by_chain_coefficients():

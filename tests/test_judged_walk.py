@@ -32,9 +32,9 @@ def judged_walks_checked(keep=lambda index: True):
     index ``keep`` accepts; yields the list of checked (levels, yields)."""
     walk, checked, seen = closure._decorations, [], []
 
-    def checking(graph, levels, max_deg, judge_of=None):
+    def checking(graph, levels, max_deg, judge_of):
         got = sorted(walk(graph, levels, max_deg, judge_of), key=lambda item: item[0])
-        assert judge_of is not None and len({rank for rank, *_ in got}) == len(got)
+        assert len({rank for rank, *_ in got}) == len(got)
         seen.append(levels)
         if keep(len(seen) - 1):
             want = list(judged_plain_decorations(graph, levels, max_deg, judge_of))

@@ -19,7 +19,7 @@ from drloci.graphs import MarkedDualGraph, validate
 from plain_decorations import plain_decorations
 from plain_search import plain_search
 from randgen import random_connected_graph
-from test_decoration_pruning import DOLLAR_2_2_M4, TRIANGLE
+from test_decoration_pruning import DOLLAR_2_2_M4, TRIANGLE, unjudged
 from test_level_equivalence import chain
 
 CHAIN4 = MarkedDualGraph.build(
@@ -40,9 +40,10 @@ def certificate_bytes(certs) -> str:
 
 
 def ranked_decorations(graph, levels, max_deg):
-    """The walk without component cuts, sorted by rank: the plain sequence
-    (``test_decoration_pruning``), without the plain enumeration's cost."""
-    walk = sorted(_decorations(graph, levels, max_deg), key=lambda item: item[0])
+    """The walk under a judge that accepts everything, sorted by rank: the
+    plain sequence (``test_decoration_pruning``), without the plain
+    enumeration's cost."""
+    walk = sorted(_decorations(graph, levels, max_deg, unjudged), key=lambda item: item[0])
     return [(orders, set(zero_marks)) for _, orders, zero_marks, _ in walk]
 
 

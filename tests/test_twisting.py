@@ -6,8 +6,8 @@ from drloci.decorations import TwdrDecoration, TwrDecoration, validate_twdr
 from drloci.fixtures import load_decoration, load_graph, load_levels
 from drloci.graphs import LevelStructure, MarkedDualGraph, half_edge_id
 from drloci.partitions import check_extension
-from drloci.twisting import (TwistError, check_local_max, pushforward_check,
-                             stabilize, twist)
+from drloci.twisting import TwistError, check_local_max, stabilize, twist
+from plain_pushforward import pushforward_check
 from randgen import random_twr
 
 
