@@ -13,9 +13,10 @@ on stderr as other malformed input.
 The Hurwitz degree cap can be set with the DRLOCI_HURWITZ_CAP
 environment variable; an explicit `hurwitz --cap` overrides it.
 `check-closure` also accepts `--bounds key=value` (max_degree,
-hurwitz_cap, level_cap); its cap is, by increasing precedence, the
-environment variable, `--bounds hurwitz_cap=N`, then `--hurwitz-cap`.
-Every bound, cap and `levels --max-levels` must be a positive integer.
+hurwitz_cap, level_cap); `--bounds hurwitz_cap=N` overrides the
+environment variable.  Every bound, cap and `levels --max-levels` must
+be a positive integer.  `check-closure` and `cover` read mu from the
+graph's legs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import sys
 from .checks import check_all
 from .closure import SearchBounds, search, verify_certificate
 from .covers import CombinatorialCover, closure_via_covers, validate_cover
-from .decorations import TwdrDecoration, TwrDecoration, validate_twdr
+from .decorations import TwdrDecoration, TwrDecoration
 from .fixtures import fixture_names
 from .graphs import (EnumerationCapExceeded, LevelStructure, MarkedDualGraph,
                      enumerate_level_structures, validate)
@@ -105,13 +106,6 @@ def _emit(payload: dict, args) -> None:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
-def _mu(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise CliError(f"malformed mu {text!r}") from exc
-
-
 def cmd_validate(args) -> int:
     graph, _ = _load_graph(args.graph)
     report = validate(graph)
@@ -180,9 +174,6 @@ def cmd_stabilize(args) -> int:
     graph, levels = _load_graph(args.graph)
     levels = _require_levels(levels, args)
     dec = _load_document(args.decoration, TwdrDecoration)
-    report = validate_twdr(graph, levels, dec)
-    if not report.ok:
-        raise CliError(f"decoration is not fully marked and valid: {report.violations}")
     new_graph, new_levels, new_dec, cm = stabilize(graph, levels, dec)
     _emit({"command": "stabilize",
            "graph": new_graph.to_json(),
@@ -252,8 +243,7 @@ def cmd_cover(args) -> int:
     accepted = report.ok
     if args.graph:
         graph, _ = _load_graph(args.graph)
-        mu = _mu(args.mu) if args.mu else graph.mu
-        verdict = closure_via_covers(graph, mu, cover)
+        verdict = closure_via_covers(graph, graph.mu, cover)
         payload["closure"] = verdict
         accepted = verdict["accepted"]
     _emit(payload, args)
@@ -262,14 +252,10 @@ def cmd_cover(args) -> int:
 
 def cmd_check_closure(args) -> int:
     graph, _ = _load_graph(args.graph)
-    mu = _mu(args.mu) if args.mu else graph.mu
-    # later items win: the environment (or the default), then --bounds, then --hurwitz-cap
-    items = [f"hurwitz_cap={_env_hurwitz_cap()}", *args.bounds]
-    if args.hurwitz_cap is not None:
-        items.append(f"hurwitz_cap={args.hurwitz_cap}")
-    bounds = SearchBounds.from_strings(items)
-    certs = search(graph, mu, bounds)
-    verdicts = [verify_certificate(graph, mu, c, bounds.hurwitz_cap) for c in certs]
+    # later items win: the environment (or the default), then --bounds
+    bounds = SearchBounds.from_strings([f"hurwitz_cap={_env_hurwitz_cap()}", *args.bounds])
+    certs = search(graph, graph.mu, bounds)
+    verdicts = [verify_certificate(graph, graph.mu, c, bounds.hurwitz_cap) for c in certs]
     payload = {
         "command": "check-closure",
         "member": "yes" if certs else "no-within-bounds",
@@ -344,15 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="validate an admissible cover")
     p.add_argument("--cover", required=True)
     p.add_argument("--graph", help="stable graph for the closure check")
-    p.add_argument("--mu")
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("check-closure", help="search membership certificates")
     p.add_argument("--graph", required=True)
-    p.add_argument("--mu")
     p.add_argument("--bounds", action="append", default=[],
                    help="key=value: max_degree, hurwitz_cap, level_cap")
-    p.add_argument("--hurwitz-cap", type=_positive_int, default=None)
     p.set_defaults(func=cmd_check_closure)
 
     p = sub.add_parser("fixtures", help="list or check the bundled examples")

@@ -9,10 +9,12 @@ The search computes each quantity once, at the stage it depends on:
    neighbour on a strictly higher level: df has a pole on every component,
    at a pole leg or at the lower end of a vertical edge.
 2. Per normalized level structure, the zero patterns (which node
-   preimages are nodal zeros) that some admissible order assignment
-   completes (poles only on strictly lower ends, order sums >= -2,
-   per-vertex divisor balance and order deficit), and the undecorated
-   evaluation rows, built from the level filtration.
+   preimages are nodal zeros): the product of each vertex's zero flags
+   that some orders of its own half-edges complete (per-vertex divisor
+   balance and order deficit), a superset of the patterns of admissible
+   order assignments (poles only on strictly lower ends, order sums
+   >= -2) that stage 4 makes exact; and the undecorated evaluation rows,
+   built from the level filtration.
 3. Per zero pattern, the exact solution space of the evaluation system
    (the level structure's rows with the zeros substituted),
    the test that no regular node value is forced to zero, and the column
@@ -20,10 +22,12 @@ The search computes each quantity once, at the stage it depends on:
    their columns are equal.  Pole sites sit on the lower ends of vertical
    edges, which the level restriction never evaluates, so the system
    reads a decoration only through its zero pattern.
-4. Per pattern, the orders are placed edge by edge, an option only when
-   both ends' local orders still complete, over the vertex's own
-   half-edges, to orders passing the viability tests and then the
-   component verdict (feasible, Riemann-Hurwitz, exists).  Each component
+4. Per pattern, the orders are placed edge by edge over the edge's
+   admissible option pairs, so a pattern without a decoration yields
+   nothing.  An option is placed only when both ends' local orders still
+   complete, over the vertex's own half-edges, to orders passing the
+   viability tests and then the component verdict (feasible,
+   Riemann-Hurwitz, exists).  Each component
    is compiled once per ``search`` call (not per graph: verification
    compiles its own); each distinct problem is decided once per graph; a
    problem beyond the degree cap does not cut.
@@ -52,6 +56,7 @@ beyond the Hurwitz degree cap is reported, not decided.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -156,16 +161,14 @@ def _edge_options(graph: MarkedDualGraph, levels: LevelStructure, e: str,
 
 
 class _Step(NamedTuple):
-    """One edge of the walk: its end vertices and half-edges, its options
-    per zero-flag pair grouped by first side, and the vertices a
-    completion from it on depends on."""
+    """One edge of the walk: its end vertices and half-edges, and its
+    options per zero-flag pair grouped by first side."""
 
     a: int
     b: int
     h0: str
     h1: str
     by_flags: dict[tuple[bool, bool], list]
-    still: tuple[int, ...]
 
 
 def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
@@ -177,34 +180,40 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
     ``_edge_options``, so sorting by rank gives the plain enumeration's
     order.
 
-    Edges are placed one by one.  Per vertex the walk tracks the pole mass
-    P and the zero mass Z (legs included), the order sum O (a leg of mu m
-    counts m - 1), the half-edges still open, and how many of those can
-    still be poles (the lower ends of vertical edges).  Regular orders are
-    >= 0 and a pole of mass m adds -(m+1) to O, so a vertex can no longer
-    close (``viable`` fails) when P > max_deg or Z > max_deg; when no
-    pole can come and P < 1, Z > P or O > 2g-2; when poles can still come
-    but even the remaining pole budget B = max_deg - P spent on
-    min(open poles, B) poles leaves O - B - min(open poles, B) > 2g-2;
-    and, once closed, when a vertex with a marked zero has Z != P.
+    Per vertex the walk tracks the pole mass P and the zero mass Z (legs
+    included), the order sum O (a leg of mu m counts m - 1), the half-edges
+    still open, and how many of those can still be poles (the lower ends of
+    vertical edges).  Regular orders are >= 0 and a pole of mass m adds
+    -(m+1) to O, so a vertex can no longer close (``viable`` fails) when
+    P > max_deg or Z > max_deg; when no pole can come and P < 1, Z > P or
+    O > 2g-2; when poles can still come but even the remaining pole budget
+    B = max_deg - P spent on min(open poles, B) poles leaves
+    O - B - min(open poles, B) > 2g-2; and, once closed, when a vertex with
+    a marked zero has Z != P.
 
-    First, the zero patterns (which node preimages are nodal zeros) that
-    have an admissible completion are collected: per edge and state of
-    the vertices still open, the suffixes of zero flags that complete it.
-    Then, pattern by pattern, an option is placed only when the new local
-    orders of both ends are ``feasible``: some values of the vertex's
-    other half-edges under the pattern pass ``viable`` after each one and,
-    once it is closed, the judge.  ``judge_of`` maps a pattern to its
-    judge, or to None to skip the pattern; a closed vertex fails when
-    ``judge.verdict(v, orders)`` is None, and the judge's ``columns`` (site
-    to column id) give the forced groups a vertex's answers depend on.  A
-    vertex without half-edges is judged at the leaf.
+    First, per vertex, the zero flags of its own half-edges that some
+    orders of those half-edges complete, passing ``viable`` after each
+    one; the zero patterns (which node preimages are nodal zeros) are the
+    product of these per-vertex choices.  That is a superset of the
+    patterns with an admissible decoration: it ignores only that a pole of
+    mass m on the lower end of an edge needs an order >= m - 1 on the upper
+    end.  The output stays exact, because the walk below places only
+    ``_edge_options`` pairs, so a pattern without a decoration yields
+    nothing.  Then, pattern by pattern, the edges are placed one by one, an
+    option only when the new local orders of both ends are ``feasible``:
+    some values of the vertex's other half-edges under its own zero flags
+    pass ``viable`` after each one and, once it is closed, the judge.
+    ``judge_of`` maps a pattern to its judge, or to None to skip the
+    pattern; a closed vertex fails when ``judge.verdict(v, orders)`` is
+    None, and the judge's ``columns`` (site to column id) give the forced
+    groups a vertex's answers depend on.  A vertex without half-edges is
+    judged at the leaf.
     """
     vids = graph.vertex_ids
     index = {v: i for i, v in enumerate(vids)}
     n = len(index)
     top = [2 * g - 2 for _, g in graph.vertices]
-    # per vertex, (P, Z, O) of its legs, which ``place`` moves while patterns are collected
+    # per vertex, (P, Z, O) of its legs
     mass, marked = [(0, 0, 0)] * n, [False] * n
     for _, v, m in graph.legs:
         i = index[v]
@@ -232,6 +241,8 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
         for t, x in enumerate(slot):
             after[x[:2]] = len(slot) - t - 1, sum(y[2] for y in slot[t + 1:])
     plan = []
+    # per slot and its own zero flag, the orders it can take and their (P, Z, O) adds
+    own: dict[tuple, dict] = {}
     for k, (e, (a, b)) in enumerate(graph.edges):
         # per zero-flag pair, the options grouped by their first side
         by_flags: dict[tuple[bool, bool], dict] = {}
@@ -240,12 +251,11 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
             if s0 not in firsts:
                 firsts[s0] = (side(s0), [])
             firsts[s0][1].append((j, side(s1)))
+            for s, opt in enumerate((s0, s1)):
+                own.setdefault((k, s, opt[2]), {}).setdefault(*side(opt))
         by_flags = {pair: list(firsts.values()) for pair, firsts in by_flags.items()}
-        still = tuple(i for i, s in enumerate(slots) if s and s[-1][0] >= k)
-        plan.append(_Step(index[a], index[b], half_edge_id(e, 0), half_edge_id(e, 1),
-                          by_flags, still))
+        plan.append(_Step(index[a], index[b], half_edge_id(e, 0), half_edge_id(e, 1), by_flags))
     idle = [v for v, s in zip(vids, slots) if not s]
-    edges_of = [[k for k, *_ in slot] for slot in slots]
 
     def viable(i: int, p: int, z: int, o: int, still_open: tuple[int, int]) -> bool:
         if p > max_deg or z > max_deg:
@@ -258,39 +268,20 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
             return False
         return n_open > 0 or z == p or not marked[i]
 
-    def place(k: int, options):
-        """Apply each viable option of edge k in turn, yielding it.  The
-        first side is checked once for all its second sides, unless both
-        sides sit on one vertex."""
-        a, b, open_a, open_b = plan[k].a, plan[k].b, after[k, 0], after[k, 1]
-        pa, za, oa = base_a = mass[a]
-        for (e0, (dp, dz, do)), seconds in options:
-            mass[a] = pa + dp, za + dz, oa + do
-            if a == b or viable(a, *mass[a], open_a):
-                pb, zb, ob = base_b = mass[b]
-                for j, (e1, (dp, dz, do)) in seconds:
-                    mass[b] = pb + dp, zb + dz, ob + do
-                    if viable(b, *mass[b], open_b):
-                        yield j, e0, e1
-                mass[b] = base_b
-        mass[a] = base_a
-
-    memo: dict[tuple, frozenset] = {}
-
-    def completions(k: int) -> frozenset:
-        """Zero-flag suffixes, from edge k on, that complete the state."""
-        if k == len(plan):
+    @functools.cache
+    def flag_choices(i: int, t: int, p: int, z: int, o: int) -> frozenset:
+        """Own zero-flag suffixes of vertex i, from its slot t on, that some
+        orders complete from (P, Z, O), passing ``viable`` after each slot."""
+        if t == len(slots[i]):
             return frozenset([()])
-        key = (k, *(mass[i] for i in plan[k].still))
-        if key not in memo:
-            out = set()
-            for pair, options in plan[k].by_flags.items():
-                rests = set()
-                for _ in place(k, options):
-                    rests |= completions(k + 1)
-                out.update((pair, *rest) for rest in rests)
-            memo[key] = frozenset(out)
-        return memo[key]
+        k, s, _ = slots[i][t]
+        out = set()
+        for flag in (False, True):
+            for dp, dz, do in own[k, s, flag].values():
+                if viable(i, p + dp, z + dz, o + do, after[k, s]):
+                    out.update((flag, *rest)
+                               for rest in flag_choices(i, t + 1, p + dp, z + dz, o + do))
+        return frozenset(out)
 
     def feasible(i: int, prefix: tuple) -> bool:
         """Whether vertex i, with the orders ``prefix`` on its first half-edges,
@@ -312,23 +303,24 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
             known[prefix] = ok
         return ok
 
-    # per vertex, zero-flag pairs and forced groups (all a verdict reads of the
-    # pattern) -> its answers, and per slot the orders allowed and their adds
+    # per vertex, its own zero flags and forced groups (all a verdict reads of
+    # the pattern) -> its answers, and per slot the orders allowed and their adds
     tables: dict[tuple, tuple[dict[tuple, bool], list[dict]]] = {}
     try:
-        for flags in sorted(completions(0)):
-            zero_marks = frozenset(h for step, pair in zip(plan, flags)
-                                   for h, z in zip((step.h0, step.h1), pair) if z)
+        choices = [sorted(flag_choices(i, 0, *mass[i])) for i in range(n)]
+        for pattern in itertools.product(*choices):
+            flag = {x[:2]: f for slot, fs in zip(slots, pattern) for x, f in zip(slot, fs)}
+            zero_marks = frozenset(h for hs, fs in zip(hids, pattern)
+                                   for h, f in zip(hs, fs) if f)
             judge = judge_of(zero_marks)
             if judge is None:
                 continue
             vertex = []
             for i, slot in enumerate(slots):
                 classes = list(map(judge.columns.get, sites[i], sites[i]))
-                key = (i, *map(flags.__getitem__, edges_of[i]), *map(classes.index, classes))
+                key = (i, pattern[i], *map(classes.index, classes))
                 if key not in tables:
-                    tables[key] = ({}, [dict((f, x)[s] for f, xs in plan[k].by_flags[flags[k]]
-                                             for _, x in xs) for k, s, _ in slot])
+                    tables[key] = ({}, [own[k, s, f] for (k, s, _), f in zip(slot, pattern[i])])
                 vertex.append(tables[key])
             orders: dict[str, tuple[int, bool]] = {}
             choice = [0] * len(plan)
@@ -342,7 +334,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
                 step = plan[k]
                 a, b = step.a, step.b
                 before_a, before_b = prefix[a], prefix[b]
-                for (e0, _), seconds in step.by_flags[flags[k]]:
+                for (e0, _), seconds in step.by_flags[flag[k, 0], flag[k, 1]]:
                     pa = (*before_a, e0)
                     if a != b and not feasible(a, pa):
                         continue
@@ -356,7 +348,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
 
             yield from rec(0)
     finally:  # the recursive closures refer to themselves: free them without the collector
-        rec = completions = feasible = None
+        rec = flag_choices = feasible = None
 
 
 def _free_sites(graph: MarkedDualGraph, dec: TwrDecoration) -> list[str]:

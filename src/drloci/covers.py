@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import MarkedDualGraph, half_edge_id, incident, isomorphic
+from .graphs import MarkedDualGraph, half_edge_id, incident, isomorphic, json_int
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class CombinatorialCover:
         lmap = {l: mapping[l] for l, _, _ in source.legs if l in mapping}
         return CombinatorialCover.build(
             source, target, vmap, emap, lmap,
-            {k: int(v) for k, v in doc.get("mults", {}).items()},
-            {k: int(v) for k, v in doc.get("degrees", {}).items()},
+            {k: json_int(v, f"mult of {k}") for k, v in doc.get("mults", {}).items()},
+            {k: json_int(v, f"degree of {k}") for k, v in doc.get("degrees", {}).items()},
         )
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import format_rational, parse_rational
-from .graphs import LevelStructure, MarkedDualGraph, half_edge_id, split_half_edge
+from .graphs import LevelStructure, MarkedDualGraph, half_edge_id, json_int, split_half_edge
 from .partitions import check_extension, mult_of_ord_df
 
 
@@ -86,8 +86,11 @@ class TwrDecoration:
 
     @staticmethod
     def from_json(doc: dict) -> "TwrDecoration":
-        orders = {h: (int(d["ord_df"]), bool(d["pole"]))
-                  for h, d in doc.get("orders", {}).items()}
+        orders = {}
+        for h, d in doc.get("orders", {}).items():
+            if not isinstance(d["pole"], bool):
+                raise ValueError(f"pole of {h} must be true or false, got {d['pole']!r}")
+            orders[h] = json_int(d["ord_df"], f"ord_df of {h}"), d["pole"]
         values: dict[str, Fraction | str] = {}
         for k, v in doc.get("values", {}).items():
             values[k] = v if isinstance(v, str) and v.startswith("?") else parse_rational(v)
@@ -120,7 +123,7 @@ class TwdrDecoration:
     @staticmethod
     def from_json(doc: dict) -> "TwdrDecoration":
         base = TwrDecoration.from_json(doc)
-        extras = [(e["id"], e["vertex"], int(e["ord_df"]))
+        extras = [(e["id"], e["vertex"], json_int(e["ord_df"], f"ord_df of {e['id']}"))
                   for e in doc.get("extra_legs", [])]
         return TwdrDecoration.build(base, extras)
 

@@ -27,6 +27,13 @@ class EnumerationCapExceeded(RuntimeError):
         self.bound = bound
 
 
+def json_int(value, what: str) -> int:
+    """``value`` when it is a JSON integer (a boolean is not), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def half_edge_id(edge_id: str, side: int) -> str:
     return f"{edge_id}.{side}"
 
@@ -137,9 +144,11 @@ class MarkedDualGraph:
     @staticmethod
     def from_json(doc: dict) -> "MarkedDualGraph":
         return MarkedDualGraph.build(
-            [(v["id"], v["genus"]) for v in doc.get("vertices", [])],
+            [(v["id"], json_int(v["genus"], f"genus of {v['id']}"))
+             for v in doc.get("vertices", [])],
             [(e["id"], tuple(e["ends"])) for e in doc.get("edges", [])],
-            [(l["id"], l["vertex"], l["mu"]) for l in doc.get("legs", [])],
+            [(l["id"], l["vertex"], json_int(l["mu"], f"mu of {l['id']}"))
+             for l in doc.get("legs", [])],
         )
 
 
@@ -253,7 +262,8 @@ class LevelStructure:
 
     @staticmethod
     def from_json(doc: dict) -> "LevelStructure":
-        return LevelStructure.build({str(k): int(v) for k, v in doc.items()})
+        return LevelStructure.build({str(k): json_int(v, f"level of {k}")
+                                     for k, v in doc.items()})
 
 
 # ---------------------------------------------------------------------------

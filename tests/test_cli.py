@@ -3,7 +3,8 @@ import json
 import pytest
 
 from drloci.cli import main
-from drloci.fixtures import FIXTURES
+from drloci.fixtures import FIXTURES, load_decoration, load_graph, load_levels
+from drloci.twisting import twist
 
 
 @pytest.fixture
@@ -149,7 +150,7 @@ def test_hurwitz_env_cap_must_be_positive(capsys, monkeypatch):
 
 def test_check_closure_member(capsys, dollar_files):
     gpath, _ = dollar_files
-    code, doc = run(capsys, "check-closure", "--graph", gpath, "--mu", "1,1,1,-3")
+    code, doc = run(capsys, "check-closure", "--graph", gpath)
     assert code == 0
     assert doc["member"] == "yes"
     assert len(doc["certificates"]) == 2
@@ -183,7 +184,7 @@ def test_check_closure_verifies_under_the_search_cap(capsys, dollar_files, monke
 
     monkeypatch.setattr(closure, "exists", spy)
     gpath, _ = dollar_files
-    code, doc = run(capsys, "check-closure", "--graph", gpath, "--hurwitz-cap", "4")
+    code, doc = run(capsys, "check-closure", "--graph", gpath, "--bounds", "hurwitz_cap=4")
     assert code == 0 and doc["verification"]
     # the search and every verification decide components under cap 4
     assert caps and set(caps) == {4}
@@ -203,6 +204,16 @@ def test_twist_stabilize_round_trip_via_cli(capsys, dollar_files, tmp_path):
     assert code == 0
     assert stab["graph"] == FIXTURES["dollar_unmarked_zeros"]["graph"]
     assert stab["levels"] == FIXTURES["dollar_unmarked_zeros"]["levels"]
+
+
+def test_stabilize_rejects_a_decoration_that_is_not_fully_marked(capsys, dollar_files):
+    # the inequality-form decoration lacks the extra critical legs; the one
+    # check, in ``twisting.stabilize``, reports it
+    gpath, dpath = dollar_files
+    code = main(["stabilize", "--graph", gpath, "--decoration", dpath])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not a valid fully-marked decoration" in json.loads(captured.err)["error"]
 
 
 def test_cover_subcommand(capsys, tmp_path):
@@ -262,10 +273,6 @@ def test_check_closure_bounds_cap_overrides_env(capsys, dollar_files, monkeypatc
     code, doc = run(capsys, "check-closure", "--graph", gpath, "--bounds", "hurwitz_cap=2")
     comps = [c for cert in doc["certificates"] for c in cert["components"].values()]
     assert comps and all(c["cap_hit"] is True for c in comps)
-    code, doc = run(capsys, "check-closure", "--graph", gpath, "--bounds", "hurwitz_cap=2",
-                    "--hurwitz-cap", "6")
-    comps = [c for cert in doc["certificates"] for c in cert["components"].values()]
-    assert comps and all(c["cap_hit"] is False for c in comps)
 
 
 @pytest.mark.parametrize("argv", [
@@ -358,16 +365,6 @@ def test_check_closure_bounds_must_be_positive(capsys, dollar_files, bound):
     assert json.loads(captured.err)["version"] == 1
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_check_closure_hurwitz_cap_flag_must_be_positive(capsys, dollar_files, value):
-    gpath, _ = dollar_files
-    with pytest.raises(SystemExit) as exc:
-        main(["check-closure", "--graph", gpath, "--hurwitz-cap", value])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "--hurwitz-cap" in json.loads(captured.err)["error"]
-
-
 def test_check_closure_env_cap_must_be_positive(capsys, dollar_files, monkeypatch):
     gpath, _ = dollar_files
     monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "0")
@@ -409,6 +406,59 @@ def test_malformed_cover_exits_2(capsys, tmp_path, cover):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "error" in json.loads(captured.err)
+
+
+def bad_field_documents(field: str):
+    """A command and its documents in which one value of ``field`` has the
+    wrong JSON type.  Each was once read as a truncated integer or, for
+    ``pole``, as a truthy string; genus 1.9 and mu 2.5 passed ``validate``
+    as genus 1 and mu 2."""
+    dollar = json.loads(json.dumps(FIXTURES["dollar_unmarked_zeros"]))
+    graph, dec = {**dollar["graph"], "levels": dollar["levels"]}, dollar["decoration"]
+    cover = json.loads(json.dumps(FIXTURES["cherry"]["cover"]))
+    ev = ["ev", "--all"], {"--graph": graph, "--decoration": dec}
+    if field == "genus":
+        graph["vertices"][0]["genus"] = 1.9
+        return ["validate"], {"--graph": graph}
+    if field == "mu":
+        graph["legs"][1]["mu"] = 2.5
+        return ["validate"], {"--graph": graph}
+    if field == "level":
+        graph["levels"]["v2"] = -1.5
+        return ev
+    if field == "ord_df":
+        dec["orders"]["q1.0"]["ord_df"] = 0.5
+        return ev
+    if field == "pole":
+        dec["orders"]["q1.0"]["pole"] = "false"
+        return ev
+    if field == "extra_legs":
+        twisted = twist(load_graph("dollar_unmarked_zeros"), load_levels("dollar_unmarked_zeros"),
+                        load_decoration("dollar_unmarked_zeros")).to_json()
+        twisted["decoration"]["extra_legs"][0]["ord_df"] = 1.0
+        return ["stabilize"], {"--graph": {**twisted["graph"], "levels": twisted["levels"]},
+                               "--decoration": twisted["decoration"]}
+    if field == "mults":
+        cover["mults"]["qa.0"] = 2.0
+    else:
+        cover["degrees"]["vt"] = True
+    return ["cover"], {"--cover": cover}
+
+
+@pytest.mark.parametrize("field, what", [
+    ("genus", "genus of v1"), ("mu", "mu of z1"), ("level", "level of v2"),
+    ("ord_df", "ord_df of q1.0"), ("pole", "pole of q1.0"), ("extra_legs", "ord_df of c:v1:0"),
+    ("mults", "mult of qa.0"), ("degrees", "degree of vt")])
+def test_json_value_of_the_wrong_type_exits_2(capsys, tmp_path, field, what):
+    argv, docs = bad_field_documents(field)
+    for flag, doc in docs.items():
+        path = tmp_path / f"{flag[2:]}.json"
+        path.write_text(json.dumps(doc))
+        argv += [flag, str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert what in json.loads(captured.err)["error"]
 
 
 def test_unexpected_exception_is_a_json_internal_error(capsys, dollar_files, monkeypatch):

@@ -399,7 +399,7 @@ def test_search_without_certificates_keeps_no_solved_system():
 
 
 def test_search_writes_no_solved_system_and_verification_fills_it(monkeypatch):
-    from drloci import homology
+    from drloci import closure, homology
     solves = []
 
     def counting(*args):
@@ -407,14 +407,22 @@ def test_search_writes_no_solved_system_and_verification_fills_it(monkeypatch):
         return solve_forms(*args)
 
     monkeypatch.setattr(homology, "solve_forms", counting)
+    judged = []
+
+    def judging(graph, levels, values):
+        judged.append((levels, frozenset(values)))
+        return homology.solved_rows(graph, levels, values)
+
+    monkeypatch.setattr(closure, "solved_rows", judging)
     g = load_graph("dollar_matching")
     [cert] = search(g, g.mu)
-    # one solve per zero pattern, each distinct, so nothing to share
-    assert len(solves) == 9 and "level_filtration" not in g.memos
+    # one solve per zero pattern judged, each distinct, so nothing to share; the
+    # per-vertex flag choices give 12 patterns, 9 of them with a decoration
+    assert len(solves) == len(set(judged)) == 12 and "level_filtration" not in g.memos
     assert g.memos["solved_system"] == {}
     for _ in range(2):
         assert verify_certificate(g, g.mu, cert)["verdict"] == "accepted-exact"
-        assert len(solves) == 10 and len(g.memos["solved_system"]) == 1
+        assert len(solves) == 13 and len(g.memos["solved_system"]) == 1
 
 
 def test_symbolic_node_value_is_rejected_with_a_reason():
