@@ -90,11 +90,18 @@ def _load_document(path: str, kind=TwrDecoration, what: str = "decoration"):
         raise CliError(f"malformed {what} document {path}: {exc}") from exc
 
 
-def _require_levels(levels: LevelStructure | None, args) -> LevelStructure:
+def _require_levels(graph: MarkedDualGraph, levels: LevelStructure | None,
+                    args) -> LevelStructure:
     if getattr(args, "levels", None):
-        return LevelStructure.from_json(json.loads(args.levels))
+        doc = json.loads(args.levels)
+        if not isinstance(doc, dict):
+            raise CliError(f"malformed levels {args.levels}: expected a JSON object")
+        levels = LevelStructure.from_json(doc)
     if levels is None:
         raise CliError("no level structure: inline 'levels' or --levels required")
+    if set(levels.of) != set(graph.vertex_ids):
+        raise CliError(f"malformed levels {sorted(levels.of)}: the keys must be exactly "
+                       f"the vertex ids {sorted(graph.vertex_ids)}")
     return levels
 
 
@@ -126,7 +133,7 @@ def cmd_levels(args) -> int:
 
 def cmd_ev(args) -> int:
     graph, levels = _load_graph(args.graph)
-    levels = _require_levels(levels, args)
+    levels = _require_levels(graph, levels, args)
     dec = _load_document(args.decoration) if args.decoration else None
     system = evaluation_system(graph, levels, dec)
     blocks = system.to_json()
@@ -141,7 +148,7 @@ def cmd_ev(args) -> int:
 
 def cmd_constraints(args) -> int:
     graph, levels = _load_graph(args.graph)
-    levels = _require_levels(levels, args)
+    levels = _require_levels(graph, levels, args)
     dec = _load_document(args.decoration) if args.decoration else None
     system = evaluation_system(graph, levels, dec)
     space = system.solution_space()
@@ -163,7 +170,7 @@ def cmd_constraints(args) -> int:
 
 def cmd_twist(args) -> int:
     graph, levels = _load_graph(args.graph)
-    levels = _require_levels(levels, args)
+    levels = _require_levels(graph, levels, args)
     dec = _load_document(args.decoration)
     result = twist(graph, levels, dec)
     _emit({"command": "twist", **result.to_json()}, args)
@@ -172,7 +179,7 @@ def cmd_twist(args) -> int:
 
 def cmd_stabilize(args) -> int:
     graph, levels = _load_graph(args.graph)
-    levels = _require_levels(levels, args)
+    levels = _require_levels(graph, levels, args)
     dec = _load_document(args.decoration, TwdrDecoration)
     new_graph, new_levels, new_dec, cm = stabilize(graph, levels, dec)
     _emit({"command": "stabilize",

@@ -15,22 +15,22 @@ The search computes each quantity once, at the stage it depends on:
    order assignments (poles only on strictly lower ends, order sums
    >= -2) that stage 4 makes exact; and the undecorated evaluation rows,
    built from the level filtration.
-3. Per zero pattern, the exact solution space of the evaluation system
-   (the level structure's rows with the zeros substituted),
-   the test that no regular node value is forced to zero, and the column
-   of every constrained site: two sites are forced equal exactly when
-   their columns are equal.  Pole sites sit on the lower ends of vertical
-   edges, which the level restriction never evaluates, so the system
-   reads a decoration only through its zero pattern.
-4. Per pattern, the orders are placed edge by edge over the edge's
-   admissible option pairs, so a pattern without a decoration yields
-   nothing.  An option is placed only when both ends' local orders still
-   complete, over the vertex's own half-edges, to orders passing the
-   viability tests and then the component verdict (feasible,
-   Riemann-Hurwitz, exists).  Each component
-   is compiled once per ``search`` call (not per graph: verification
-   compiles its own); each distinct problem is decided once per graph; a
-   problem beyond the degree cap does not cut.
+3. Per zero set at the sites the level structure's rows mention, the
+   exact solution space of the rows with those zeros substituted, the
+   test that no regular node value is forced to zero, and each
+   constrained site's column (sites are forced equal exactly when their
+   columns are).  Other zeros change no row and pole sites are never
+   evaluated, so every zero pattern with that set shares them.
+4. Per pattern, the orders are placed edge by edge over the admissible
+   option pairs of the edge's kind (horizontal, or which end is upper;
+   tabulated once per kind and degree bound), so a pattern without a
+   decoration yields nothing.  An option is placed only when both ends'
+   local orders still complete, over the vertex's own half-edges, to
+   orders passing the viability tests and then the component verdict
+   (feasible, Riemann-Hurwitz, exists).  Each component is compiled once
+   per ``search`` call (not per graph: verification compiles its own);
+   each distinct problem is decided once per graph; a problem beyond the
+   degree cap does not cut.
 5. Per isomorphism class, the candidate of least rank (level structure
    index, then per edge in graph order the index of its option) is
    kept, so the traversal order does not change the result.  Genus-0-only
@@ -47,7 +47,7 @@ answer per Hurwitz problem (looked up only within the cap), and the
 undecorated evaluation rows per level structure (when it returns, the
 search keeps only its certificates' level structures).  The solved system
 per certificate (level structure, values and pole half-edges) is memoized
-for verifications only: every zero pattern the search solves is distinct.
+for verifications only; the search keeps its solves per level structure.
 
 Completeness boundary: node multiplicities are capped by the total
 positive mu mass (or an explicit bound), and component realizability
@@ -66,7 +66,7 @@ from .decorations import TwrDecoration, component_divisor, site_key, validate_tw
 from .exact import AffineSubspace, format_rational
 from .graphs import (LevelStructure, MarkedDualGraph, canonical_key,
                      enumerate_level_structures, half_edge_id, validate)
-from .homology import solved_rows
+from .homology import level_rows, solved_rows
 from .hurwitz import (DEFAULT_DEGREE_CAP, Genus0Realization, InfeasibleComponent,
                       component_problem, exists, rh_check)
 from .witnesses import ComponentShape, realize_component
@@ -138,26 +138,34 @@ class ClosureCertificate:
         }
 
 
-def _edge_options(graph: MarkedDualGraph, levels: LevelStructure, e: str,
-                  max_deg: int) -> list[tuple[tuple[int, bool, bool], tuple[int, bool, bool]]]:
-    """Admissible (order, pole, nodal-zero) pairs for the two sides."""
-    a, b = graph.edge_ends[e]
-    la, lb = levels.of[a], levels.of[b]
+@functools.cache
+def _edge_tables(upper: int | None, max_deg: int) -> tuple[dict, dict]:
+    """Read-only tables of an edge kind (``upper``: the side of the upper
+    end, None when horizontal).  Per zero-flag pair, the admissible (order,
+    pole, nodal-zero) pairs of the two sides, grouped by their first side
+    and indexed in the kind's option order; per side and its own zero
+    flag, the orders it can take and their (P, Z, O) adds."""
+    def side(opt: tuple[int, bool, bool]):
+        o, pole, zmark = opt
+        return (o, pole), (-o - 1 if pole else 0, o + 1 if zmark else 0, o)
+
     regular = [(o, False, zmark) for o in range(max_deg) for zmark in (False, True)]
     poles = [(-m - 1, True, False) for m in range(1, max_deg + 1)]
-    opts = []
-    if la == lb:
-        for s0 in regular:
-            for s1 in regular:
-                opts.append((s0, s1))
-        return opts
-    upper_is_0 = la > lb
-    for su in regular:
-        for sl in regular + poles:
-            if su[0] + sl[0] < -2:
-                continue
-            opts.append((su, sl) if upper_is_0 else (sl, su))
-    return opts
+    if upper is None:
+        opts = list(itertools.product(regular, repeat=2))
+    else:
+        opts = [(su, sl) if upper == 0 else (sl, su)
+                for su in regular for sl in regular + poles if su[0] + sl[0] >= -2]
+    by_flags: dict[tuple[bool, bool], dict] = {}
+    own: dict[tuple[int, bool], dict] = {}
+    for j, (s0, s1) in enumerate(opts):
+        firsts = by_flags.setdefault((s0[2], s1[2]), {})
+        if s0 not in firsts:
+            firsts[s0] = (side(s0), [])
+        firsts[s0][1].append((j, side(s1)))
+        for s, opt in enumerate((s0, s1)):
+            own.setdefault((s, opt[2]), {}).setdefault(*side(opt))
+    return {pair: list(firsts.values()) for pair, firsts in by_flags.items()}, own
 
 
 class _Step(NamedTuple):
@@ -176,8 +184,8 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
     """All admissible decorations, zero pattern by zero pattern.
 
     Yields (rank, orders, zero marks, judge).  The rank is the tuple, over
-    edges in graph order, of the chosen option's index in
-    ``_edge_options``, so sorting by rank gives the plain enumeration's
+    edges in graph order, of the chosen option's index in the option order
+    of ``_edge_tables``, so sorting by rank gives the plain enumeration's
     order.
 
     Per vertex the walk tracks the pole mass P and the zero mass Z (legs
@@ -198,7 +206,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
     patterns with an admissible decoration: it ignores only that a pole of
     mass m on the lower end of an edge needs an order >= m - 1 on the upper
     end.  The output stays exact, because the walk below places only
-    ``_edge_options`` pairs, so a pattern without a decoration yields
+    ``_edge_tables`` pairs, so a pattern without a decoration yields
     nothing.  Then, pattern by pattern, the edges are placed one by one, an
     option only when the new local orders of both ends are ``feasible``:
     some values of the vertex's other half-edges under its own zero flags
@@ -221,10 +229,6 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
         mass[i] = (p - m, z, o + m - 1) if m < 0 else (p, z + m, o + m - 1)
         marked[i] = marked[i] or m > 0
 
-    def side(opt: tuple[int, bool, bool]):
-        o, pole, zmark = opt
-        return (o, pole), (-o - 1 if pole else 0, o + 1 if zmark else 0, o)
-
     # per vertex, its half-edges in walk order (that of graph.edges_at): their
     # site keys and slots (edge index, side, whether it can be a pole: the
     # lower end of a vertical edge)
@@ -241,19 +245,12 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
         for t, x in enumerate(slot):
             after[x[:2]] = len(slot) - t - 1, sum(y[2] for y in slot[t + 1:])
     plan = []
-    # per slot and its own zero flag, the orders it can take and their (P, Z, O) adds
-    own: dict[tuple, dict] = {}
-    for k, (e, (a, b)) in enumerate(graph.edges):
-        # per zero-flag pair, the options grouped by their first side
-        by_flags: dict[tuple[bool, bool], dict] = {}
-        for j, (s0, s1) in enumerate(_edge_options(graph, levels, e, max_deg)):
-            firsts = by_flags.setdefault((s0[2], s1[2]), {})
-            if s0 not in firsts:
-                firsts[s0] = (side(s0), [])
-            firsts[s0][1].append((j, side(s1)))
-            for s, opt in enumerate((s0, s1)):
-                own.setdefault((k, s, opt[2]), {}).setdefault(*side(opt))
-        by_flags = {pair: list(firsts.values()) for pair, firsts in by_flags.items()}
+    # per edge, per side and its own zero flag, the orders it can take and their adds
+    own: list[dict] = []
+    for e, (a, b) in graph.edges:
+        la, lb = levels.of[a], levels.of[b]
+        by_flags, sides = _edge_tables(None if la == lb else int(lb > la), max_deg)
+        own.append(sides)
         plan.append(_Step(index[a], index[b], half_edge_id(e, 0), half_edge_id(e, 1), by_flags))
     idle = [v for v, s in zip(vids, slots) if not s]
 
@@ -277,7 +274,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
         k, s, _ = slots[i][t]
         out = set()
         for flag in (False, True):
-            for dp, dz, do in own[k, s, flag].values():
+            for dp, dz, do in own[k][s, flag].values():
                 if viable(i, p + dp, z + dz, o + do, after[k, s]):
                     out.update((flag, *rest)
                                for rest in flag_choices(i, t + 1, p + dp, z + dz, o + do))
@@ -320,7 +317,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
                 classes = list(map(judge.columns.get, sites[i], sites[i]))
                 key = (i, pattern[i], *map(classes.index, classes))
                 if key not in tables:
-                    tables[key] = ({}, [own[k, s, f] for (k, s, _), f in zip(slot, pattern[i])])
+                    tables[key] = ({}, [own[k][s, f] for (k, s, _), f in zip(slot, pattern[i])])
                 vertex.append(tables[key])
             orders: dict[str, tuple[int, bool]] = {}
             choice = [0] * len(plan)
@@ -484,7 +481,7 @@ def _component_verdict(graph: MarkedDualGraph, dec: TwrDecoration, v: str,
 
 
 class _PatternJudge:
-    """Solution space and component verdicts of one zero pattern.
+    """Component verdicts of one zero pattern, and its solution space and column ids.
 
     A component's verdict depends only on its own half-edge orders and
     nodal zeros and on the forced groups among its free sites; the search's
@@ -492,12 +489,10 @@ class _PatternJudge:
     structures.
     """
 
-    def __init__(self, graph: MarkedDualGraph, space: AffineSubspace,
+    def __init__(self, graph: MarkedDualGraph, solved: tuple[AffineSubspace, dict],
                  zero_marks: frozenset[str], zero_values: dict[str, Fraction],
                  half_edges: dict[str, list[str]], cap: int, compiled: dict):
-        self.graph, self.space = graph, space
-        ids: dict[tuple, int] = {}  # equal columns, equal ids: cheaper to hash than Fractions
-        self.columns = {s: ids.setdefault(space.column(s), len(ids)) for s in space.symbols}
+        self.graph, (self.space, self.columns) = graph, solved
         self.zero_marks, self.zero_values = zero_marks, zero_values
         self.half_edges, self.cap, self.compiled = half_edges, cap, compiled
 
@@ -581,15 +576,25 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
     structures = enumerate_level_structures(graph, cap=bounds.level_cap, pole_carrying=True)
     compiled: dict[tuple, dict | None] = {}  # component verdicts of this search, by input
     for li, levels in enumerate(structures):
-        def judge_of(zero_marks):
-            # the system reads a decoration only through its zero marks; a pattern
-            # forcing a regular node value to zero lies in a different stratum
-            values = {site_key(graph.half_edge_vertex(h), h): Fraction(0) for h in zero_marks}
-            _, space = solved_rows(graph, levels, values)
+        # the sites the rows mention, read once the first pattern builds the rows
+        mentioned = functools.cache(lambda: {s for r in level_rows(graph, levels)
+                                             for s, _ in r.coeffs})
+
+        @functools.cache
+        def solved(constrained: frozenset[str]):
+            # a zero set forcing a regular node value to zero lies in a different stratum
+            _, space = solved_rows(graph, levels, dict.fromkeys(constrained, Fraction(0)))
             if space is None or any(space.forces_value(s) == 0 for s in space.symbols):
                 return None
-            return _PatternJudge(graph, space, zero_marks, values, half_edges,
-                                 bounds.hurwitz_cap, compiled)
+            ids: dict[tuple, int] = {}  # equal columns, equal ids: cheaper to hash than Fractions
+            return space, {s: ids.setdefault(space.column(s), len(ids)) for s in space.symbols}
+
+        def judge_of(zero_marks):
+            # the rows read a pattern only through its zeros at the sites they mention
+            values = {site_key(graph.half_edge_vertex(h), h): Fraction(0) for h in zero_marks}
+            shared = solved(frozenset(mentioned().intersection(values)))
+            return shared and _PatternJudge(graph, shared, zero_marks, values, half_edges,
+                                            bounds.hurwitz_cap, compiled)
 
         for rank, orders, _, judge in _decorations(graph, levels, max_deg, judge_of):
             dec = TwrDecoration.build(orders, judge.zero_values)

@@ -92,8 +92,10 @@ class TwrDecoration:
                 raise ValueError(f"pole of {h} must be true or false, got {d['pole']!r}")
             orders[h] = json_int(d["ord_df"], f"ord_df of {h}"), d["pole"]
         values: dict[str, Fraction | str] = {}
-        for k, v in doc.get("values", {}).items():
-            values[k] = v if isinstance(v, str) and v.startswith("?") else parse_rational(v)
+        for k, v in doc.get("values", {}).items():  # a JSON integer, "p/q" or "?name"
+            what = f"value of {k}"
+            values[k] = v if isinstance(v, str) and v.startswith("?") else parse_rational(
+                v if isinstance(v, str) else json_int(v, what), what)
         mz = doc.get("marked_zero_vertices")
         return TwrDecoration.build(orders, values, mz)
 

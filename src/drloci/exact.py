@@ -15,11 +15,13 @@ from fractions import Fraction
 from math import gcd
 
 
-def parse_rational(s: str | int) -> Fraction:
-    """Parse "p/q" (or a plain integer string/int) into a Fraction."""
-    if isinstance(s, int):
-        return Fraction(s)
-    return Fraction(s.strip())
+def parse_rational(s: str | int, what: str = "value") -> Fraction:
+    """Parse "p/q" (or a plain integer string/int) into a Fraction; a
+    malformed string or a zero denominator raises ValueError naming ``what``."""
+    try:
+        return Fraction(s.strip() if isinstance(s, str) else s)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f'{what} must be an integer or "p/q" with q != 0, got {s!r}') from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -255,17 +257,6 @@ class AffineSubspace:
         for s in self.symbols:
             pt.setdefault(s, Fraction(0))
         return pt
-
-    def equals(self, other: "AffineSubspace") -> bool:
-        """Equality as affine subspaces of the common coordinate space."""
-        if set(self.symbols) != set(other.symbols):
-            return False
-        if self.dim != other.dim:
-            return False
-        return other.contains(self.particular) and all(
-            other.contains(self.sample([Fraction(1) if i == j else Fraction(0)
-                                        for j in range(self.dim)]))
-            for i in range(self.dim))
 
 
 def solve_forms(forms: list[LinearForm], symbols: list[str] | None = None) -> AffineSubspace | None:

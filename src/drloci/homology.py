@@ -285,13 +285,18 @@ def evaluation_system(graph: MarkedDualGraph, levels: LevelStructure,
     return EvaluationSystem(graph, levels, blocks)
 
 
-def solved_rows(graph: MarkedDualGraph, levels: LevelStructure,
-                values: dict[str, Fraction]) -> tuple[list[LinearForm], AffineSubspace | None]:
-    """Rows and solution space of the evaluation system under exact node
-    ``values``: the undecorated rows, memoized per graph by level structure,
-    with the values substituted (pole sites are never evaluated)."""
+def level_rows(graph: MarkedDualGraph, levels: LevelStructure) -> list[LinearForm]:
+    """The undecorated evaluation rows, memoized per graph by level structure."""
     memo = graph.memos["level_rows"]
     if levels not in memo:
         memo[levels] = evaluation_system(graph, levels, None).all_rows()
-    rows = [r.substitute(values) for r in memo[levels]]
+    return memo[levels]
+
+
+def solved_rows(graph: MarkedDualGraph, levels: LevelStructure,
+                values: dict[str, Fraction]) -> tuple[list[LinearForm], AffineSubspace | None]:
+    """Rows and solution space of the evaluation system under exact node
+    ``values``: the ``level_rows`` with the values substituted (pole sites
+    are never evaluated)."""
+    rows = [r.substitute(values) for r in level_rows(graph, levels)]
     return rows, solve_forms(rows)

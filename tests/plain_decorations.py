@@ -9,8 +9,30 @@ half-edges are placed.
 
 from __future__ import annotations
 
-from drloci.closure import _edge_options
 from drloci.graphs import LevelStructure, MarkedDualGraph, half_edge_id
+
+
+def edge_options(graph: MarkedDualGraph, levels: LevelStructure, e: str,
+                 max_deg: int) -> list[tuple[tuple[int, bool, bool], tuple[int, bool, bool]]]:
+    """Admissible (order, pole, nodal-zero) pairs for the two sides of edge
+    ``e``, in the order whose indices make a decoration's rank."""
+    a, b = graph.edge_ends[e]
+    la, lb = levels.of[a], levels.of[b]
+    regular = [(o, False, zmark) for o in range(max_deg) for zmark in (False, True)]
+    poles = [(-m - 1, True, False) for m in range(1, max_deg + 1)]
+    opts = []
+    if la == lb:
+        for s0 in regular:
+            for s1 in regular:
+                opts.append((s0, s1))
+        return opts
+    upper_is_0 = la > lb
+    for su in regular:
+        for sl in regular + poles:
+            if su[0] + sl[0] < -2:
+                continue
+            opts.append((su, sl) if upper_is_0 else (sl, su))
+    return opts
 
 
 def plain_decorations(graph: MarkedDualGraph, levels: LevelStructure,
@@ -72,7 +94,7 @@ def plain_decorations(graph: MarkedDualGraph, levels: LevelStructure,
             return
         e = edges[idx]
         a, b = graph.edge_ends[e]
-        for s0, s1 in _edge_options(graph, levels, e, max_deg):
+        for s0, s1 in edge_options(graph, levels, e, max_deg):
             place(a, half_edge_id(e, 0), s0, +1)
             place(b, half_edge_id(e, 1), s1, +1)
             ok = vertex_ok_partial(a) and vertex_ok_partial(b)
@@ -94,7 +116,7 @@ def judged_plain_decorations(graph: MarkedDualGraph, levels: LevelStructure,
     decorations whose zero pattern ``judge_of`` maps to a judge that gives
     every vertex a verdict.  The rank names, edge by edge, the index of the
     option taken in the edge's option list, so this is in rank order."""
-    options = [_edge_options(graph, levels, e, max_deg) for e, _ in graph.edges]
+    options = [edge_options(graph, levels, e, max_deg) for e, _ in graph.edges]
     judges: dict[frozenset, object] = {}
     for orders, zero_marks in plain_decorations(graph, levels, max_deg):
         zero_marks = frozenset(zero_marks)

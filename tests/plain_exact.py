@@ -4,7 +4,8 @@ must reproduce field by field.
 It finds the particular solution with ``solve_rational``, then reduces
 the coefficient matrix a second time to read off the kernel.
 ``solve_rational`` also serves as the reference for
-``AffineSubspace.contains``.
+``AffineSubspace.contains``, and ``same_space`` compares two solution
+spaces.
 """
 
 from __future__ import annotations
@@ -99,3 +100,11 @@ def plain_solve_forms(forms: list[LinearForm], symbols: list[str] | None = None)
             hom.append(vec)
     particular = {order[i]: part[i] for i in range(n)}
     return AffineSubspace(order, particular, hom)
+
+
+def same_space(a: AffineSubspace, b: AffineSubspace) -> bool:
+    """Equality as affine subspaces of the common coordinate space."""
+    if set(a.symbols) != set(b.symbols) or a.dim != b.dim:
+        return False
+    return b.contains(a.particular) and all(
+        b.contains(a.sample([Fraction(i == j) for j in range(a.dim)])) for i in range(a.dim))

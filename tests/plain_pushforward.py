@@ -20,6 +20,8 @@ from drloci.homology import (Chain, chain_support_top_level, evaluate,
                              level_filtration, restrict_to_level)
 from drloci.twisting import ContractionMap
 
+from plain_exact import same_space
+
 
 def push_chain(contraction: ContractionMap, chain: Chain) -> Chain:
     """Image of a chain under the cellular contraction."""
@@ -123,6 +125,6 @@ def pushforward_check(src_graph: MarkedDualGraph, src_levels_shared: dict[str, i
     s2 = solve_forms(dst_rows, syms)
     if (s1 is None) != (s2 is None):
         vanish_eq = False
-    elif s1 is not None and s2 is not None and not s1.equals(s2):
+    elif s1 is not None and s2 is not None and not same_space(s1, s2):
         vanish_eq = False
     return PushforwardReport(inclusion_ok, rows_match, vanish_eq, details)

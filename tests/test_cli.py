@@ -412,7 +412,8 @@ def bad_field_documents(field: str):
     """A command and its documents in which one value of ``field`` has the
     wrong JSON type.  Each was once read as a truncated integer or, for
     ``pole``, as a truthy string; genus 1.9 and mu 2.5 passed ``validate``
-    as genus 1 and mu 2."""
+    as genus 1 and mu 2.  A node value ``true`` was read as 1, and ``"1/0"``
+    exited as an internal ZeroDivisionError."""
     dollar = json.loads(json.dumps(FIXTURES["dollar_unmarked_zeros"]))
     graph, dec = {**dollar["graph"], "levels": dollar["levels"]}, dollar["decoration"]
     cover = json.loads(json.dumps(FIXTURES["cherry"]["cover"]))
@@ -432,6 +433,9 @@ def bad_field_documents(field: str):
     if field == "pole":
         dec["orders"]["q1.0"]["pole"] = "false"
         return ev
+    if field in ("value_true", "value_1_over_0"):
+        dec["values"] = {"v1:q1.0": True if field == "value_true" else "1/0"}
+        return ["constraints"], {"--graph": graph, "--decoration": dec}
     if field == "extra_legs":
         twisted = twist(load_graph("dollar_unmarked_zeros"), load_levels("dollar_unmarked_zeros"),
                         load_decoration("dollar_unmarked_zeros")).to_json()
@@ -448,7 +452,8 @@ def bad_field_documents(field: str):
 @pytest.mark.parametrize("field, what", [
     ("genus", "genus of v1"), ("mu", "mu of z1"), ("level", "level of v2"),
     ("ord_df", "ord_df of q1.0"), ("pole", "pole of q1.0"), ("extra_legs", "ord_df of c:v1:0"),
-    ("mults", "mult of qa.0"), ("degrees", "degree of vt")])
+    ("mults", "mult of qa.0"), ("degrees", "degree of vt"),
+    ("value_true", "value of v1:q1.0"), ("value_1_over_0", "value of v1:q1.0")])
 def test_json_value_of_the_wrong_type_exits_2(capsys, tmp_path, field, what):
     argv, docs = bad_field_documents(field)
     for flag, doc in docs.items():
@@ -459,6 +464,30 @@ def test_json_value_of_the_wrong_type_exits_2(capsys, tmp_path, field, what):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert what in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("command", [["ev", "--all"], ["constraints"], ["twist"]],
+                         ids=["ev", "constraints", "twist"])
+@pytest.mark.parametrize("levels, inline", [
+    ([1], False), ({"v1": 0}, False), ({"v1": 0}, True),
+    ({"v1": 0, "v2": -1, "v9": -2}, False), ({"v1": 0, "v2": -1, "v9": -2}, True)],
+    ids=["list", "missing_vertex", "missing_vertex_inline", "extra_vertex",
+         "extra_vertex_inline"])
+def test_level_map_not_keyed_by_the_vertices_exits_2(capsys, dollar_files, tmp_path,
+                                                      command, levels, inline):
+    # once an internal AttributeError or KeyError, or, with an extra vertex, accepted
+    gpath, dpath = dollar_files
+    if inline:
+        gpath = tmp_path / "inline.json"
+        gpath.write_text(json.dumps({**FIXTURES["dollar_unmarked_zeros"]["graph"],
+                                     "levels": levels}))
+        argv = [*command, "--graph", str(gpath), "--decoration", dpath]
+    else:
+        argv = [*command, "--graph", gpath, "--decoration", dpath, "--levels", json.dumps(levels)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("malformed levels")
 
 
 def test_unexpected_exception_is_a_json_internal_error(capsys, dollar_files, monkeypatch):

@@ -416,13 +416,15 @@ def test_search_writes_no_solved_system_and_verification_fills_it(monkeypatch):
     monkeypatch.setattr(closure, "solved_rows", judging)
     g = load_graph("dollar_matching")
     [cert] = search(g, g.mu)
-    # one solve per zero pattern judged, each distinct, so nothing to share; the
-    # per-vertex flag choices give 12 patterns, 9 of them with a decoration
-    assert len(solves) == len(set(judged)) == 12 and "level_filtration" not in g.memos
+    # one solve per level structure and zero set at the sites its rows mention;
+    # the per-vertex flag choices give 12 patterns, but every one of them leaves
+    # the mentioned sites free, so the 3 structures with patterns solve once each
+    assert len(solves) == len(judged) == len(set(judged)) == 3
+    assert {zeros for _, zeros in judged} == {frozenset()} and "level_filtration" not in g.memos
     assert g.memos["solved_system"] == {}
     for _ in range(2):
         assert verify_certificate(g, g.mu, cert)["verdict"] == "accepted-exact"
-        assert len(solves) == 13 and len(g.memos["solved_system"]) == 1
+        assert len(solves) == 4 and len(g.memos["solved_system"]) == 1
 
 
 def test_symbolic_node_value_is_rejected_with_a_reason():

@@ -13,12 +13,12 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from drloci.closure import _decorations, _edge_options
+from drloci.closure import _decorations
 from drloci.decorations import TwrDecoration, site_key, validate_twr
 from drloci.fixtures import FIXTURES, load_graph
 from drloci.graphs import MarkedDualGraph, enumerate_level_structures, half_edge_id
 
-from plain_decorations import plain_decorations
+from plain_decorations import edge_options, plain_decorations
 from randgen import random_connected_graph, random_levels, random_twr
 
 TRIANGLE = MarkedDualGraph.build(
@@ -53,7 +53,7 @@ def search_degree(graph: MarkedDualGraph) -> int:
 
 def assert_same_and_valid(graph, levels, max_deg):
     walk = sorted(_decorations(graph, levels, max_deg, unjudged), key=lambda item: item[0])
-    options = [(e, _edge_options(graph, levels, e, max_deg)) for e, _ in graph.edges]
+    options = [(e, edge_options(graph, levels, e, max_deg)) for e, _ in graph.edges]
     for rank, orders, zero_marks, _ in walk:
         # the rank names, edge by edge, the option the decoration took
         for (e, opts), j in zip(options, rank):

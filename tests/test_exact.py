@@ -1,12 +1,13 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drloci.exact import (LinearForm, format_rational, integer_kernel_basis,
                           parse_rational, primitive, solve_forms)
 
-from plain_exact import plain_solve_forms, solve_rational
+from plain_exact import plain_solve_forms, same_space, solve_rational
 
 
 def test_rational_round_trip():
@@ -14,6 +15,9 @@ def test_rational_round_trip():
     assert parse_rational("-5") == Fraction(-5)
     assert format_rational(Fraction(3, 4)) == "3/4"
     assert format_rational(Fraction(-5)) == "-5"
+    for bad in ("1/0", "abc"):  # once a ZeroDivisionError, or an error naming no field
+        with pytest.raises(ValueError, match="node value"):
+            parse_rational(bad, "node value")
 
 
 def test_integer_kernel_theta_incidence():
@@ -48,8 +52,8 @@ def test_space_equality_and_containment():
     a = solve_forms([LinearForm.build({"x": Fraction(1), "y": Fraction(-1)})], ["x", "y"])
     b = solve_forms([LinearForm.build({"x": Fraction(2), "y": Fraction(-2)})], ["x", "y"])
     c = solve_forms([LinearForm.build({"x": Fraction(1), "y": Fraction(1)})], ["x", "y"])
-    assert a.equals(b)
-    assert not a.equals(c)
+    assert same_space(a, b)
+    assert not same_space(a, c)
     assert a.contains({"x": Fraction(7), "y": Fraction(7)})
     assert not a.contains({"x": Fraction(7), "y": Fraction(8)})
 
