@@ -29,7 +29,7 @@ import sys
 from .checks import check_all
 from .closure import SearchBounds, search, verify_certificate
 from .covers import CombinatorialCover, closure_via_covers, validate_cover
-from .decorations import TwdrDecoration, TwrDecoration
+from .decorations import TwdrDecoration, TwrDecoration, validate_twr
 from .fixtures import fixture_names
 from .graphs import (EnumerationCapExceeded, LevelStructure, MarkedDualGraph,
                      enumerate_level_structures, validate)
@@ -131,11 +131,24 @@ def cmd_levels(args) -> int:
     return 0
 
 
-def cmd_ev(args) -> int:
+def _evaluation_system(args):
+    """The evaluation system of ``args``' graph, levels and decoration.  The
+    decoration must pass the structure, values and level-compatibility
+    clauses that ``twist`` applies; only the order of the levels matters
+    to them, so the levels need not be normalized."""
     graph, levels = _load_graph(args.graph)
     levels = _require_levels(graph, levels, args)
     dec = _load_document(args.decoration) if args.decoration else None
-    system = evaluation_system(graph, levels, dec)
+    if dec is not None:
+        report = validate_twr(graph, LevelStructure.normalize(levels.of), dec)
+        if misfits := [v for v in report.violations
+                       if v[0] in ("structure", "values", "level-compatibility")]:
+            raise CliError(f"decoration does not fit the graph: {misfits}")
+    return evaluation_system(graph, levels, dec)
+
+
+def cmd_ev(args) -> int:
+    system = _evaluation_system(args)
     blocks = system.to_json()
     if not args.all:
         key = str(args.level)
@@ -147,10 +160,7 @@ def cmd_ev(args) -> int:
 
 
 def cmd_constraints(args) -> int:
-    graph, levels = _load_graph(args.graph)
-    levels = _require_levels(graph, levels, args)
-    dec = _load_document(args.decoration) if args.decoration else None
-    system = evaluation_system(graph, levels, dec)
+    system = _evaluation_system(args)
     space = system.solution_space()
     from .exact import format_rational
     payload = {

@@ -14,7 +14,7 @@ marked zeros/poles and 0 on the remaining marked branch preimages.
 These validators serve as an independent membership route: a stable
 curve lies in the closure when a cover of type (mu, 1, ..., 1) exists on
 a model whose stabilization (keeping only the fibers over 0 and
-infinity) is the given stable graph.
+infinity; ``graphs.stabilize_graph``) is the given stable graph.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import MarkedDualGraph, half_edge_id, incident, isomorphic, json_int
+from .graphs import MarkedDualGraph, half_edge_id, isomorphic, json_int, stabilize_graph
 
 
 @dataclass(frozen=True)
@@ -210,47 +210,10 @@ def validate_cover(cover: CombinatorialCover) -> CoverReport:
 
 
 def stabilize_marked_graph(graph: MarkedDualGraph) -> MarkedDualGraph:
-    """Graph-level stabilization: drop unstable rational components,
-    contracting bridges, deleting bare tails, and sliding the marked
-    point of a one-node one-leg tail onto its neighbor."""
-    vertices = {v: g for v, g in graph.vertices}
-    edges = {e: ends for e, ends in graph.edges}
-    legs = {l: (v, m) for l, v, m in graph.legs}
-
-    def legs_at(v):
-        return [l for l, (vv, _) in legs.items() if vv == v]
-
-    changed = True
-    while changed:
-        changed = False
-        for v in list(vertices):
-            if vertices[v] != 0:
-                continue
-            inc = incident(edges.items(), v)
-            ls = legs_at(v)
-            if len(inc) + len(ls) > 2:
-                continue
-            if len(inc) == 1:
-                (e, s) = inc[0]
-                anchor = edges[e][1 - s]
-                for l in ls:
-                    legs[l] = (anchor, legs[l][1])
-                del edges[e]
-                del vertices[v]
-                changed = True
-            elif len(inc) == 2 and not ls:
-                (e1, s1), (e2, s2) = inc
-                if e1 == e2:
-                    continue  # unstable self-loop: not a stabilization input
-                new_id = f"ctr:{min(e1, e2)}"
-                new_ends = (edges[e1][1 - s1], edges[e2][1 - s2])
-                del edges[e1]
-                del edges[e2]
-                edges[new_id] = new_ends
-                del vertices[v]
-                changed = True
-    return MarkedDualGraph.build(sorted(vertices.items()), sorted(edges.items()),
-                                 sorted((l, v, m) for l, (v, m) in legs.items()))
+    """The stable graph of ``graphs.stabilize_graph``, with vertices, edges
+    and legs sorted by id."""
+    stable, _ = stabilize_graph(graph)
+    return MarkedDualGraph.build(sorted(stable.vertices), sorted(stable.edges), sorted(stable.legs))
 
 
 def closure_via_covers(stable_graph: MarkedDualGraph, mu: tuple[int, ...],

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .exact import format_rational, parse_rational
 from .graphs import LevelStructure, MarkedDualGraph, half_edge_id, json_int, split_half_edge
-from .partitions import check_extension, mult_of_ord_df
+from .partitions import check_extension
 
 
 def site_key(vertex: str, point: str) -> str:
@@ -97,6 +97,8 @@ class TwrDecoration:
             values[k] = v if isinstance(v, str) and v.startswith("?") else parse_rational(
                 v if isinstance(v, str) else json_int(v, what), what)
         mz = doc.get("marked_zero_vertices")
+        if mz is not None and not (isinstance(mz, list) and all(isinstance(v, str) for v in mz)):
+            raise ValueError(f"marked_zero_vertices must be a list of vertex ids, got {mz!r}")
         return TwrDecoration.build(orders, values, mz)
 
 
@@ -226,6 +228,9 @@ def _order_table_checks(graph: MarkedDualGraph, dec: TwrDecoration,
             report.add("order-range", hid, f"pole flag with ord(df) = {o}")
         elif not is_pole and o < 0:
             report.add("order-range", hid, f"negative ord(df) = {o} without pole flag")
+    for v in dec.marked_zero_vertices or ():
+        if v not in graph.genus_of:
+            report.add("structure", v, "marked zero vertex is not a vertex")
 
 
 def _value_checks(graph: MarkedDualGraph, dec: TwrDecoration,
@@ -260,9 +265,9 @@ def validate_twr(graph: MarkedDualGraph, levels: LevelStructure,
     """Inequality-form validation against the level structure.
 
     Clauses: leg/value consistency, per-vertex divisor balance (marked-zero
-    components close exactly), edge order sums >= -2, and poles strictly
-    descending (equivalently, at an edge whose lower side is a pole the
-    upper multiplicity dominates the lower one).
+    components close exactly), edge order sums >= -2 (at an edge with one
+    pole side, equivalently: the upper multiplicity dominates the pole's),
+    and poles strictly descending.
     """
     report = DecorationReport()
     levels.check_normalized(graph)
@@ -280,14 +285,6 @@ def validate_twr(graph: MarkedDualGraph, levels: LevelStructure,
             if ps and not levels.of[vo] > levels.of[vs]:
                 report.add("level-compatibility", hs,
                            f"pole at level {levels.of[vs]} not strictly below {vo}")
-        # equivalent multiplicity form when exactly one side is a pole
-        if p0 != p1:
-            up = (o1, p1) if p0 else (o0, p0)
-            dn = (o0, p0) if p0 else (o1, p1)
-            m_up, _ = mult_of_ord_df(up[0])
-            m_dn, _ = mult_of_ord_df(dn[0])
-            if (m_up >= m_dn) != (o0 + o1 >= -2):
-                report.add("matching-order", e, "multiplicity form disagrees with order sum")
     return report
 
 

@@ -7,7 +7,8 @@ structure is a normalized map from vertices to {0,-1,...,-L}; it splits
 edges into horizontal (equal levels) and vertical ones.  The evaluation
 machinery in ``homology`` reads from it the down-set below a level and
 the level slice in which every edge descending from the level is cut in
-the middle.
+the middle.  ``stabilize_graph`` contracts the unstable rational
+components of a graph, for twisting and admissible covers alike.
 """
 
 from __future__ import annotations
@@ -216,6 +217,88 @@ def validate(graph: MarkedDualGraph) -> GraphReport:
         unstable_vertices=unstable,
         mu_sum=sum(graph.mu),
     )
+
+
+@dataclass
+class Contraction:
+    """What ``stabilize_graph`` did to the source graph.
+
+    ``edge_map`` sends every source edge to (image edge, +-1) when it
+    survives into the image, to ("", 0) when the cellular contraction
+    collapses it to a point (the second half of a contracted pair), and
+    to None when it is deleted with a tail.  ``contracted`` sends each
+    removed vertex to ("tail", anchor) or ("bridge", merged edge);
+    ``under`` sends each image half-edge to the source half-edge it
+    continues; ``moved_legs`` sends each leg slid off a tail to the
+    vertex it first sat on.
+    """
+
+    edge_map: dict[str, tuple[str, int] | None]
+    contracted: dict[str, tuple[str, str]]
+    under: dict[str, str]
+    moved_legs: dict[str, str]
+
+
+def stabilize_graph(graph: MarkedDualGraph) -> tuple[MarkedDualGraph, Contraction]:
+    """Contract the unstable rational components of ``graph``.
+
+    Rational tails (one node, at most one leg) go first, cascading, and a
+    tail's leg moves to its anchor.  Then each legless rational vertex on
+    two distinct nodes is contracted, one at a time, merging its nodes
+    into one that starts at the outer end of the least edge: a twist pair
+    ``e:a``/``e:b`` becomes ``e``, any other pair ``ctr:<least edge>``.  A
+    rational vertex on a lone self-loop is kept.  The image keeps the
+    source order of vertices and legs; edges follow their first source
+    preimage.
+    """
+    vertices = dict(graph.vertices)
+    edges = dict(graph.edges)
+    legs = {l: v for l, v, _ in graph.legs}
+    record = Contraction({e: (e, 1) for e in edges}, {}, {h: h for h in graph.half_edges()}, {})
+
+    def rational_on(v: str, nodes: int, max_legs: int) -> list[tuple[str, int]] | None:
+        at = incident(edges.items(), v)
+        n_legs = sum(1 for w in legs.values() if w == v)
+        return at if vertices[v] == 0 and len(at) == nodes and n_legs <= max_legs else None
+
+    changed = True
+    while changed:
+        changed = False
+        for v in list(vertices):
+            if at := rational_on(v, 1, 1):
+                [(e, s)] = at
+                anchor = edges.pop(e)[1 - s]
+                del vertices[v], record.under[half_edge_id(e, 0)], record.under[half_edge_id(e, 1)]
+                record.edge_map[e] = None
+                record.contracted[v] = ("tail", anchor)
+                for l in [l for l, w in legs.items() if w == v]:
+                    legs[l] = anchor
+                    record.moved_legs.setdefault(l, v)
+                changed = True
+
+    while (mid := next((v for v in vertices
+                        if (at := rational_on(v, 2, 0)) and at[0][0] != at[1][0]), None)) is not None:
+        # the least edge f1 is traversed outer -> mid and carries the image; f2 collapses
+        (f1, t1), (f2, t2) = sorted(at)
+        twist_pair = len(f1) > 2 and f1.endswith(":a") and f2 == f1[:-1] + "b"
+        new_id = f1[:-2] if twist_pair else f"ctr:{f1}"
+        while new_id in edges:  # the graph already has an edge of that name
+            new_id = f"ctr:{new_id}"
+        edges[new_id] = (edges.pop(f1)[1 - t1], edges.pop(f2)[1 - t2])
+        del vertices[mid]
+        for side, (f, t) in enumerate(((f1, t1), (f2, t2))):
+            record.under[half_edge_id(new_id, side)] = record.under.pop(half_edge_id(f, 1 - t))
+            del record.under[half_edge_id(f, t)]
+        sign1 = 1 if t1 == 1 else -1
+        for e, im in record.edge_map.items():
+            if im and im[0] in (f1, f2):
+                record.edge_map[e] = (new_id, im[1] * sign1) if im[0] == f1 else ("", 0)
+        record.contracted[mid] = ("bridge", new_id)
+
+    images = dict.fromkeys(im[0] for e, _ in graph.edges if (im := record.edge_map[e]) and im[1])
+    stable = MarkedDualGraph.build(vertices.items(), [(e, edges[e]) for e in images],
+                                   [(l, legs[l], m) for l, _, m in graph.legs])
+    return stable, record
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ odd values), which makes the two intermediate slots between consecutive
 levels coincide the way the construction requires.
 
 Stabilization is the inverse direction: drop the extra-critical legs,
-delete rational tails outright and contract rational bridges, merging
-each contracted chain into a single edge that keeps the outer order data.
+let ``graphs.stabilize_graph`` delete rational tails and contract
+rational bridges, each merged edge keeping the outer order data.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .decorations import (DecorationReport, TwdrDecoration, TwrDecoration,
                           site_key, validate_twdr, validate_twr)
-from .graphs import LevelStructure, MarkedDualGraph, half_edge_id, incident
+from .graphs import LevelStructure, MarkedDualGraph, half_edge_id, stabilize_graph
 
 
 class TwistError(ValueError):
@@ -33,14 +33,11 @@ class TwistError(ValueError):
 class ContractionMap:
     """Bookkeeping of a stabilization Gamma' -> Gamma.
 
-    ``edge_map`` sends every source edge to (image edge, +-1) when the
-    edge survives into the image, ("", 0) when the cellular contraction
-    collapses it to a point (the second half of a bridge chain), or None
-    for deleted tail edges, which no relative cycle may cross.
-    ``site_map`` renames surviving value sites.
+    ``contracted_vertices`` and ``edge_map`` are as ``graphs.Contraction``
+    records them; no relative cycle may cross a deleted tail edge.
+    ``site_map`` renames surviving value sites.  No vertex is renamed.
     """
 
-    vertex_map: dict[str, str]
     contracted_vertices: dict[str, tuple[str, str]]  # v -> ("bridge", edge) | ("tail", anchor)
     edge_map: dict[str, tuple[str, int] | None]
     site_map: dict[str, str]
@@ -49,7 +46,7 @@ class ContractionMap:
 
     def to_json(self) -> dict:
         return {
-            "vertices": dict(self.vertex_map),
+            "vertices": {v: v for v in self.shared_levels_dst},
             "contracted": {v: list(k) for v, k in self.contracted_vertices.items()},
             "edges": {e: (list(im) if im else None) for e, im in self.edge_map.items()},
         }
@@ -92,7 +89,6 @@ def twist(graph: MarkedDualGraph, levels: LevelStructure,
     orders: dict[str, tuple[int, bool]] = {}
     extra_legs: list[tuple[str, str, int]] = []
     site_map: dict[str, str] = {}
-    vertex_map: dict[str, str] = {v: v for v in graph.vertex_ids}
     contracted: dict[str, tuple[str, str]] = {}
     edge_map: dict[str, tuple[str, int] | None] = {}
 
@@ -144,7 +140,6 @@ def twist(graph: MarkedDualGraph, levels: LevelStructure,
     base = TwrDecoration.build(orders, values, dec.marked_zero_vertices)
     twdr = TwdrDecoration.build(base, extra_legs)
     contraction = ContractionMap(
-        vertex_map=vertex_map,
         contracted_vertices=contracted,
         edge_map=edge_map,
         site_map=site_map,
@@ -183,10 +178,11 @@ def stabilize(graph: MarkedDualGraph, levels: LevelStructure,
               ) -> tuple[MarkedDualGraph, LevelStructure, TwrDecoration, ContractionMap]:
     """Drop extra-critical legs and contract unstable chains.
 
-    Tails without marked points vanish with no replacement leg; each
-    bridge chain becomes a single edge carrying the outer order data.
-    Inputs violating the local-maximum lemma are rejected: they are not
-    stabilizations of anything valid.
+    ``graphs.stabilize_graph`` deletes the tails, which carry no marked
+    point, and turns each bridge chain into a single edge carrying the
+    outer order data.  Inputs violating the local-maximum lemma, or
+    leaving a marked or self-looped component unstable, are rejected:
+    they are not stabilizations of anything valid.
     """
     check = validate_twdr(graph, levels, dec)
     if not check.ok:
@@ -195,122 +191,29 @@ def stabilize(graph: MarkedDualGraph, levels: LevelStructure,
     if not lm.ok:
         raise TwistError(f"local-maximum violations: {lm.violations}")
 
+    new_graph, record = stabilize_graph(graph)
+    unstable = [v for v, g in new_graph.vertices if g == 0 and new_graph.valence(v) <= 2]
+    if loops := [v for v in unstable if new_graph.edges_at(v) and not new_graph.legs_of(v)]:
+        raise TwistError(f"unstable self-loop at {loops[0]} cannot be contracted")
+    if left := [*record.moved_legs.values(), *unstable]:
+        raise TwistError(f"stabilization leaves marked component {left[0]} unstable")
+
+    orders: dict[str, tuple[int, bool]] = {}
+    site_map: dict[str, str] = {}
+    for h, src in record.under.items():
+        v = new_graph.half_edge_vertex(h)
+        orders[h] = dec.base.order_of[src]
+        site_map[site_key(v, src)] = site_key(v, h)
+    # no leg moved, so leg sites keep their keys; other sites not mapped are gone
+    values = {site_map.get(k, k): x for k, x in dec.base.value_of.items()
+              if k in site_map or k.split(":", 1)[1] in graph.leg_info}
     shared = dict(shared_levels) if shared_levels else {v: levels.of[v] for v, _ in graph.vertices}
-    vertices = {v: g for v, g in graph.vertices}
-    edges = {e: ends for e, ends in graph.edges}
-    orders = dict(dec.base.order_of)
-    values = dict(dec.base.value_of)
-    site_map: dict[str, str] = {site_key(graph.half_edge_vertex(h), h):
-                                site_key(graph.half_edge_vertex(h), h)
-                                for h in graph.half_edges()}
-    edge_map: dict[str, tuple[str, int] | None] = {e: (e, 1) for e in edges}
-    contracted: dict[str, tuple[str, str]] = {}
-    legs_by_vertex: dict[str, list] = {}
-    for l, v, m in graph.legs:
-        legs_by_vertex.setdefault(v, []).append((l, v, m))
-
-    def unstable_on(v: str, nodes: int) -> list[tuple[str, int]] | None:
-        """The nodes at v, when v is an unmarked rational vertex on ``nodes`` of them."""
-        at = incident(edges.items(), v)
-        return at if vertices[v] == 0 and v not in legs_by_vertex and len(at) == nodes else None
-
-    # delete rational tails, cascading
-    changed = True
-    while changed:
-        changed = False
-        for v in list(vertices):
-            if at := unstable_on(v, 1):
-                (e, s) = at[0]
-                anchor = edges[e][1 - s]
-                # the anchor keeps no trace of the removed node
-                for side in (0, 1):
-                    hid = half_edge_id(e, side)
-                    orders.pop(hid, None)
-                    vv = graph.edge_ends[e][side] if e in graph.edge_ends else edges[e][side]
-                    values.pop(site_key(vv, hid), None)
-                    site_map.pop(site_key(vv, hid), None)
-                del edges[e]
-                del vertices[v]
-                edge_map[e] = None
-                contracted[v] = ("tail", anchor)
-                changed = True
-
-    # contract rational bridges, one middle vertex at a time
-    while (mid := next((v for v in vertices if unstable_on(v, 2)), None)) is not None:
-        (e1, s1), (e2, s2) = incident(edges.items(), mid)
-        if e1 == e2:
-            raise TwistError(f"unstable self-loop at {mid} cannot be contracted")
-        # f1 is traversed outer -> mid, f2 mid -> outer; keep twist naming
-        base1, _, suf1 = e1.rpartition(":")
-        base2, _, suf2 = e2.rpartition(":")
-        if base1 and base1 == base2 and {suf1, suf2} == {"a", "b"}:
-            new_id = base1
-            (f1, t1), (f2, t2) = ((e1, s1), (e2, s2)) if suf1 == "a" else ((e2, s2), (e1, s1))
-        else:
-            new_id = f"ctr:{min(e1, e2)}"
-            (f1, t1), (f2, t2) = sorted(((e1, s1), (e2, s2)))
-        outer1 = half_edge_id(f1, 1 - t1)
-        outer2 = half_edge_id(f2, 1 - t2)
-        new_ends = (edges[f1][1 - t1], edges[f2][1 - t2])
-        orders[half_edge_id(new_id, 0)] = orders.pop(outer1)
-        orders[half_edge_id(new_id, 1)] = orders.pop(outer2)
-        orders.pop(half_edge_id(f1, t1), None)
-        orders.pop(half_edge_id(f2, t2), None)
-        for old_h, new_side, vv in ((outer1, 0, new_ends[0]), (outer2, 1, new_ends[1])):
-            old_site = site_key(vv, old_h)
-            new_site = site_key(vv, half_edge_id(new_id, new_side))
-            if old_site in values:
-                values[new_site] = values.pop(old_site)
-            for src, dst in list(site_map.items()):
-                if dst == old_site:
-                    site_map[src] = new_site
-        # f1 carries the image (sign per orientation), f2 collapses
-        sign1 = 1 if t1 == 1 else -1
-        for old_e, im in list(edge_map.items()):
-            if im and im[0] == f1:
-                edge_map[old_e] = (new_id, im[1] * sign1)
-            elif im and im[0] == f2:
-                edge_map[old_e] = ("", 0)
-        del edges[f1]
-        del edges[f2]
-        edges[new_id] = new_ends
-        del vertices[mid]
-        contracted[mid] = ("bridge", new_id)
-
-    for v in vertices:
-        if vertices[v] == 0 and len(incident(edges.items(), v) + legs_by_vertex.get(v, [])) <= 2:
-            raise TwistError(f"stabilization leaves marked component {v} unstable")
-
-    # rebuild preserving the source ordering so round trips are bit-exact
-    vertex_order = [(v, vertices[v]) for v, _ in graph.vertices if v in vertices]
-    edge_order: list[tuple[str, tuple[str, str]]] = []
-    emitted: set[str] = set()
-    for e, _ in graph.edges:
-        im = edge_map.get(e)
-        if im is None or im[1] == 0:
-            continue
-        eid = im[0]
-        if eid in edges and eid not in emitted:
-            edge_order.append((eid, edges[eid]))
-            emitted.add(eid)
-    for eid, ends in edges.items():
-        if eid not in emitted:
-            edge_order.append((eid, ends))
-    new_graph = MarkedDualGraph.build(vertex_order, edge_order, graph.legs)
-    shared_out = {v: shared[v] for v in vertices}
+    shared_out = {v: shared[v] for v in new_graph.vertex_ids}
     new_levels = LevelStructure.normalize(shared_out)
-    out_orders = {h: orders[h] for h in new_graph.half_edges()}
-    out_values = {k: v for k, v in values.items()
-                  if k.split(":", 1)[0] in vertices}
-    new_dec = TwrDecoration.build(out_orders, out_values,
-                                  dec.base.marked_zero_vertices)
-    surviving = {site_key(new_graph.half_edge_vertex(h), h)
-                 for h in new_graph.half_edges()}
-    site_map = {src: dst for src, dst in site_map.items() if dst in surviving}
+    new_dec = TwrDecoration.build(orders, values, dec.base.marked_zero_vertices)
     cm = ContractionMap(
-        vertex_map={v: v for v in vertices},
-        contracted_vertices=contracted,
-        edge_map=edge_map,
+        contracted_vertices=record.contracted,
+        edge_map=record.edge_map,
         site_map=site_map,
         shared_levels_src=shared,
         shared_levels_dst=shared_out,

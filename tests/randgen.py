@@ -9,9 +9,9 @@ from drloci.graphs import LevelStructure, MarkedDualGraph, half_edge_id
 
 
 def random_connected_graph(rng: random.Random, max_vertices: int = 8,
-                           max_extra_edges: int = 3, max_legs: int = 4):
+                           max_extra_edges: int = 3, max_legs: int = 4, max_genus: int = 2):
     n = rng.randint(1, max_vertices)
-    vertices = [(f"v{i}", rng.randint(0, 2)) for i in range(n)]
+    vertices = [(f"v{i}", rng.randint(0, max_genus)) for i in range(n)]
     edges = []
     for i in range(1, n):
         j = rng.randrange(i)

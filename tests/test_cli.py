@@ -322,6 +322,80 @@ def test_malformed_decoration_exits_2(capsys, dollar_files, tmp_path, argv, brea
     assert error.startswith(f"malformed decoration document {p}")
 
 
+def _unknown_vertex_value(doc):
+    doc["values"] = {"v9:q1.0": "1"}
+
+
+def _unknown_half_edge_order(doc):
+    doc["orders"]["q9.0"] = {"ord_df": 0, "pole": False}
+
+
+def _missing_order(doc):
+    del doc["orders"]["q1.0"]
+
+
+def _pole_on_an_evaluated_site(doc):
+    doc["orders"]["q1.0"] = {"ord_df": -2, "pole": True}
+
+
+def _marked_zero_vertex_not_a_vertex(doc):
+    doc["marked_zero_vertices"] = ["v9"]
+
+
+def _marked_zero_vertices_a_string(doc):
+    doc["marked_zero_vertices"] = "v1"
+
+
+MISFITS = [
+    (_unknown_vertex_value, "half-edge not at this vertex"),
+    (_unknown_half_edge_order, "order given for unknown half-edge"),
+    (_missing_order, "missing half-edge order"),
+    (_pole_on_an_evaluated_site, "pole at level 0 not strictly below v2"),
+    (_marked_zero_vertex_not_a_vertex, "marked zero vertex is not a vertex"),
+    (_marked_zero_vertices_a_string, "marked_zero_vertices must be a list of vertex ids"),
+]
+
+
+@pytest.mark.parametrize("argv", [["ev", "--all"], ["constraints"], ["twist"]],
+                         ids=["ev", "constraints", "twist"])
+@pytest.mark.parametrize("edit, detail", MISFITS, ids=[f.__name__[1:] for f, _ in MISFITS])
+def test_decoration_that_does_not_fit_the_graph_exits_2(capsys, dollar_files, tmp_path,
+                                                        argv, edit, detail):
+    # ev and constraints once evaluated all but the last two (a pole flag
+    # on an evaluated site as "internal error: MissingValue"), and twist
+    # read "v1" as the vertices "1" and "v"
+    gpath, _ = dollar_files
+    doc = json.loads(json.dumps(FIXTURES["dollar_unmarked_zeros"]["decoration"]))
+    edit(doc)
+    p = tmp_path / "misfit.json"
+    p.write_text(json.dumps(doc))
+    code = main([*argv, "--graph", gpath, "--decoration", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert detail in json.loads(captured.err)["error"]
+
+
+def test_twist_reports_an_impossible_order_opposite_a_pole(capsys, dollar_files, tmp_path):
+    gpath, _ = dollar_files
+    doc = json.loads(json.dumps(FIXTURES["dollar_unmarked_zeros"]["decoration"]))
+    doc["orders"]["q1.0"] = {"ord_df": -1, "pole": False}
+    p = tmp_path / "minus_one.json"
+    p.write_text(json.dumps(doc))
+    code = main(["twist", "--graph", gpath, "--decoration", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error.startswith("input is not a valid twistable decoration")
+    assert "ord(df) = -1 is impossible" in error
+
+
+def test_ev_accepts_levels_that_are_not_normalized(capsys, dollar_files):
+    gpath, dpath = dollar_files
+    code, doc = run(capsys, "ev", "--all", "--graph", gpath, "--decoration", dpath,
+                    "--levels", '{"v1": 3, "v2": 1}')
+    assert code == 0 and sorted(doc["levels"]) == ["1", "3"]
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
 def test_levels_max_levels_must_be_positive(capsys, dollar_files, value):
     # 0 once printed count 0 and -1 every structure, both with exit 0

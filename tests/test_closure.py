@@ -56,6 +56,17 @@ def test_verify_rejects_corrupted_certificate():
     assert verdict["verdict"] == "rejected"
 
 
+def test_verify_rejects_an_impossible_order_opposite_a_pole():
+    # validate_twr once raised ValueError on this edge instead of reporting
+    g = load_graph("dollar_unmarked_zeros")
+    cert = search(g, g.mu)[0]
+    bad = TwrDecoration.build({**cert.decoration.order_of, "q1.0": (-1, False)},
+                              cert.decoration.value_of)
+    verdict = verify_certificate(g, g.mu, dataclasses.replace(cert, decoration=bad))
+    assert verdict["verdict"] == "rejected"
+    assert "ord(df) = -1 is impossible" in verdict["reasons"][0]
+
+
 def test_compact_type_node_order_forced():
     g = MarkedDualGraph.build(
         [("a", 1), ("b", 1)], [("q", ("a", "b"))],

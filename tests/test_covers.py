@@ -1,7 +1,11 @@
+import random
+
 from drloci.covers import (CombinatorialCover, closure_via_covers,
                            stabilize_marked_graph, validate_cover)
 from drloci.fixtures import load_cover, load_graph
-from drloci.graphs import MarkedDualGraph
+from drloci.graphs import MarkedDualGraph, isomorphic
+from plain_stabilize import stabilize_marked_graph as plain_stabilize_marked_graph
+from randgen import random_connected_graph
 
 
 def degree2_cover(mults=(2, 2)):
@@ -124,8 +128,24 @@ def test_stabilize_marked_graph_contracts_bridge():
         [("z", "a", 1), ("p", "b", -1)])
     st = stabilize_marked_graph(g)
     assert st.vertex_ids == ("a", "b")
-    assert st.edges == (("ctr:e1", ("b", "a")),)
+    # the merged node runs from the outer end of the least edge, e1 at a
+    assert st.edges == (("ctr:e1", ("a", "b")),)
     assert st.legs == (("p", "b", -1), ("z", "a", 1))
     # a rational vertex on a lone self-loop is not a stabilization input: kept
     loop = MarkedDualGraph.build([("m", 0)], [("l", ("m", "m"))])
     assert stabilize_marked_graph(loop) == loop
+
+
+def test_stabilize_marked_graph_agrees_with_the_plain_sweep():
+    # the plain reference interleaves tails and bridges; contraction order
+    # must not change the stable graph up to isomorphism
+    rng = random.Random(1901)
+    changed = 0
+    for _ in range(1500):
+        g = random_connected_graph(rng, max_vertices=6, max_extra_edges=2,
+                                   max_legs=3, max_genus=1)
+        st = stabilize_marked_graph(g)
+        assert isomorphic(st, plain_stabilize_marked_graph(g)), g
+        changed += st != MarkedDualGraph.build(sorted(g.vertices), sorted(g.edges),
+                                               sorted(g.legs))
+    assert changed > 500

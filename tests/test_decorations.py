@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from drloci.decorations import (TwdrDecoration, TwrDecoration, component_divisor,
                                 validate_twdr, validate_twr)
 from drloci.fixtures import load_decoration, load_graph, load_levels
@@ -80,6 +82,34 @@ def test_ord_minus_one_rejected():
     orders["q1.0"] = (-1, True)
     rep = validate_twr(g, lv, TwrDecoration.build(orders))
     assert any(c == "order-range" for c, _, _ in rep.violations)
+
+
+def test_ord_minus_one_opposite_a_pole_reported():
+    # q1.1 is a pole, so the multiplicity cross-check once sent -1 to
+    # mult_of_ord_df, which raised instead of reporting
+    g = load_graph("dollar_unmarked_zeros")
+    lv = load_levels("dollar_unmarked_zeros")
+    orders = dict(load_decoration("dollar_unmarked_zeros").order_of)
+    orders["q1.0"] = (-1, False)
+    rep = validate_twr(g, lv, TwrDecoration.build(orders))
+    assert ("order-range", "q1.0", "ord(df) = -1 is impossible") in rep.violations
+
+
+@pytest.mark.parametrize("marked", ["v1", {"v1": True}, ["v1", 2], [None]])
+def test_marked_zero_vertices_must_be_a_list_of_ids(marked):
+    doc = load_decoration("dollar_unmarked_zeros").to_json()
+    with pytest.raises(ValueError, match="marked_zero_vertices must be a list of vertex ids"):
+        TwrDecoration.from_json({**doc, "marked_zero_vertices": marked})
+
+
+def test_marked_zero_vertex_that_is_not_a_vertex_reported():
+    g = load_graph("dollar_unmarked_zeros")
+    lv = load_levels("dollar_unmarked_zeros")
+    doc = load_decoration("dollar_unmarked_zeros").to_json()
+    dec = TwrDecoration.from_json({**doc, "marked_zero_vertices": ["v9"]})
+    assert dec.marked_zero_vertices == ("v9",)
+    rep = validate_twr(g, lv, dec)
+    assert ("structure", "v9", "marked zero vertex is not a vertex") in rep.violations
 
 
 def test_twist_output_is_valid_twdr():

@@ -5,7 +5,8 @@ import pytest
 from drloci.fixtures import load_graph
 from drloci.graphs import (EnumerationCapExceeded, LevelStructure,
                            MarkedDualGraph, canonical_key,
-                           enumerate_level_structures, isomorphic, validate)
+                           enumerate_level_structures, isomorphic,
+                           stabilize_graph, validate)
 
 
 def theta():
@@ -181,3 +182,56 @@ def test_enumerate_max_levels_cap():
 def test_enumerate_rejects_max_levels_below_one(max_levels):
     with pytest.raises(ValueError, match="max_levels"):
         enumerate_level_structures(dollar(), max_levels=max_levels)
+
+
+def test_stabilize_graph_records_the_contraction():
+    # t is a bare tail under v; then v, a one-leg tail, slides z onto a;
+    # m is a foreign bridge between a and b, merged into ctr:e1
+    g = MarkedDualGraph.build(
+        [("a", 1), ("v", 0), ("t", 0), ("m", 0), ("b", 1)],
+        [("e3", ("v", "a")), ("e4", ("t", "v")), ("e2", ("m", "b")), ("e1", ("a", "m"))],
+        [("z", "v", 1), ("p", "b", -1)])
+    st, rec = stabilize_graph(g)
+    assert st == MarkedDualGraph.build([("a", 1), ("b", 1)], [("ctr:e1", ("a", "b"))],
+                                       [("z", "a", 1), ("p", "b", -1)])
+    assert rec.edge_map == {"e1": ("ctr:e1", 1), "e2": ("", 0), "e3": None, "e4": None}
+    assert rec.contracted == {"t": ("tail", "v"), "v": ("tail", "a"),
+                              "m": ("bridge", "ctr:e1")}
+    assert rec.under == {"ctr:e1.0": "e1.0", "ctr:e1.1": "e2.1"}
+    assert rec.moved_legs == {"z": "v"}
+
+
+def test_stabilize_graph_names_a_twist_pair_after_its_edge():
+    # e:b is listed first but the e:a end leads; the chain through m1, m2
+    # merges twice, and x, running into a, maps onto the image reversed
+    g = MarkedDualGraph.build(
+        [("a", 1), ("w", 0), ("b", 1)], [("e:b", ("b", "w")), ("e:a", ("a", "w"))],
+        [("z", "a", 1), ("p", "b", -1)])
+    st, rec = stabilize_graph(g)
+    assert st.edges == (("e", ("a", "b")),)
+    assert rec.edge_map == {"e:a": ("e", 1), "e:b": ("", 0)}
+    assert rec.under == {"e.0": "e:a.0", "e.1": "e:b.0"}
+    chain = MarkedDualGraph.build(
+        [("a", 1), ("m1", 0), ("m2", 0), ("b", 1)],
+        [("x", ("m1", "a")), ("y", ("m1", "m2")), ("w", ("m2", "b"))])
+    st, rec = stabilize_graph(chain)
+    assert st.edges == (("ctr:ctr:x", ("a", "b")),)
+    assert rec.edge_map == {"x": ("ctr:ctr:x", -1), "y": ("", 0), "w": ("", 0)}
+    assert rec.under == {"ctr:ctr:x.0": "x.1", "ctr:ctr:x.1": "w.1"}
+
+
+@pytest.mark.parametrize("names, merged", [
+    (("x", "x:a", "x:b"), "ctr:x"),
+    (("ctr:e1", "e1", "e2"), "ctr:ctr:e1"),
+])
+def test_stabilize_graph_never_merges_onto_an_existing_edge(names, merged):
+    # the merged name once overwrote the edge a-b of the same name, losing a node
+    kept, first, second = names
+    g = MarkedDualGraph.build(
+        [("a", 1), ("m", 0), ("b", 1)],
+        [(kept, ("a", "b")), (first, ("a", "m")), (second, ("m", "b"))],
+        [("z", "a", 1), ("p", "b", -1)])
+    st, rec = stabilize_graph(g)
+    assert st.edges == ((kept, ("a", "b")), (merged, ("a", "b")))
+    assert st.total_genus == g.total_genus == 3
+    assert rec.edge_map[first] == (merged, 1)

@@ -169,3 +169,45 @@ def test_stabilize_names_a_foreign_bridge_by_its_least_edge():
     assert cm.contracted_vertices == {"m": ("bridge", "ctr:e1")}
     assert cm.edge_map == {"e1": ("ctr:e1", 1), "e2": ("", 0)}
     assert lv2.of == {"a": 0, "b": -1}
+
+
+def valid_twdr(vertices, edges, legs, levels, orders, extra_legs):
+    g = MarkedDualGraph.build(vertices, edges, legs)
+    lv = LevelStructure.build(levels)
+    twdr = TwdrDecoration.build(TwrDecoration.build(orders), extra_legs)
+    assert validate_twdr(g, lv, twdr).ok and check_local_max(g, lv, twdr).ok
+    return g, lv, twdr
+
+
+def test_stabilize_refuses_a_marked_component_left_unstable():
+    # deleting the bare tail t leaves v, marked by z, on one node: covers
+    # would slide z onto a, the stabilization of a decoration refuses
+    g, lv, twdr = valid_twdr(
+        [("a", 1), ("v", 0), ("t", 0)], [("e1", ("a", "v")), ("e2", ("v", "t"))],
+        [("p", "a", -1), ("z", "v", 1)], {"a": 0, "v": -1, "t": -2},
+        {"e1.0": (0, False), "e1.1": (-2, True), "e2.0": (0, False), "e2.1": (-2, True)},
+        [("c0", "a", 1), ("c1", "a", 1)])
+    with pytest.raises(TwistError, match="^stabilization leaves marked component v unstable$"):
+        stabilize(g, lv, twdr)
+    # the same tail under a vertex that keeps both legs but no node
+    g, lv, twdr = valid_twdr(
+        [("v", 0), ("t", 0)], [("e", ("v", "t"))], [("z", "v", 1), ("p", "v", -1)],
+        {"v": 0, "t": -1}, {"e.0": (0, False), "e.1": (-2, True)}, [])
+    with pytest.raises(TwistError, match="^stabilization leaves marked component v unstable$"):
+        stabilize(g, lv, twdr)
+
+
+def test_stabilize_refuses_an_unstable_self_loop(monkeypatch):
+    # two rational vertices on a double edge contract to a lone self-loop;
+    # no valid fully marked decoration has this shape (both nodes at the
+    # upper vertex are zeros, so its df orders cannot sum to -2), so the
+    # gates are switched off to reach it
+    import drloci.twisting as twisting
+    from drloci.decorations import DecorationReport
+    monkeypatch.setattr(twisting, "validate_twdr", lambda *args: DecorationReport())
+    monkeypatch.setattr(twisting, "check_local_max", lambda *args: DecorationReport())
+    g = MarkedDualGraph.build([("a", 0), ("m", 0)], [("e1", ("a", "m")), ("e2", ("m", "a"))])
+    lv = LevelStructure.build({"a": 0, "m": -1})
+    with pytest.raises(TwistError, match="^unstable self-loop at m cannot be contracted$"):
+        stabilize(g, lv, TwdrDecoration.build(TwrDecoration.build(
+            {"e1.0": (0, False), "e1.1": (-2, True), "e2.0": (-2, True), "e2.1": (0, False)}), []))
