@@ -203,6 +203,8 @@ def _vertex_accounting(graph: MarkedDualGraph, dec: TwrDecoration,
             report.add("prescribed-vanishing", v,
                        f"known zero orders {zeros_known} exceed degree {degree}")
         if extra is None:
+            if 2 * g - 2 + len(zeros) + len(poles) + len(free) <= 0:
+                report.add("structure", v, "unstable vertex: 2g - 2 + special points <= 0")
             if deficit < 0:
                 report.add("order-identity", v,
                            f"orders exceed 2g-2 by {-deficit} (no room for critical points)")
@@ -264,10 +266,10 @@ def validate_twr(graph: MarkedDualGraph, levels: LevelStructure,
                  dec: TwrDecoration) -> DecorationReport:
     """Inequality-form validation against the level structure.
 
-    Clauses: leg/value consistency, per-vertex divisor balance (marked-zero
-    components close exactly), edge order sums >= -2 (at an edge with one
-    pole side, equivalently: the upper multiplicity dominates the pole's),
-    and poles strictly descending.
+    Clauses: leg/value consistency, stable vertices, per-vertex divisor
+    balance (marked-zero components close exactly), edge order sums >= -2
+    (at an edge with one pole side, equivalently: the upper multiplicity
+    dominates the pole's), and poles strictly descending.
     """
     report = DecorationReport()
     levels.check_normalized(graph)

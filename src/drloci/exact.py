@@ -124,28 +124,16 @@ class LinearForm:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        c = dict(self.coeffs)
-        for k, v in other.coeffs:
-            c[k] = c.get(k, Fraction(0)) + v
-        return LinearForm.build(c, self.const + other.const)
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, k: Fraction) -> "LinearForm":
-        if k == 0:
-            return LinearForm()
-        return LinearForm.build({s: v * k for s, v in self.coeffs}, self.const * k)
-
-    def substitute(self, values: dict[str, Fraction]) -> "LinearForm":
+    def substitute(self, values: dict[str, Fraction | str]) -> "LinearForm":
+        """Put in each value: a rational as a constant, a string as a rename."""
         c: dict[str, Fraction] = {}
         const = self.const
         for k, v in self.coeffs:
-            if k in values:
-                const += v * values[k]
+            x = values.get(k, k)
+            if isinstance(x, str):
+                c[x] = c.get(x, Fraction(0)) + v
             else:
-                c[k] = c.get(k, Fraction(0)) + v
+                const += v * x
         return LinearForm.build(c, const)
 
     def normalized_vector(self, symbols: list[str]) -> tuple[int, ...]:
@@ -207,16 +195,6 @@ class AffineSubspace:
         coordinates agree on the whole space exactly when their columns do."""
         return (self.particular.get(symbol, Fraction(0)),
                 *(b.get(symbol, Fraction(0)) for b in self.basis))
-
-    def contains(self, point: dict[str, Fraction]) -> bool:
-        """Exact membership test for a fully specified point: point -
-        particular is a combination of the basis vectors, whose
-        coefficients (unknowns named by basis index) solve one form per
-        coordinate."""
-        forms = [LinearForm.build({str(j): b.get(s, Fraction(0)) for j, b in enumerate(self.basis)},
-                                  self.particular.get(s, Fraction(0)) - point.get(s, Fraction(0)))
-                 for s in self.symbols]
-        return solve_forms(forms) is not None
 
     def pinned(self, symbol: str, value: Fraction) -> "AffineSubspace | None":
         """Intersect with the hyperplane {symbol = value}.

@@ -182,12 +182,16 @@ class GraphReport:
 
 
 def validate(graph: MarkedDualGraph) -> GraphReport:
-    """Structural diagnostics: ids, incidences, connectivity, genus, stability."""
+    """Structural diagnostics: ids, incidences, connectivity, genus, stability.
+    Site keys read "<vertex>:<point>", so no vertex id may hold ":" and no
+    leg id may equal a half-edge id."""
     errors: list[tuple[str, str]] = []
     seen_v = set()
     for v, g in graph.vertices:
         if v in seen_v:
             errors.append(("duplicate-vertex-id", v))
+        if ":" in v:
+            errors.append(("colon-in-vertex-id", v))
         seen_v.add(v)
         if g < 0:
             errors.append(("negative-genus", v))
@@ -200,9 +204,12 @@ def validate(graph: MarkedDualGraph) -> GraphReport:
             if end not in seen_v:
                 errors.append(("dangling-half-edge", f"{e}->{end}"))
     seen_l = set()
+    half_edges = set(graph.half_edges())
     for l, v, _ in graph.legs:
         if l in seen_l:
             errors.append(("duplicate-leg-id", l))
+        if l in half_edges:
+            errors.append(("leg-id-is-half-edge-id", l))
         seen_l.add(l)
         if v not in seen_v:
             errors.append(("dangling-leg", f"{l}->{v}"))

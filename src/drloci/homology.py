@@ -11,8 +11,16 @@ level, the signed value of the function at the corresponding node
 preimage.  This is the per-vertex-segment reading of "evaluate at the
 endpoints of the restriction": a segment crossing a horizontal node picks
 up the two one-sided values, and the upper halves of descending edges end
-at the cut points q_e^+.  Values are exact rationals or named unknowns,
-so a system of evaluations is a rational linear system.
+at the cut points q_e^+.  Each node preimage is the unknown named by its
+site key, and a decoration's exact or symbolic values are substituted
+into that form, so a system of evaluations is a rational linear system.
+
+Two eliminations serve this module: cycle lattices come from
+``integer_kernel_basis`` (unimodular column reduction over Z) and
+solution spaces from ``solve_forms`` (row reduction over Q).  The kernel
+of ``solve_forms`` has integer generators on these incidence matrices
+too, but other ones, so with it the evaluation rows, and the bytes of
+``ev`` and ``constraints``, would change.
 """
 
 from __future__ import annotations
@@ -160,57 +168,26 @@ def restrict_to_level(chain: Chain, graph: MarkedDualGraph,
                       tuple(sorted(legs.items())))
 
 
-class MissingValue(KeyError):
-    def __init__(self, site: str):
-        super().__init__(site)
-        self.site = site
-
-
-def site_form(graph: MarkedDualGraph, dec: TwrDecoration | None,
-              vertex: str, point: str) -> LinearForm:
-    """Value of the function at a site, as a linear form.
-
-    Marked zeros and nodal zeros give 0, explicit rationals constants,
-    "?name" a shared unknown, and an unadorned non-pole node preimage a
-    site-named unknown.  Pole sites are never evaluated.
-    """
-    key = site_key(vertex, point)
-    if point in graph.leg_info:
-        m = graph.leg_info[point][1]
-        if m >= 0:
-            return LinearForm()
-        raise MissingValue(key)
-    if dec is not None:
-        if point in dec.order_of and dec.is_pole(point):
-            raise MissingValue(key)
-        val = dec.value_of.get(key)
-        if val is not None:
-            if isinstance(val, str):
-                return LinearForm.build({val.lstrip("?"): Fraction(1)})
-            return LinearForm((), val)
-    return LinearForm.build({key: Fraction(1)})
-
-
 def evaluate(level_chain: LevelChain, graph: MarkedDualGraph,
              dec: TwrDecoration | None) -> LinearForm:
     """Signed sum of function values at the segment endpoints of the
     restricted chain: per horizontal cell f(tail side) - f(head side),
-    per cut half coeff * f(q_e^+); legs contribute f = 0."""
-    terms = []
-    for eid, c in level_chain.edges:
-        a, b = graph.edge_ends[eid]
-        terms.append((site_form(graph, dec, a, half_edge_id(eid, 0)), c))
-        terms.append((site_form(graph, dec, b, half_edge_id(eid, 1)), -c))
-    for hid, c in level_chain.half:
-        eid, side = hid.rsplit(".", 1)
-        terms.append((site_form(graph, dec, graph.edge_ends[eid][int(side)], hid), c))
+    per cut half coeff * f(q_e^+); legs contribute f = 0.
+
+    Each node preimage is the unknown named by its site key; ``dec``'s
+    values are then substituted, a rational as a constant and "?name" as
+    the shared unknown ``name``.  A pole site stays an unknown: ``ev`` and
+    ``constraints`` reject a decoration with a pole on an evaluated site
+    (the level-compatibility clause of ``validate_twr``).
+    """
     coeffs: dict[str, Fraction] = {}
-    const = Fraction(0)
-    for form, c in terms:
-        for k, v in form.coeffs:
-            coeffs[k] = coeffs.get(k, 0) + v * c
-        const += form.const * c
-    return LinearForm.build(coeffs, const)
+    ends = [(half_edge_id(e, s), -c if s else c) for e, c in level_chain.edges for s in (0, 1)]
+    for h, c in ends + list(level_chain.half):
+        key = site_key(graph.half_edge_vertex(h), h)
+        coeffs[key] = coeffs.get(key, 0) + Fraction(c)
+    form = LinearForm.build(coeffs)
+    return form if dec is None else form.substitute(
+        {k: v.lstrip("?") if isinstance(v, str) else v for k, v in dec.values})
 
 
 @dataclass

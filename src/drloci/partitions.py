@@ -44,11 +44,3 @@ def ord_df(mult: int, at_pole: bool) -> int:
         raise ValueError("multiplicity must be >= 1")
     return -mult - 1 if at_pole else mult - 1
 
-
-def mult_of_ord_df(order: int) -> tuple[int, bool]:
-    """Inverse of ord_df; rejects the impossible order -1."""
-    if order == -1:
-        raise ValueError("ord(df) = -1 cannot occur")
-    if order >= 0:
-        return order + 1, False
-    return -order - 1, True

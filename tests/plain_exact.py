@@ -3,16 +3,16 @@ must reproduce field by field.
 
 It finds the particular solution with ``solve_rational``, then reduces
 the coefficient matrix a second time to read off the kernel.
-``solve_rational`` also serves as the reference for
-``AffineSubspace.contains``, and ``same_space`` compares two solution
-spaces.
+``contains`` tests exact membership in a solution space,
+``solve_rational`` serves as its reference, and ``same_space`` compares
+two solution spaces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from drloci.exact import AffineSubspace, LinearForm
+from drloci.exact import AffineSubspace, LinearForm, solve_forms
 
 
 def solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -102,9 +102,19 @@ def plain_solve_forms(forms: list[LinearForm], symbols: list[str] | None = None)
     return AffineSubspace(order, particular, hom)
 
 
+def contains(space: AffineSubspace, point: dict[str, Fraction]) -> bool:
+    """Exact membership test for a fully specified point: point -
+    particular is a combination of the basis vectors, whose coefficients
+    (unknowns named by basis index) solve one form per coordinate."""
+    forms = [LinearForm.build({str(j): b.get(s, Fraction(0)) for j, b in enumerate(space.basis)},
+                              space.particular.get(s, Fraction(0)) - point.get(s, Fraction(0)))
+             for s in space.symbols]
+    return solve_forms(forms) is not None
+
+
 def same_space(a: AffineSubspace, b: AffineSubspace) -> bool:
     """Equality as affine subspaces of the common coordinate space."""
     if set(a.symbols) != set(b.symbols) or a.dim != b.dim:
         return False
-    return b.contains(a.particular) and all(
-        b.contains(a.sample([Fraction(i == j) for j in range(a.dim)])) for i in range(a.dim))
+    return contains(b, a.particular) and all(
+        contains(b, a.sample([Fraction(i == j) for j in range(a.dim)])) for i in range(a.dim))

@@ -110,7 +110,7 @@ def pushforward_check(src_graph: MarkedDualGraph, src_levels_shared: dict[str, i
                     rows_match = False
                     details.append(f"untranslatable nonzero row at shared level {j}")
                 continue
-            if not (lhs_t - rhs).is_zero:
+            if lhs_t != rhs:
                 rows_match = False
                 details.append(f"evaluation mismatch at shared level {j}: "
                                f"{lhs_t.render()} vs {rhs.render()}")

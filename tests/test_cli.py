@@ -1,9 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+from drloci import cli
 from drloci.cli import main
+from drloci.decorations import TwrDecoration, validate_twr
 from drloci.fixtures import FIXTURES, load_decoration, load_graph, load_levels
+from drloci.graphs import LevelStructure, MarkedDualGraph
 from drloci.twisting import twist
 
 
@@ -608,3 +612,94 @@ def test_check_closure_bound_not_an_integer_names_the_bound(capsys, dollar_files
     assert code == 2 and captured.out == ""
     error = json.loads(captured.err)["error"]
     assert key in error and repr(value) in error
+
+
+UNSTABLE_MIDDLE = {
+    "vertices": [{"id": "a", "genus": 1}, {"id": "m", "genus": 0}, {"id": "b", "genus": 1}],
+    "edges": [{"id": "e1", "ends": ["a", "m"]}, {"id": "e2", "ends": ["m", "b"]}],
+    "legs": [{"id": "z", "vertex": "a", "mu": 1}, {"id": "p", "vertex": "a", "mu": -1}],
+    "levels": {"a": 0, "m": -1, "b": -2},
+}
+UNSTABLE_MIDDLE_DECORATION = {"orders": {
+    "e1.0": {"ord_df": 0, "pole": False}, "e1.1": {"ord_df": -2, "pole": True},
+    "e2.0": {"ord_df": 0, "pole": False}, "e2.1": {"ord_df": -2, "pole": True}}}
+
+
+@pytest.mark.parametrize("argv", [["ev", "--all"], ["constraints"], ["twist"]],
+                         ids=["ev", "constraints", "twist"])
+def test_decoration_on_an_unstable_vertex_exits_2(capsys, tmp_path, argv):
+    # m is a legless rational bridge; twist once returned it uncontracted,
+    # and stabilizing the twist then contracted it into ctr:e1
+    graph = MarkedDualGraph.from_json(UNSTABLE_MIDDLE)
+    dec = TwrDecoration.from_json(UNSTABLE_MIDDLE_DECORATION)
+    report = validate_twr(graph, LevelStructure.from_json(UNSTABLE_MIDDLE["levels"]), dec)
+    assert report.violations == [
+        ("structure", "m", "unstable vertex: 2g - 2 + special points <= 0")]
+    gpath, dpath = tmp_path / "graph.json", tmp_path / "dec.json"
+    gpath.write_text(json.dumps(UNSTABLE_MIDDLE))
+    dpath.write_text(json.dumps(UNSTABLE_MIDDLE_DECORATION))
+    code = main([*argv, "--graph", str(gpath), "--decoration", str(dpath)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unstable vertex" in json.loads(captured.err)["error"]
+
+
+# sha256 of the stdout of `ev --all` and `constraints` on every fixture
+# decoration under each of its fixture level maps, as the parent of the
+# change that made `homology.evaluate` substitute values into site-named
+# rows printed them
+EV_PINS = {
+    ("cherry", "levels_1"): ("38211745e109c8e928cce29195c352378750dc655d3d907ff0c75f740d6f6c89",
+                             "73d37bdf5669df3e51550e0ea7de0ffbcd01dd32c83a6c9af783e4df395e28f9"),
+    ("cherry", "levels_2"): ("38211745e109c8e928cce29195c352378750dc655d3d907ff0c75f740d6f6c89",
+                             "73d37bdf5669df3e51550e0ea7de0ffbcd01dd32c83a6c9af783e4df395e28f9"),
+    ("dollar_unmarked_zeros", "levels"): (
+        "b3354029a62ea309e964a480c20a6e784157e7401dd220a7315e9238b252f7f2",
+        "f607fc85ee29476445357672921f1b02cab00a5a0317adaa214e7d04c0cfeedb"),
+    ("horizontal_nodes", "levels"): (
+        "d6e16e4ea4ae338e62122ab8d1c5ed99303507d6d6e924e5ed04afc2d65a4985",
+        "90e9953a6ddc4e9a866a2de38304946c3872f2cfaeda2767a83d4094ba6b80ef"),
+    ("level_dependence", "levels_1"): (
+        "f905bf1376fc3592d5eb8dd3af41762b2522a390c456b4ed856671bf38625d6e",
+        "19acfdedb7ce5552c5d221e851f9a8242b0f2c2cb2106de04e2f19c0be6d786c"),
+    ("level_dependence", "levels_2"): (
+        "227597f036a4afd83259879254ca2c6b21e0eecdc2ed13091c85a35cbaa940eb",
+        "5d24cd162654fc46e66a7ed47f82b680df2c0349cf7eb9007cfd327d43579a71"),
+    ("partial_order", "levels_1"): (
+        "8eb44e253c89ef0042ca2ed7db79184abd309e7215586475fd276e68cb141222",
+        "450bfebd51a3fd6894a3c00e53c301277dee3d24d331b7450491043e137a52e0"),
+    ("partial_order", "levels_2"): (
+        "d18349e5dddee57f400bd62bd96a2c0157b583b660e3c7c59aa9c652fe30af8f",
+        "450bfebd51a3fd6894a3c00e53c301277dee3d24d331b7450491043e137a52e0"),
+}
+
+
+def test_ev_pins_cover_every_fixture_decoration():
+    assert set(EV_PINS) == {(name, key) for name, fx in FIXTURES.items() if "decoration" in fx
+                            for key in fx if key.startswith("levels")}
+
+
+@pytest.mark.parametrize("name, key", sorted(EV_PINS), ids=[f"{n}-{k}" for n, k in sorted(EV_PINS)])
+def test_ev_and_constraints_bytes_are_pinned(capsys, monkeypatch, tmp_path, name, key):
+    fx = FIXTURES[name]
+    gpath, dpath = tmp_path / "graph.json", tmp_path / "dec.json"
+    gpath.write_text(json.dumps(fx["graph"]))
+    dpath.write_text(json.dumps(fx["decoration"]))
+    files = ["--graph", str(gpath), "--decoration", str(dpath), "--levels", json.dumps(fx[key])]
+    if name == "level_dependence":
+        # its vertex v5 (genus 0, two nodes) is unstable, which ev and
+        # constraints reject; the pins hold for its rows all the same
+        assert main(["ev", "--all", *files]) == 2
+        assert "unstable vertex" in json.loads(capsys.readouterr().err)["error"]
+        validate = cli.validate_twr
+
+        def stable_clauses_only(*args):
+            report = validate(*args)
+            report.violations = [v for v in report.violations
+                                 if not v[2].startswith("unstable vertex")]
+            return report
+
+        monkeypatch.setattr(cli, "validate_twr", stable_clauses_only)
+    for argv, want in zip((["ev", "--all"], ["constraints"]), EV_PINS[name, key]):
+        assert main([*argv, *files]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want

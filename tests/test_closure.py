@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import gc
 import weakref
 from fractions import Fraction
@@ -483,3 +484,73 @@ def test_component_verdicts_compiled_once_per_search(monkeypatch):
     fresh = MarkedDualGraph.from_json(g.to_json())
     assert verdicts == [verify_certificate(fresh, fresh.mu, c) for c in certs]
     assert all(v["verdict"].startswith("accepted") for v in verdicts)
+
+
+def test_a_witness_needs_the_fourth_vertex_order(monkeypatch):
+    # the first vertex order is not always enough: on this genus-0 graph two
+    # certificates have an exact witness only from the order (v1, v2, v0)
+    from drloci import closure
+    g = MarkedDualGraph.build(
+        [("v0", 0), ("v1", 0), ("v2", 0)],
+        [("e0", ("v0", "v1")), ("e1", ("v1", "v2")), ("e2", ("v1", "v0")),
+         ("e3", ("v2", "v0"))],
+        [("l0", "v1", 1), ("l1", "v1", 3), ("l2", "v2", -2), ("l3", "v0", -2)])
+    tried: dict[TwrDecoration, list] = {}
+    realize = closure._realize_in_order
+
+    def recording(graph, dec, start, order):
+        result = realize(graph, dec, start, order)
+        tried.setdefault(dec, []).append((order, result is not None))
+        return result
+
+    monkeypatch.setattr(closure, "_realize_in_order", recording)
+    certs = search(g, g.mu)
+    assert len(certs) == 22
+    late = [c for c in certs if c.verdict == "accepted-exact"
+            and tried[c.decoration][0] == (("v0", "v1", "v2"), False)]
+    assert len(late) == 2
+    for c in late:
+        assert tried[c.decoration] == [(("v0", "v1", "v2"), False), (("v0", "v2", "v1"), False),
+                                       (("v1", "v0", "v2"), False), (("v1", "v2", "v0"), True)]
+        assert verify_certificate(g, g.mu, c)["verdict"] == "accepted-exact"
+        orders = c.decoration.order_of
+        assert [orders[h] for h in ("e0.0", "e0.1", "e1.0", "e1.1", "e2.0", "e2.1", "e3.0")] == [
+            (0, False), (-2, True), (-3, True), (1, False), (-2, True), (0, False), (0, False)]
+        assert orders["e3.1"] in ((0, False), (1, False))
+        assert [k for k, v in c.decoration.values if v == 0] == ["v0:e0.0", "v0:e2.1"]
+
+
+def _renamed(doc: dict, vertex=lambda v: v, leg=lambda l: l) -> dict:
+    return {"vertices": [{**v, "id": vertex(v["id"])} for v in doc["vertices"]],
+            "edges": [{**e, "ends": [vertex(x) for x in e["ends"]]} for e in doc["edges"]],
+            "legs": [{**l, "id": leg(l["id"]), "vertex": vertex(l["vertex"])}
+                     for l in doc["legs"]]}
+
+
+# site keys are "<vertex>:<point>": a leg named like a half-edge made search
+# return 34 certificates instead of 2 (one rejected by the verifier), and
+# vertex ids "x:v1", ... turned certificates into rejected ones
+ID_CLASHES = [
+    ("dollar_unmarked_zeros", dict(leg=lambda l: "q1.0" if l == "z1" else l),
+     ("leg-id-is-half-edge-id", "q1.0")),
+    *((name, dict(vertex=lambda v: f"x:{v}"), ("colon-in-vertex-id", "x:v1"))
+      for name in ("dollar_unmarked_zeros", "horizontal_nodes", "dollar_matching")),
+]
+
+
+@pytest.mark.parametrize("name, rename, error", ID_CLASHES,
+                         ids=["leg-named-q1.0", "colon-dollar", "colon-horizontal",
+                              "colon-matching"])
+def test_ids_that_clash_with_site_keys_are_rejected(capsys, tmp_path, name, rename, error):
+    from drloci.cli import main
+    doc = _renamed(FIXTURES[name]["graph"], **rename)
+    g = MarkedDualGraph.from_json(doc)
+    assert error in validate(g).errors
+    with pytest.raises(ValueError, match="invalid graph"):
+        search(g, g.mu)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check-closure", "--graph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert error[0] in json.loads(captured.err)["error"]

@@ -86,7 +86,7 @@ def test_ord_minus_one_rejected():
 
 def test_ord_minus_one_opposite_a_pole_reported():
     # q1.1 is a pole, so the multiplicity cross-check once sent -1 to
-    # mult_of_ord_df, which raised instead of reporting
+    # the inverse of ord_df, which raised instead of reporting
     g = load_graph("dollar_unmarked_zeros")
     lv = load_levels("dollar_unmarked_zeros")
     orders = dict(load_decoration("dollar_unmarked_zeros").order_of)

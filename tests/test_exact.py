@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from drloci.exact import (LinearForm, format_rational, integer_kernel_basis,
                           parse_rational, primitive, solve_forms)
 
-from plain_exact import plain_solve_forms, same_space, solve_rational
+from plain_exact import contains, plain_solve_forms, same_space, solve_rational
 
 
 def test_rational_round_trip():
@@ -54,8 +54,8 @@ def test_space_equality_and_containment():
     c = solve_forms([LinearForm.build({"x": Fraction(1), "y": Fraction(1)})], ["x", "y"])
     assert same_space(a, b)
     assert not same_space(a, c)
-    assert a.contains({"x": Fraction(7), "y": Fraction(7)})
-    assert not a.contains({"x": Fraction(7), "y": Fraction(8)})
+    assert contains(a, {"x": Fraction(7), "y": Fraction(7)})
+    assert not contains(a, {"x": Fraction(7), "y": Fraction(8)})
 
 
 def test_pinned():
@@ -90,6 +90,12 @@ def test_substitute_and_value():
     partial = form.substitute({"a": Fraction(1)})
     assert partial.coeff_map() == {"b": Fraction(1)}
     assert not partial.is_constant
+    # a string renames its unknown; renamed terms merge and may cancel
+    assert form.substitute({"a": "c"}) == LinearForm.build(
+        {"c": Fraction(2), "b": Fraction(1)}, Fraction(-4))
+    assert form.substitute({"a": "b"}).coeff_map() == {"b": Fraction(3)}
+    assert LinearForm.build({"a": Fraction(1), "b": Fraction(-1)}).substitute(
+        {"a": "x", "b": "x"}) == LinearForm()
 
 
 @st.composite
@@ -104,7 +110,9 @@ def form_systems(draw):
         forms.append(LinearForm.build(coeffs, draw(entry)))
     if forms and draw(st.booleans()):
         k = draw(entry)
-        forms.append(forms[0].scale(k) + forms[-1])
+        a, b = forms[0].coeff_map(), forms[-1].coeff_map()
+        forms.append(LinearForm.build({s: k * a.get(s, 0) + b.get(s, 0) for s in {*a, *b}},
+                                      k * forms[0].const + forms[-1].const))
     extra = draw(st.lists(st.sampled_from("abcdefg"), max_size=3, unique=True))
     return forms, extra
 
@@ -130,12 +138,12 @@ def test_contains_accepts_samples_and_rejects_moved_points(system, params):
     if space is None:
         return
     point = space.sample([Fraction(t) for t in params[:space.dim]])  # at most 7 unknowns
-    assert space.contains(point)
+    assert contains(space, point)
     columns = [[b.get(s, Fraction(0)) for b in space.basis] for s in space.symbols]
     rejected = 0
     for s in space.symbols:
         # the moved point stays exactly when the unit vector at s is in span(basis)
         inside = solve_rational(columns, [Fraction(t == s) for t in space.symbols]) is not None
-        assert space.contains({**point, s: point[s] + 1}) == inside
+        assert contains(space, {**point, s: point[s] + 1}) == inside
         rejected += not inside
     assert (rejected > 0) == (space.dim < len(space.symbols))

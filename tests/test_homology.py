@@ -173,7 +173,7 @@ def test_well_definedness_under_lower_rerouting():
                 moved[cell] = moved.get(cell, 0) + k * x
             lhs = evaluate(restrict_to_level(gamma, g, lv, i), g, None)
             rhs = evaluate(restrict_to_level(moved, g, lv, i), g, None)
-            assert (lhs - rhs).is_zero
+            assert lhs == rhs
             checked += 1
     assert checked > 100
 
@@ -208,16 +208,6 @@ def test_inconsistent_system_detected():
     forms = [LinearForm.build({"v": Fraction(1)}),
              LinearForm.build({"v": Fraction(1)}, Fraction(-1))]
     assert solve_forms(forms) is None
-
-
-def test_missing_value_at_pole_site():
-    from drloci.homology import MissingValue, site_form
-    g = dollar()
-    dec = load_decoration("dollar_unmarked_zeros")
-    with pytest.raises(MissingValue):
-        site_form(g, dec, "v2", "q1.1")  # pole sites have no finite value
-    with pytest.raises(MissingValue):
-        site_form(g, None, "v1", "p")    # pole legs likewise
 
 
 def test_mu_zero_legs_join_relative_homology():

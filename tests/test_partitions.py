@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drloci.partitions import (associated_partition, check_extension,
-                               mult_of_ord_df, ord_df)
+from drloci.partitions import associated_partition, check_extension, ord_df
 
 
 def test_associated_partition_examples():
@@ -34,15 +33,4 @@ def test_ord_df_examples():
 def test_ord_df_bijection(mult, pole):
     o = ord_df(mult, pole)
     assert o != -1
-    assert mult_of_ord_df(o) == (mult, pole)
-
-
-@given(st.integers(min_value=-50, max_value=50).filter(lambda o: o != -1))
-def test_mult_of_ord_df_inverse(o):
-    mult, pole = mult_of_ord_df(o)
-    assert ord_df(mult, pole) == o
-
-
-def test_mult_of_ord_df_rejects_minus_one():
-    with pytest.raises(ValueError):
-        mult_of_ord_df(-1)
+    assert (o < -1, -o - 1 if o < -1 else o + 1) == (pole, mult)
