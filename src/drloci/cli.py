@@ -82,6 +82,15 @@ def _load_graph(path: str) -> tuple[MarkedDualGraph, LevelStructure | None]:
     return graph, levels
 
 
+def _load_valid_graph(path: str) -> tuple[MarkedDualGraph, LevelStructure | None]:
+    """``_load_graph``, refusing a graph with ``validate`` errors (not instability)."""
+    graph, levels = _load_graph(path)
+    report = validate(graph)
+    if not report.ok:
+        raise CliError(f"invalid graph: {report.errors}")
+    return graph, levels
+
+
 def _load_document(path: str, kind=TwrDecoration, what: str = "decoration"):
     doc = _load_json(path)
     try:
@@ -121,10 +130,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_levels(args) -> int:
-    graph, _ = _load_graph(args.graph)
-    report = validate(graph)
-    if not report.ok:
-        raise CliError(f"invalid graph: {report.errors}")
+    graph, _ = _load_valid_graph(args.graph)
     structures = enumerate_level_structures(graph, max_levels=args.max_levels)
     _emit({"command": "levels", "count": len(structures),
            "structures": [s.to_json() for s in structures]}, args)
@@ -136,7 +142,7 @@ def _evaluation_system(args):
     decoration must pass the structure, values and level-compatibility
     clauses that ``twist`` applies; only the order of the levels matters
     to them, so the levels need not be normalized."""
-    graph, levels = _load_graph(args.graph)
+    graph, levels = _load_valid_graph(args.graph)
     levels = _require_levels(graph, levels, args)
     dec = _load_document(args.decoration) if args.decoration else None
     if dec is not None:
@@ -179,7 +185,7 @@ def cmd_constraints(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    graph, levels = _load_graph(args.graph)
+    graph, levels = _load_valid_graph(args.graph)
     levels = _require_levels(graph, levels, args)
     dec = _load_document(args.decoration)
     result = twist(graph, levels, dec)
@@ -188,7 +194,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    graph, levels = _load_graph(args.graph)
+    graph, levels = _load_valid_graph(args.graph)
     levels = _require_levels(graph, levels, args)
     dec = _load_document(args.decoration, TwdrDecoration)
     new_graph, new_levels, new_dec, cm = stabilize(graph, levels, dec)

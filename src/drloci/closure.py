@@ -40,14 +40,17 @@ The search computes each quantity once, at the stage it depends on:
 Every candidate the enumeration yields passes ``validate_twr`` by
 construction, except on a lone vertex without half-edges, whose missing
 pole the component check rejects; ``verify_certificate`` re-runs it, and
-every other check, on each certificate.  Pure stages are memoized on the
-graph object (``graph.memos``) until the graph is dropped.  ``search`` and
-every verification share the graph's ``validate`` report, the ``exists``
-answer per Hurwitz problem (looked up only within the cap), and the
-undecorated evaluation rows per level structure (when it returns, the
-search keeps only its certificates' level structures).  The solved system
-per certificate (level structure, values and pole half-edges) is memoized
-for verifications only; the search keeps its solves per level structure.
+every other check, on each certificate.  A component's Hurwitz problem,
+free sites and witness read only its genus and divisor, read once per
+certificate: by the search as it builds it, by the verifier from the
+``validate_twr`` report.  Pure stages are memoized on the graph object
+(``graph.memos``) until the graph is dropped.  ``search`` and every
+verification share the graph's ``validate`` report, the ``exists`` answer
+per Hurwitz problem (looked up only within the cap), and the undecorated
+evaluation rows per level structure (when it returns, the search keeps
+only its certificates' level structures).  The solved system per
+certificate (level structure and values) is memoized for verifications
+only; the search keeps its solves per level structure.
 
 Completeness boundary: node multiplicities are capped by the total
 positive mu mass (or an explicit bound), and component realizability
@@ -348,11 +351,6 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
         rec = flag_choices = feasible = None
 
 
-def _free_sites(graph: MarkedDualGraph, dec: TwrDecoration) -> list[str]:
-    """Site keys of the node preimages that are neither poles nor zeros."""
-    return [s for v in graph.vertex_ids for s in component_divisor(graph, dec, v)[2]]
-
-
 def _graph_report(graph: MarkedDualGraph):
     """``validate(graph)``, memoized per graph."""
     memo = graph.memos["validate"]
@@ -364,9 +362,9 @@ def _graph_report(graph: MarkedDualGraph):
 def _solved_system(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecoration):
     """``solved_rows`` for the exact values of ``dec``: the rows of its
     evaluation system and their solution space (None when inconsistent),
-    memoized per graph by every input the system reads: the levels, the
-    values and the pole half-edges."""
-    key = levels, dec.values, frozenset(h for h, (_, pole) in dec.orders if pole)
+    memoized per graph by every input the system reads: the levels and
+    the values."""
+    key = levels, dec.values
     memo = graph.memos["solved_system"]
     if key not in memo:
         memo[key] = solved_rows(graph, levels, dec.value_of)
@@ -394,12 +392,11 @@ def _sample_point(space: AffineSubspace, avoid_zero: list[str]) -> dict[str, Fra
     raise RuntimeError("could not sample the solution space away from zero loci")
 
 
-def _realize_in_order(graph: MarkedDualGraph, dec: TwrDecoration,
-                      start: AffineSubspace, order: tuple[str, ...]):
+def _realize_in_order(divisors: dict[str, tuple], start: AffineSubspace, order: tuple):
     current = start
     realizations: dict[str, Genus0Realization] = {}
     for v in order:
-        zeros, poles, mults = component_divisor(graph, dec, v)
+        zeros, poles, mults = divisors[v]
         targets: dict[str, Fraction] = {}
         flexible: dict[str, int] = {}
         for site, m in mults.items():
@@ -421,19 +418,19 @@ def _realize_in_order(graph: MarkedDualGraph, dec: TwrDecoration,
     return realizations, current
 
 
-def _attempt_witnesses(graph: MarkedDualGraph, dec: TwrDecoration,
-                       space: AffineSubspace, groups: list[list[str]]):
-    """Exact genus-0 realizations hitting a common solution point.
+def _attempt_witnesses(divisors: dict[str, tuple], space: AffineSubspace,
+                       groups: list[list[str]]):
+    """Exact realizations of genus-0 components, given by their divisors,
+    hitting a common solution point.
 
     Fibers with two or more points on one component are pinned to fresh
     values up front (all constructive strategies accept an arbitrary
     common value); values of fibers spanning several components propagate
     through pinning instead, so the processing order matters and a few
-    vertex orders are tried.
+    vertex orders are tried.  A leg of mu 0 (a zero of multiplicity 0)
+    has no witness.
     """
-    if any(g > 0 for _, g in graph.vertices):
-        return None
-    if any(m == 0 for _, _, m in graph.legs):
+    if any(0 in zeros.values() for zeros, _, _ in divisors.values()):
         return None
     current = space
     pin_val = Fraction(5)
@@ -450,22 +447,22 @@ def _attempt_witnesses(graph: MarkedDualGraph, dec: TwrDecoration,
                 return None
             current = nxt
             pin_val += 3
-    vs = tuple(graph.vertex_ids)
-    for order in itertools.islice(itertools.permutations(vs), 720):
-        result = _realize_in_order(graph, dec, current, order)
+    for order in itertools.islice(itertools.permutations(divisors), 720):
+        result = _realize_in_order(divisors, current, order)
         if result is not None:
             return result
     return None
 
 
-def _component_verdict(graph: MarkedDualGraph, dec: TwrDecoration, v: str,
+def _component_verdict(graph: MarkedDualGraph, v: str, divisor: tuple,
                        groups: list[list[str]], cap: int) -> dict | None:
-    """Oracle verdict of one component, or None when it fails.
+    """Oracle verdict of component v with the given divisor, or None when
+    it fails.
 
     ``exists`` answers are memoized per graph by problem, looked up only
     within the cap, where they do not depend on it (beyond it: None)."""
     try:
-        problem = component_problem(graph, dec, v, groups)
+        problem = component_problem(graph.genus_of[v], divisor, groups)
     except InfeasibleComponent:
         return None
     ok_rh = rh_check(problem)
@@ -508,7 +505,8 @@ class _PatternJudge:
         if inputs not in self.compiled:
             dec = TwrDecoration.build(dict(zip(hids, local)),
                                       {site_key(v, h): Fraction(0) for h in zeros})
-            self.compiled[inputs] = _component_verdict(self.graph, dec, v, groups, self.cap)
+            self.compiled[inputs] = _component_verdict(
+                self.graph, v, component_divisor(self.graph, dec, v), groups, self.cap)
         return self.compiled[inputs]
 
 
@@ -526,10 +524,12 @@ def _decoration_key(graph: MarkedDualGraph, levels: LevelStructure,
 def _certificate(graph: MarkedDualGraph, levels: LevelStructure, dec: TwrDecoration,
                  judge: _PatternJudge) -> ClosureCertificate:
     space = judge.space
-    free = _free_sites(graph, dec)
+    divisors = {v: component_divisor(graph, dec, v) for v in graph.vertex_ids}
+    free = [s for _, _, sites in divisors.values() for s in sites]
     groups = _forced_groups(free, judge.columns)
     comps = {v: judge.verdict(v, dec.order_of) for v in graph.vertex_ids}
-    witness = _attempt_witnesses(graph, dec, space, groups)
+    witness = None if any(g for _, g in graph.vertices) else _attempt_witnesses(
+        divisors, space, groups)
     if witness is not None:
         realizations, pinned = witness
         sample = {s: pinned.particular.get(s, Fraction(0)) for s in space.symbols}
@@ -642,13 +642,13 @@ def verify_certificate(graph: MarkedDualGraph, mu: tuple[int, ...],
         sub = row.substitute(cert.sample)
         if not (sub.is_constant and sub.const == 0):
             reasons.append(f"sample does not satisfy {row.render()}")
-    free = _free_sites(graph, cert.decoration)
+    free = [s for _, _, sites in twr.divisors.values() for s in sites]
     for site in free:
         if cert.sample.get(site, Fraction(1)) == 0:
             reasons.append(f"regular node value vanishes at {site}")
     groups = _forced_groups(free, {s: space.column(s) for s in space.symbols})
-    if any(_component_verdict(graph, cert.decoration, v, groups, hurwitz_cap) is None
-           for v in graph.vertex_ids):
+    if any(_component_verdict(graph, v, divisor, groups, hurwitz_cap) is None
+           for v, divisor in twr.divisors.items()):
         reasons.append("component ramification data infeasible")
     if reasons:
         return {"verdict": "rejected", "reasons": reasons}

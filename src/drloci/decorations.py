@@ -135,9 +135,8 @@ class TwdrDecoration:
 @dataclass
 class DecorationReport:
     violations: list[tuple[str, str, str]] = field(default_factory=list)  # (clause, where, detail)
-    degrees: dict[str, int] = field(default_factory=dict)
     deficits: dict[str, int] = field(default_factory=dict)
-    unmarked_zero_orders: dict[str, int] = field(default_factory=dict)
+    divisors: dict[str, tuple] = field(default_factory=dict)  # vertex -> component_divisor
 
     @property
     def ok(self) -> bool:
@@ -181,15 +180,13 @@ def _vertex_accounting(graph: MarkedDualGraph, dec: TwrDecoration,
                        extra: TwdrDecoration | None = None) -> None:
     zero_vs = dec.zero_vertices(graph)
     for v, g in graph.vertices:
-        zeros, poles, free = component_divisor(graph, dec, v)  # missing orders: reported apart
+        report.divisors[v] = zeros, poles, free = component_divisor(graph, dec, v)
         degree, zeros_known = sum(poles.values()), sum(zeros.values())
         # ord(df) is m - 1 at a point of multiplicity m, and -m - 1 at a pole
         ord_sum = (zeros_known + sum(free.values()) - degree
                    - len(zeros) - len(free) - len(poles))
         if extra is not None:
             ord_sum += sum(o for _, o in extra.extra_at(v))
-        report.degrees[v] = degree
-        report.unmarked_zero_orders[v] = degree - zeros_known
         deficit = 2 * g - 2 - ord_sum
         report.deficits[v] = deficit
         if degree < 1:

@@ -125,12 +125,8 @@ class MarkedDualGraph:
         return len(seen) == len(self.vertices)
 
     @property
-    def first_betti(self) -> int:
-        return len(self.edges) - len(self.vertices) + 1
-
-    @property
-    def total_genus(self) -> int:
-        return sum(g for _, g in self.vertices) + self.first_betti
+    def total_genus(self) -> int:  # the genera plus the first Betti number
+        return sum(g for _, g in self.vertices) + len(self.edges) - len(self.vertices) + 1
 
     def vertex_stable(self, v: str) -> bool:
         return 2 * self.genus_of[v] - 2 + self.valence(v) > 0

@@ -1,9 +1,9 @@
 """Hurwitz existence oracle and exact genus-0 realization.
 
-A component of a decorated graph poses a covering problem: does a curve
-of the given genus carry a degree-d rational function with the
-prescribed fibers over 0, infinity, the forced finite fibers, and simple
-branching elsewhere?  By Riemann existence this is a permutation
+A component poses a covering problem that reads only its genus and its
+divisor: does a curve of that genus carry a degree-d rational function
+with the prescribed fibers over 0, infinity, the forced finite fibers,
+and simple branching elsewhere?  By Riemann existence this is a permutation
 factorization question: permutations of the prescribed cycle types
 multiplying to the identity and generating a transitive group.  The
 oracle fixes the largest class to one representative, lets the product
@@ -26,9 +26,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-
-from .decorations import TwrDecoration, component_divisor
-from .graphs import MarkedDualGraph
 
 INF = "inf"
 
@@ -217,29 +214,28 @@ class InfeasibleComponent(ValueError):
     pass
 
 
-def component_problem(graph: MarkedDualGraph, dec: TwrDecoration, vertex: str,
+def component_problem(genus: int, divisor: tuple[dict[str, int], dict[str, int], dict[str, int]],
                       forced_groups: list[list[str]] | None = None) -> HurwitzProblem:
-    """Hurwitz problem of one component of a decorated graph.
+    """Hurwitz problem of a component from its genus and its divisor, the
+    ``(zeros, poles, free)`` that ``decorations.component_divisor`` reads.
 
     Degree is the total pole order; the fibers over 0 and infinity come
-    from the marked and nodal zero/pole orders, with unmarked zeros of a
+    from the zero and pole multiplicities, with unmarked zeros of a
     component without marked zeros taken simple (the generic and the
     canonical-twist choice).  ``forced_groups`` lists site keys whose
     values are forced to coincide; each group yields one finite-fiber
     profile, as does any ramified free site.  The leftover ramification
     must be a nonnegative number of simple branch points.
     """
-    g = graph.genus_of[vertex]
-    zero_points, pole_points, free_sites = component_divisor(graph, dec, vertex)
+    zero_points, pole_points, free_sites = divisor
     zeros = [m for m in zero_points.values() if m > 0]  # a leg of mu 0 is no zero of f
     d = sum(pole_points.values())
     if d < 1:
-        raise InfeasibleComponent(f"{vertex}: no poles, degree 0")
+        raise InfeasibleComponent("no poles, degree 0")
     unmarked = d - sum(zeros)
     if unmarked < 0:
-        raise InfeasibleComponent(f"{vertex}: zero orders exceed degree {d}")
-    zero_profile = tuple(sorted(zeros + [1] * unmarked, reverse=True))
-    profiles = [zero_profile, tuple(sorted(pole_points.values(), reverse=True))]
+        raise InfeasibleComponent(f"zero orders exceed degree {d}")
+    profiles = [zeros + [1] * unmarked, list(pole_points.values())]  # build sorts them
     grouped: set[str] = set()
     for group in forced_groups or []:
         sites = [s for s in group if s in free_sites]
@@ -248,19 +244,18 @@ def component_problem(graph: MarkedDualGraph, dec: TwrDecoration, vertex: str,
         mults = [free_sites[s] for s in sites]
         grouped.update(sites)
         if sum(mults) > d:
-            raise InfeasibleComponent(f"{vertex}: fiber {sites} exceeds degree")
-        profiles.append(tuple(sorted(mults + [1] * (d - sum(mults)), reverse=True)))
-    for s, m in sorted(free_sites.items()):
+            raise InfeasibleComponent(f"fiber {sites} exceeds degree")
+        profiles.append(mults + [1] * (d - sum(mults)))
+    for s, m in free_sites.items():
         if s not in grouped and m > 1:
-            profiles.append(tuple(sorted([m] + [1] * (d - m), reverse=True)))
+            profiles.append([m] + [1] * (d - m))
     ram = sum(d - len(p) for p in profiles)
-    residual = (2 * d - 2 + 2 * g) - ram
+    residual = (2 * d - 2 + 2 * genus) - ram
     if residual < 0:
-        raise InfeasibleComponent(f"{vertex}: negative residual ramification {residual}")
-    profiles.extend([tuple([2] + [1] * (d - 2))] * residual if d >= 2 else [])
+        raise InfeasibleComponent(f"negative residual ramification {residual}")
     if d < 2 and residual > 0:
-        raise InfeasibleComponent(f"{vertex}: residual ramification at degree 1")
-    return HurwitzProblem.build(d, g, profiles)
+        raise InfeasibleComponent("residual ramification at degree 1")
+    return HurwitzProblem.build(d, genus, profiles + [[2] + [1] * (d - 2)] * residual)
 
 
 @dataclass

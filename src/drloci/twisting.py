@@ -18,6 +18,7 @@ rational bridges, each merged edge keeping the outer order data.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .decorations import (DecorationReport, TwdrDecoration, TwrDecoration,
@@ -95,6 +96,8 @@ def twist(graph: MarkedDualGraph, levels: LevelStructure,
     for v, g in graph.vertices:
         for k in range(report.deficits[v]):
             extra_legs.append((f"c:{v}:{k}", v, 1))
+    # bridges are named tw0, tw1, ... in edge order, skipping the graph's vertex ids
+    bridge_ids = (w for k in itertools.count() if (w := f"tw{k}") not in graph.genus_of)
 
     for e, (a, b) in graph.edges:
         h0, h1 = half_edge_id(e, 0), half_edge_id(e, 1)
@@ -107,7 +110,7 @@ def twist(graph: MarkedDualGraph, levels: LevelStructure,
             site_map[site_key(b, h1)] = site_key(b, h1)
             edge_map[e] = (e, 1)
             continue
-        w = f"tw:{e}"
+        w = next(bridge_ids)
         new_vertices.append((w, 0))
         ea, eb = f"{e}:a", f"{e}:b"
         new_edges.append((ea, (a, w)))

@@ -14,9 +14,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from drloci.closure import (ClosureCertificate, SearchBounds, _attempt_witnesses,
-                            _free_sites, _sample_point)
-from drloci.decorations import TwrDecoration, site_key
+from drloci.closure import ClosureCertificate, SearchBounds, _attempt_witnesses, _sample_point
+from drloci.decorations import TwrDecoration, component_divisor, site_key
 from drloci.graphs import enumerate_level_structures, validate
 from drloci.homology import evaluation_system
 from drloci.hurwitz import (DegreeCapExceeded, InfeasibleComponent, component_problem,
@@ -43,11 +42,11 @@ def plain_forced_groups(free_sites, space):
     return sorted(sorted(g) for g in groups.values())
 
 
-def plain_component_verdicts(graph, dec, groups, cap, decided):
+def plain_component_verdicts(graph, divisors, groups, cap, decided):
     out = {}
-    for v, _ in graph.vertices:
+    for v, g in graph.vertices:
         try:
-            problem = component_problem(graph, dec, v, groups)
+            problem = component_problem(g, divisors[v], groups)
         except InfeasibleComponent:
             return None
         if not rh_check(problem):
@@ -89,12 +88,14 @@ def plain_search(graph, mu=None, bounds=None, decorations=plain_decorations):
             space = solved[pattern]
             if space is None:
                 continue
-            free = _free_sites(graph, dec)
+            divisors = {v: component_divisor(graph, dec, v) for v in graph.vertex_ids}
+            free = [s for _, _, sites in divisors.values() for s in sites]
             groups = plain_forced_groups(free, space)
-            comps = plain_component_verdicts(graph, dec, groups, bounds.hurwitz_cap, decided)
+            comps = plain_component_verdicts(graph, divisors, groups, bounds.hurwitz_cap, decided)
             if comps is None:
                 continue
-            witness = _attempt_witnesses(graph, dec, space, groups)
+            genus0 = all(g == 0 for _, g in graph.vertices)
+            witness = _attempt_witnesses(divisors, space, groups) if genus0 else None
             if witness is not None:
                 realizations, pinned = witness
                 sample = {s: pinned.particular.get(s, Fraction(0)) for s in space.symbols}

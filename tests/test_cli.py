@@ -304,6 +304,51 @@ def test_levels_on_dangling_edge_exits_2(capsys, tmp_path):
     assert "dangling-half-edge" in json.loads(captured.err)["error"]
 
 
+def _with_a_refused_id(graph: dict, dec: dict, breakage: str) -> tuple[dict, dict]:
+    """A graph document (levels inline) and its decoration, with the leg z1
+    named like a half-edge of the graph, or every vertex id prefixed "x:"."""
+    if breakage == "leg-id-is-half-edge-id":
+        hid = f"{graph['edges'][0]['id']}.0"
+        return {**graph, "legs": [{**l, "id": hid if l["id"] == "z1" else l["id"]}
+                                  for l in graph["legs"]]}, dec
+
+    def x(v):
+        return f"x:{v}"
+    graph = {"vertices": [{**v, "id": x(v["id"])} for v in graph["vertices"]],
+             "edges": [{**e, "ends": [x(w) for w in e["ends"]]} for e in graph["edges"]],
+             "legs": [{**l, "vertex": x(l["vertex"])} for l in graph["legs"]],
+             "levels": {x(v): lv for v, lv in graph["levels"].items()}}
+    dec = {**dec, "values": {x(k): val for k, val in dec.get("values", {}).items()},
+           "extra_legs": [{**e, "vertex": x(e["vertex"])} for e in dec.get("extra_legs", [])]}
+    return graph, dec
+
+
+@pytest.mark.parametrize("breakage", ["leg-id-is-half-edge-id", "colon-in-vertex-id"])
+@pytest.mark.parametrize("argv", [["ev", "--all"], ["constraints"], ["twist"], ["stabilize"]],
+                         ids=["ev", "constraints", "twist", "stabilize"])
+def test_graph_that_validate_refuses_exits_2(capsys, tmp_path, argv, breakage):
+    # as for levels and check-closure; stability is left to the decoration
+    # checks, since a twisted graph carries unstable bridges
+    name = "dollar_unmarked_zeros"
+    if argv == ["stabilize"]:
+        tw = twist(load_graph(name), load_levels(name), load_decoration(name)).to_json()
+        graph, dec = {**tw["graph"], "levels": tw["levels"]}, tw["decoration"]
+    else:
+        graph = {**FIXTURES[name]["graph"], "levels": FIXTURES[name]["levels"]}
+        dec = FIXTURES[name]["decoration"]
+    gpath, dpath = tmp_path / "graph.json", tmp_path / "dec.json"
+    for broken in (False, True):
+        if broken:
+            graph, dec = _with_a_refused_id(graph, dec, breakage)
+        gpath.write_text(json.dumps(graph))
+        dpath.write_text(json.dumps(dec))
+        code = main([*argv, "--graph", str(gpath), "--decoration", str(dpath)])
+        captured = capsys.readouterr()
+        assert code == (2 if broken else 0)
+    assert captured.out == ""
+    assert breakage in json.loads(captured.err)["error"]
+
+
 @pytest.mark.parametrize("argv", [["ev", "--all"], ["constraints"], ["twist"], ["stabilize"]],
                          ids=["ev", "constraints", "twist", "stabilize"])
 @pytest.mark.parametrize("breakage", ["missing_pole", "string_orders", "bad_order"])

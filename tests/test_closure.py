@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from drloci.closure import SearchBounds, search, verify_certificate
-from drloci.decorations import TwrDecoration
+from drloci.decorations import TwrDecoration, component_divisor
 from drloci.exact import LinearForm, solve_forms
 from drloci.fixtures import FIXTURES, load_graph
 from drloci.graphs import MarkedDualGraph, validate
@@ -469,9 +469,10 @@ def test_component_verdicts_compiled_once_per_search(monkeypatch):
     calls = []
     compile_component = closure._component_verdict
 
-    def counting(graph, dec, v, groups, cap):
-        calls.append((v, dec.orders, dec.values, tuple(map(tuple, groups)), cap))
-        return compile_component(graph, dec, v, groups, cap)
+    def counting(graph, v, divisor, groups, cap):
+        calls.append((v, *(tuple(sorted(d.items())) for d in divisor),
+                      tuple(map(tuple, groups)), cap))
+        return compile_component(graph, v, divisor, groups, cap)
 
     monkeypatch.setattr(closure, "_component_verdict", counting)
     g = load_graph("partial_order")
@@ -486,31 +487,41 @@ def test_component_verdicts_compiled_once_per_search(monkeypatch):
     assert all(v["verdict"].startswith("accepted") for v in verdicts)
 
 
-def test_a_witness_needs_the_fourth_vertex_order(monkeypatch):
-    # the first vertex order is not always enough: on this genus-0 graph two
-    # certificates have an exact witness only from the order (v1, v2, v0)
-    from drloci import closure
-    g = MarkedDualGraph.build(
+def _genus0_triangle_with_a_double_edge():
+    return MarkedDualGraph.build(
         [("v0", 0), ("v1", 0), ("v2", 0)],
         [("e0", ("v0", "v1")), ("e1", ("v1", "v2")), ("e2", ("v1", "v0")),
          ("e3", ("v2", "v0"))],
         [("l0", "v1", 1), ("l1", "v1", 3), ("l2", "v2", -2), ("l3", "v0", -2)])
-    tried: dict[TwrDecoration, list] = {}
+
+
+def test_a_witness_needs_the_fourth_vertex_order(monkeypatch):
+    # the first vertex order is not always enough: on this genus-0 graph two
+    # certificates have an exact witness only from the order (v1, v2, v0)
+    from drloci import closure
+    g = _genus0_triangle_with_a_double_edge()
+
+    def frozen(divisors):
+        return tuple((v, *(tuple(sorted(d.items())) for d in div)) for v, div in divisors.items())
+
+    tried: dict[tuple, list] = {}
     realize = closure._realize_in_order
 
-    def recording(graph, dec, start, order):
-        result = realize(graph, dec, start, order)
-        tried.setdefault(dec, []).append((order, result is not None))
+    def recording(divisors, start, order):
+        result = realize(divisors, start, order)
+        tried.setdefault(frozen(divisors), []).append((order, result is not None))
         return result
 
     monkeypatch.setattr(closure, "_realize_in_order", recording)
     certs = search(g, g.mu)
     assert len(certs) == 22
+    tries = {c.decoration: tried.get(frozen({v: component_divisor(g, c.decoration, v)
+                                             for v in g.vertex_ids})) for c in certs}
     late = [c for c in certs if c.verdict == "accepted-exact"
-            and tried[c.decoration][0] == (("v0", "v1", "v2"), False)]
+            and tries[c.decoration][0] == (("v0", "v1", "v2"), False)]
     assert len(late) == 2
     for c in late:
-        assert tried[c.decoration] == [(("v0", "v1", "v2"), False), (("v0", "v2", "v1"), False),
+        assert tries[c.decoration] == [(("v0", "v1", "v2"), False), (("v0", "v2", "v1"), False),
                                        (("v1", "v0", "v2"), False), (("v1", "v2", "v0"), True)]
         assert verify_certificate(g, g.mu, c)["verdict"] == "accepted-exact"
         orders = c.decoration.order_of
@@ -518,6 +529,51 @@ def test_a_witness_needs_the_fourth_vertex_order(monkeypatch):
             (0, False), (-2, True), (-3, True), (1, False), (-2, True), (0, False), (0, False)]
         assert orders["e3.1"] in ((0, False), (1, False))
         assert [k for k, v in c.decoration.values if v == 0] == ["v0:e0.0", "v0:e2.1"]
+
+
+def test_each_certificate_reads_each_component_divisor_once(monkeypatch):
+    # a component's problem, free sites and witness read only its divisor:
+    # building a certificate reads it once per vertex, however many vertex
+    # orders the witness search tries, and so does verifying one, through
+    # the validate_twr report
+    import sys
+    from drloci import closure, decorations
+    reads = []
+    read = decorations.component_divisor
+
+    def counting(graph, dec, v):
+        reads.append(v)
+        return read(graph, dec, v)
+
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "drloci"]:
+        if getattr(module, "component_divisor", None) is read:
+            monkeypatch.setattr(module, "component_divisor", counting)
+    built, orders_tried = [], []
+    certificate, realize = closure._certificate, closure._realize_in_order
+
+    def building(*args):
+        before, tries = len(reads), len(orders_tried)
+        cert = certificate(*args)
+        built.append((sorted(reads[before:]), len(orders_tried) - tries))
+        return cert
+
+    def trying(*args):
+        orders_tried.append(args[-1])
+        return realize(*args)
+
+    monkeypatch.setattr(closure, "_certificate", building)
+    monkeypatch.setattr(closure, "_realize_in_order", trying)
+    g = _genus0_triangle_with_a_double_edge()
+    certs = search(g, g.mu)
+    assert len(built) == len(certs) == 22
+    assert max(tries for _, tries in built) == 6  # every order of three vertices
+    assert all(vs == ["v0", "v1", "v2"] for vs, _ in built)
+    for cert in certs:
+        del reads[:]
+        assert verify_certificate(g, g.mu, cert)["verdict"].startswith("accepted")
+        assert sorted(reads) == ["v0", "v1", "v2"]
+    from drloci import hurwitz
+    assert not hasattr(hurwitz, "component_divisor")
 
 
 def _renamed(doc: dict, vertex=lambda v: v, leg=lambda l: l) -> dict:

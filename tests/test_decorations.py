@@ -15,7 +15,8 @@ def test_unmarked_zeros_fixture_is_valid():
     dec = load_decoration("dollar_unmarked_zeros")
     rep = validate_twr(g, lv, dec)
     assert rep.ok
-    assert rep.degrees == {"v1": 3, "v2": 3}
+    assert {v: sum(poles.values()) for v, (_, poles, _) in rep.divisors.items()} == {
+        "v1": 3, "v2": 3}
     assert rep.deficits == {"v1": 2, "v2": 4}
 
 
@@ -24,8 +25,10 @@ def test_degree_balance_readable_from_decoration():
     lv = load_levels("dollar_unmarked_zeros")
     rep = validate_twr(g, lv, load_decoration("dollar_unmarked_zeros"))
     # on the marked-zero component the known zero orders exhaust the degree
-    assert rep.unmarked_zero_orders["v2"] == 0
-    assert rep.unmarked_zero_orders["v1"] == 3
+    unmarked = {v: sum(poles.values()) - sum(zeros.values())
+                for v, (zeros, poles, _) in rep.divisors.items()}
+    assert unmarked["v2"] == 0
+    assert unmarked["v1"] == 3
 
 
 def test_component_divisor_reads_legs_and_node_preimages():

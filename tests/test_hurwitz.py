@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from drloci.decorations import TwrDecoration
+from drloci.decorations import TwrDecoration, component_divisor
 from drloci.fixtures import load_decoration, load_graph
 from drloci.graphs import MarkedDualGraph
 from drloci.hurwitz import (INF, DegreeCapExceeded, HurwitzProblem,
@@ -84,7 +84,7 @@ def test_component_problem_dollar_top_vertex():
     g = load_graph("dollar_unmarked_zeros")
     dec = load_decoration("dollar_unmarked_zeros")
     groups = [["v1:q1.0", "v1:q2.0", "v1:q3.0"]]
-    problem = component_problem(g, dec, "v1", groups)
+    problem = component_problem(g.genus_of["v1"], component_divisor(g, dec, "v1"), groups)
     assert problem == P(3, 0, [(3,), (1, 1, 1), (1, 1, 1), (2, 1), (2, 1)])
     assert exists(problem)
 
@@ -93,7 +93,7 @@ def test_component_problem_power_map():
     for d in (1, 2, 3, 4):
         g = MarkedDualGraph.build([("v", 0)], [], [("z", "v", d), ("p", "v", -d)])
         dec = TwrDecoration.build({})
-        problem = component_problem(g, dec, "v")
+        problem = component_problem(0, component_divisor(g, dec, "v"))
         assert problem.degree == d
         assert exists(problem)
 
@@ -104,7 +104,7 @@ def test_component_problem_degree_mismatch():
         [("z", "v", 3), ("p", "v", -1)])
     dec = TwrDecoration.build({"e.0": (0, False), "e.1": (-2, True)})
     with pytest.raises(InfeasibleComponent):
-        component_problem(g, dec, "v")
+        component_problem(0, component_divisor(g, dec, "v"))
 
 
 def test_negative_residual_reported():
@@ -119,7 +119,7 @@ def test_negative_residual_reported():
         "e3.0": (1, False), "e3.1": (-3, True),
         "e4.0": (1, False), "e4.1": (-3, True)})
     with pytest.raises(InfeasibleComponent):
-        component_problem(g, dec, "v")
+        component_problem(0, component_divisor(g, dec, "v"))
 
 
 def test_realize_genus0_examples():

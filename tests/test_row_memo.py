@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from drloci.closure import _free_sites, _solved_system, search
-from drloci.decorations import TwrDecoration
+from drloci.closure import _solved_system, search
+from drloci.decorations import TwrDecoration, component_divisor
 from drloci.fixtures import FIXTURES, load_decoration, load_graph, load_levels
 from drloci.graphs import validate
 from drloci.homology import evaluation_system
@@ -26,7 +26,7 @@ from test_scale_times import scale_times
 def with_rationals(graph, dec, rng):
     """``dec`` with nonzero rationals on some of its free node sites."""
     values = dict(dec.values)
-    for site in _free_sites(graph, dec):
+    for site in [s for v in graph.vertex_ids for s in component_divisor(graph, dec, v)[2]]:
         if rng.random() < 0.6:
             values[site] = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3))
     return TwrDecoration.build(dec.order_of, values, dec.marked_zero_vertices)

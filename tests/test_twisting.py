@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from drloci.decorations import TwdrDecoration, TwrDecoration, validate_twdr
-from drloci.fixtures import load_decoration, load_graph, load_levels
-from drloci.graphs import LevelStructure, MarkedDualGraph, half_edge_id
+from drloci.decorations import TwdrDecoration, TwrDecoration, validate_twdr, validate_twr
+from drloci.fixtures import FIXTURES, load_decoration, load_graph, load_levels
+from drloci.graphs import LevelStructure, MarkedDualGraph, half_edge_id, validate
 from drloci.partitions import check_extension
 from drloci.twisting import TwistError, check_local_max, stabilize, twist
 from plain_pushforward import pushforward_check
@@ -27,7 +27,7 @@ def test_bridge_at_double_zero_edge():
     lv = LevelStructure.build({"a": 0, "b": -1})
     dec = TwrDecoration.build({"e.0": (0, False), "e.1": (0, False)})
     tw = twist(g, lv, dec)
-    w = "tw:e"
+    w = "tw0"
     assert w in tw.graph.genus_of and tw.graph.genus_of[w] == 0
     ha = tw.decoration.base.order_of[half_edge_id("e:a", 1)]
     hb = tw.decoration.base.order_of[half_edge_id("e:b", 0)]
@@ -43,8 +43,8 @@ def test_bridge_at_mixed_edge_orders():
     tw = twist(g, lv, dec)
     assert tw.decoration.base.order_of[half_edge_id("e:a", 1)] == (-3, True)
     assert tw.decoration.base.order_of[half_edge_id("e:b", 0)] == (0, False)
-    assert len(tw.decoration.extra_at("tw:e")) == 1
-    assert tw.shared_levels["tw:e"] == 2 * lv.of["b"] + 1
+    assert len(tw.decoration.extra_at("tw0")) == 1
+    assert tw.shared_levels["tw0"] == 2 * lv.of["b"] + 1
     assert validate_twdr(tw.graph, tw.levels, tw.decoration).ok
 
 
@@ -52,8 +52,42 @@ def test_twist_identity_when_already_exact():
     g, lv, dec = two_vertex_twr({"e.0": (1, False), "e.1": (-3, True)},
                                 genera=(1, 2))
     tw = twist(g, lv, dec)
-    assert all(not v.startswith("tw:") for v in tw.graph.vertex_ids)
+    assert tw.graph.vertex_ids == g.vertex_ids
     assert [e for e, _ in tw.graph.edges] == ["e"]
+
+
+def test_bridge_ids_are_vertex_ids_without_a_colon():
+    # site keys split at the first colon, so a bridge id holds none; edge ids
+    # may hold one and are not embedded, and an id the graph uses is skipped
+    g = MarkedDualGraph.build([("a", 1), ("tw0", 1)],
+                              [("e:a", ("a", "tw0")), ("ctr:e1", ("a", "tw0"))],
+                              [("z", "a", 2), ("p", "a", -2)])
+    lv = LevelStructure.build({"a": 0, "tw0": -1})
+    dec = TwrDecoration.build({"e:a.0": (1, False), "e:a.1": (-2, True),
+                               "ctr:e1.0": (1, False), "ctr:e1.1": (-2, True)})
+    tw = twist(g, lv, dec)
+    assert tw.graph.vertex_ids == ("a", "tw0", "tw1", "tw2")
+    assert tw.contraction.contracted_vertices == {"tw1": ("bridge", "e:a"),
+                                                  "tw2": ("bridge", "ctr:e1")}
+    assert validate(tw.graph).ok
+    assert stabilize(tw.graph, tw.levels, tw.decoration, tw.shared_levels)[:3] == (g, lv, dec)
+
+
+def test_twist_of_every_fixture_decoration_is_a_valid_graph():
+    bridged = []
+    for name, fx in FIXTURES.items():
+        if "decoration" not in fx:
+            continue
+        g, dec = load_graph(name), load_decoration(name)
+        for key in (k for k in fx if k.startswith("levels")):
+            lv = load_levels(name, key)
+            if not validate_twr(g, lv, dec).ok:  # level_dependence: v5 is unstable
+                continue
+            tw = twist(g, lv, dec)
+            assert validate(tw.graph).ok, (name, key)
+            bridged += [(name, key)] * (len(tw.graph.vertices) > len(g.vertices))
+    assert bridged == [("horizontal_nodes", "levels"), ("partial_order", "levels_1"),
+                       ("partial_order", "levels_2")]
 
 
 def test_twist_rejects_invalid_input():
