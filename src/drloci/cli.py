@@ -265,7 +265,7 @@ def cmd_cover(args) -> int:
     payload = {"command": "cover", "validation": report.to_json()}
     accepted = report.ok
     if args.graph:
-        graph, _ = _load_graph(args.graph)
+        graph, _ = _load_valid_graph(args.graph)
         verdict = closure_via_covers(graph, graph.mu, cover)
         payload["closure"] = verdict
         accepted = verdict["accepted"]

@@ -14,10 +14,11 @@ components of a graph, for twisting and admissible covers alike.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -249,10 +250,11 @@ def stabilize_graph(graph: MarkedDualGraph) -> tuple[MarkedDualGraph, Contractio
     tail's leg moves to its anchor.  Then each legless rational vertex on
     two distinct nodes is contracted, one at a time, merging its nodes
     into one that starts at the outer end of the least edge: a twist pair
-    ``e:a``/``e:b`` becomes ``e``, any other pair ``ctr:<least edge>``.  A
-    rational vertex on a lone self-loop is kept.  The image keeps the
-    source order of vertices and legs; edges follow their first source
-    preimage.
+    ``e:a``/``e:b`` becomes ``e`` (less the ``tw:`` prefixes ``twist`` adds
+    to a name in use, while the shorter name is free), any other pair
+    ``ctr:<least edge>``.  A rational vertex on a lone self-loop is kept.
+    The image keeps the source order of vertices and legs; edges follow
+    their first source preimage.
     """
     vertices = dict(graph.vertices)
     edges = dict(graph.edges)
@@ -285,6 +287,8 @@ def stabilize_graph(graph: MarkedDualGraph) -> tuple[MarkedDualGraph, Contractio
         (f1, t1), (f2, t2) = sorted(at)
         twist_pair = len(f1) > 2 and f1.endswith(":a") and f2 == f1[:-1] + "b"
         new_id = f1[:-2] if twist_pair else f"ctr:{f1}"
+        while twist_pair and new_id.startswith("tw:") and new_id[3:] not in edges:
+            new_id = new_id[3:]
         while new_id in edges:  # the graph already has an edge of that name
             new_id = f"ctr:{new_id}"
         edges[new_id] = (edges.pop(f1)[1 - t1], edges.pop(f2)[1 - t2])
@@ -344,7 +348,7 @@ class LevelStructure:
         return self.of[a] == self.of[b]
 
     def to_json(self) -> dict:
-        return {v: lv for v, lv in self.level}
+        return dict(self.level)
 
     @staticmethod
     def from_json(doc: dict) -> "LevelStructure":
@@ -407,13 +411,13 @@ class _Labeller:
             keys, classes = sig, split
         return ranks, keys, classes
 
-    def key(self, level: tuple[int, ...], edge_data=None, codes: bool = False) -> tuple:
+    def key(self, level: tuple[int, ...], edge_data=None) -> tuple:
         """``canonical_key`` at ``level``, one level per vertex in ``vertex_ids``:
-        (refinement rounds, vertex row, edge row, leg row).  With ``codes``, a
-        key of round 0 has the colour codes in chain order for its vertex row,
-        which sort and compare as the colours do.  Codes belong to this graph,
-        so only keys of one graph compare; one of round >= 1 differs from one
-        of round 0 at position 0 and never compares further."""
+        (refinement rounds, vertex row, edge row, leg row).  Enumeration calls
+        it only for a candidate whose round-0 colour classes are not all
+        singletons, and to break a tie between round-0 candidates with the
+        same colour multiset; there the vertex rows are equal, so the edge and
+        leg rows decide, as they do in the sort of ``canonical_key``."""
         ranks, keys, classes = self.refine(level)
         chain = tuple(sorted(range(self.n), key=keys.__getitem__))
         groups = chain if classes == self.n else tuple(
@@ -423,8 +427,6 @@ class _Labeller:
                                        for (a, b), e in zip(self.ends, self.edge_ids)])
         elif (rows := self.rows.get(groups)) is None:  # without edge data: by the classes alone
             rows = self.rows[groups] = self._rows(groups, [(a, b, (), ()) for a, b in self.ends])
-        if codes and not ranks:
-            return (0, tuple(sorted(keys)), *rows)
         colours = [row[lv] for row, lv in zip(self.colour, level)]
         for rank in ranks:  # one nesting per round
             colours = [(c, tuple([colours[u] for u in sorted(ns, key=rank.__getitem__)]))
@@ -485,11 +487,12 @@ def isomorphic(a: MarkedDualGraph, b: MarkedDualGraph,
 def _automorphism_generators(graph: MarkedDualGraph) -> list[tuple[int, ...]]:
     """Generators of the graph's vertex automorphisms (permutations
     preserving genus, leg mu-labels per vertex and edge multiplicities) as
-    index tuples over ``vertex_ids``: for each vertex i and later vertex j,
-    one automorphism (if any) fixing the vertices before i and sending i
-    to j.  These coset representatives along the chain of pointwise
-    stabilizers generate the group.  Images are searched within the
-    refined colour classes, which every automorphism preserves.
+    index tuples over ``vertex_ids``: for each vertex i, from the last, and
+    each later vertex j not yet in the orbit of i, one automorphism (if
+    any) fixing the vertices before i and sending i to j.  These coset
+    representatives along the chain of pointwise stabilizers generate the
+    group.  Images are searched within the refined colour classes, which
+    every automorphism preserves.
     """
     lab = graph._labeller
     n = lab.n
@@ -512,13 +515,13 @@ def _automorphism_generators(graph: MarkedDualGraph) -> list[tuple[int, ...]]:
         return None
 
     gens = []
-    for i in range(n):
-        fixed = list(range(i))
+    for i in reversed(range(n)):  # gens so far generate the stabilizer of 0..i
+        fixed, orbit = list(range(i)), {i}
         for j in range(i + 1, n):
-            if fits(fixed, j):
-                perm = extend(fixed + [j])
-                if perm is not None:
-                    gens.append(perm)
+            if j not in orbit and fits(fixed, j) and (perm := extend(fixed + [j])) is not None:
+                gens.append(perm)
+                while grown := {p[k] for p in gens for k in orbit} - orbit:
+                    orbit |= grown
     return gens
 
 
@@ -527,20 +530,29 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
                                pole_carrying: bool = False) -> list[LevelStructure]:
     """All normalized level structures up to levelled-graph isomorphism.
 
-    Candidates are the ordered set partitions of the vertex set (top class
-    first), walked in a fixed order as level tuples over ``vertex_ids``,
-    one list filled depth by depth.  Two candidates are isomorphic exactly
-    when a vertex automorphism of the graph maps one onto the other.  So
-    the first candidate reached in each automorphism orbit is kept, its
-    whole orbit is marked covered, and later members of the orbit are
-    skipped; every candidate still counts toward ``cap``.  Each kept tuple
-    is keyed by the graph's labeller (sorting as ``canonical_key`` does),
-    and only kept tuples become ``LevelStructure``s, in key order.
+    The candidates are the ordered set partitions of the vertices (top
+    class first), walked per depth by subset size in ``combinations``
+    order.  A candidate is an integer summing one weight per vertex at its
+    depth: byte i holds the depth of vertex i, and the bits above hold V,
+    the sum of B**(K-1-c) over vertices, c the labeller's code of the
+    vertex colour at its level, K the number of codes and B a power of two
+    above n, so no digit carries.  The candidates below each (remaining
+    set, depth) are memoized, so one costs an addition per level.  Of each
+    automorphism orbit (an isomorphism class) the first reached is kept.
 
-    With ``pole_carrying``, each depth draws from the remaining vertices
-    with a leg of mu < 0 or a neighbour placed higher (a component's df
-    needs a pole): the full list filtered, in its order, as automorphisms
-    preserve the condition; ``cap`` counts only the candidates walked.
+    Ascending sorted codes, the order of round-0 ``canonical_key``s, are
+    descending V.  A candidate whose V digits are all 0 or 1 (a mask test)
+    has singleton round-0 classes, so a round-0 key, which is never built.
+    The others are keyed once; keys of rounds >= 1 sort last, by key.
+    Round-0 candidates sort by descending V, and equal V (equal vertex
+    rows) by key.
+
+    ``pole_carrying`` draws each depth from the remaining vertices with a
+    leg of mu < 0 or a neighbour placed higher (a component's df needs a
+    pole): the full list filtered, in its order.  ``cap`` bounds the
+    candidates walked.  Only when the ordered set partitions into at most
+    ``max_levels`` blocks exceed it is a pole-carrying walk counted,
+    memoized, before any candidate is built.
     """
     if max_levels is not None and max_levels < 1:
         raise ValueError(f"max_levels must be at least 1, got {max_levels}")
@@ -548,21 +560,10 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
     n = len(vs)
     limit = n if max_levels is None else max_levels
     lab = graph._labeller
-    key, poles = lab.key, {i for i, m in lab.legs if m < 0}
-    # a generator exists only with >= 2 vertices, so each getter returns a tuple
-    moves = [operator.itemgetter(*p) for p in _automorphism_generators(graph)]
-    # positions in id order (a repeated id's last, as a dict keeps); the trailing
-    # 0, which zip drops, keeps the getter's result a tuple when n == 1
-    index = {v: i for i, v in enumerate(vs)}
-    ids = sorted(index)
-    in_id_order = operator.itemgetter(*[index[v] for v in ids], 0)
+    poles = {i for i, m in lab.legs if m < 0}
 
-    covered: set[tuple[int, ...]] = set()
-    kept: list[tuple[tuple, tuple[int, ...]]] = []  # an orbit is a class: keys all differ
-    level, count = [0] * n, 0
-
-    def walk(remaining: tuple[int, ...], depth: int):
-        nonlocal count
+    def choices(remaining: tuple[int, ...], depth: int):
+        """(subset placed at ``depth``, rest) pairs below one walk node, in order."""
         size, pool = len(remaining), remaining
         if pole_carrying:  # a vertex here needs a pole leg or a neighbour placed higher
             pool = tuple([i for i in remaining if i in poles
@@ -570,31 +571,82 @@ def enumerate_level_structures(graph: MarkedDualGraph, max_levels: int | None = 
         # at the last allowed depth only the subset of every remaining vertex ends in a leaf
         for r in range(1 if depth + 1 < limit else size, len(pool) + 1):
             for subset in itertools.combinations(pool, r):
-                for i in subset:
-                    level[i] = -depth
-                if r < size:
-                    walk(tuple([i for i in remaining if i not in subset]), depth + 1)
-                    continue
-                count += 1
-                if count > cap:
-                    raise EnumerationCapExceeded(cap)
-                current = tuple(level)
-                if moves:  # a rigid graph's orbits are single tuples
-                    if current in covered:
-                        continue
-                    # earlier orbits are closed, so an image already covered is in this one
-                    covered.add(current)
-                    frontier = [current]
-                    while frontier:
-                        member = frontier.pop()
-                        for move in moves:
-                            image = move(member)
-                            if image not in covered:
-                                covered.add(image)
-                                frontier.append(image)
-                kept.append((key(current, codes=True), current))
+                yield subset, tuple([i for i in remaining if i not in subset])
 
-    if n:
-        walk(tuple(range(n)), 0)
-    kept.sort(key=operator.itemgetter(0))
-    return [LevelStructure(tuple(zip(ids, in_id_order(t)))) for _, t in kept]
+    @cache
+    def count(remaining: tuple[int, ...], depth: int) -> int:  # exact up to cap + 1
+        total = 0
+        for _, rest in choices(remaining, depth):
+            total += count(rest, depth + 1) if rest else 1
+            if total > cap:
+                break
+        return total
+
+    everything = tuple(range(n))  # the walk without pole_carrying: the ordered set partitions
+    partitions = sum((-1) ** i * math.comb(j, i) * (j - i) ** n
+                     for j in range(1, min(n, limit) + 1) for i in range(j + 1))
+    if partitions > cap and (not pole_carrying or count(everything, 0) > cap):
+        raise EnumerationCapExceeded(cap)
+    if min(n, limit) > 256:  # a depth is one byte of a candidate
+        raise ValueError(f"at most 256 levels can be enumerated, got {min(n, limit)}")
+
+    top = max([c for row in lab.code for c in row.values()], default=0)
+    bits, low = n.bit_length(), 8 * n  # a V digit counts at most n vertices
+    weight = [[(1 << bits * (top - row[-d]) + low) + (d << 8 * i) for i, row in enumerate(lab.code)]
+              for d in range(min(n, limit))]
+    multi = sum((1 << bits) - 2 << bits * c for c in range(top + 1)) << low
+    depths = (1 << low) - 1
+
+    @cache
+    def completions(remaining: tuple[int, ...], depth: int) -> list[int]:
+        out, at = [], weight[depth].__getitem__
+        for subset, rest in choices(remaining, depth):
+            w = sum(map(at, subset))
+            out += [w + x for x in completions(rest, depth + 1)] if rest else [w]
+        return out
+
+    def level(x: int) -> tuple[int, ...]:
+        return tuple([-d for d in (x & depths).to_bytes(n, "little")])
+
+    # a generator exists only with >= 2 vertices, so each getter returns a tuple
+    moves = [operator.itemgetter(*p) for p in _automorphism_generators(graph)]
+    covered: set[tuple[int, ...]] = set()
+    round0, later, keys = [], [], {}
+    for x in completions(everything, 0) if n else ():
+        if moves:  # a rigid graph's orbits are single candidates
+            current = tuple((x & depths).to_bytes(n, "little"))
+            if current in covered:
+                continue
+            # earlier orbits are closed, so an image already covered is in this one
+            covered.add(current)
+            frontier = [current]
+            while frontier:
+                member = frontier.pop()
+                for move in moves:
+                    image = move(member)
+                    if image not in covered:
+                        covered.add(image)
+                        frontier.append(image)
+        if x & multi:  # a round-0 class holds two vertices: refine
+            key = lab.key(level(x))
+            if key[0]:
+                later.append((key, x))
+                continue
+            keys[x] = key
+        round0.append(x)
+
+    round0.sort(reverse=True)
+    if len(set(high := [x >> low for x in round0])) < len(high):  # equal V: the key decides
+        runs = (list(run) for _, run in itertools.groupby(round0, lambda x: x >> low))
+        round0 = [x for run in runs for x in (
+            sorted(run, key=lambda x: keys.get(x) or lab.key(level(x))) if len(run) > 1 else run)]
+    later.sort(key=operator.itemgetter(0))
+    # positions in id order (a repeated id's last, as a dict keeps); the trailing
+    # 0, which map drops, keeps the getter's result a tuple when n == 1
+    index = {v: i for i, v in enumerate(vs)}
+    ids = sorted(index)
+    in_id_order = operator.itemgetter(*[index[v] for v in ids], 0)
+    pairs = [[(v, -d) for d in range(n)] for v in ids]  # (id, level) by id position and depth
+    return [LevelStructure(tuple(map(operator.getitem, pairs,
+                                     in_id_order((x & depths).to_bytes(n, "little")))))
+            for x in round0 + [x for _, x in later]]

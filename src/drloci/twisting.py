@@ -98,6 +98,8 @@ def twist(graph: MarkedDualGraph, levels: LevelStructure,
             extra_legs.append((f"c:{v}:{k}", v, 1))
     # bridges are named tw0, tw1, ... in edge order, skipping the graph's vertex ids
     bridge_ids = (w for k in itertools.count() if (w := f"tw{k}") not in graph.genus_of)
+    # bridge edges <e>:a, <e>:b, <e> prefixed "tw:" while an edge (or leg, as a half-edge) has one
+    taken = {*graph.edge_ends, *(l.rsplit(".", 1)[0] for l in graph.leg_info)}
 
     for e, (a, b) in graph.edges:
         h0, h1 = half_edge_id(e, 0), half_edge_id(e, 1)
@@ -112,7 +114,11 @@ def twist(graph: MarkedDualGraph, levels: LevelStructure,
             continue
         w = next(bridge_ids)
         new_vertices.append((w, 0))
-        ea, eb = f"{e}:a", f"{e}:b"
+        stem = e
+        while {f"{stem}:a", f"{stem}:b"} & taken:
+            stem = f"tw:{stem}"
+        ea, eb = f"{stem}:a", f"{stem}:b"
+        taken |= {ea, eb}
         new_edges.append((ea, (a, w)))
         new_edges.append((eb, (w, b)))
         orders[half_edge_id(ea, 0)] = (o0, p0)

@@ -230,6 +230,19 @@ def test_cover_subcommand(capsys, tmp_path):
     assert doc["validation"]["ok"] and doc["closure"]["accepted"]
 
 
+def test_cover_refuses_a_graph_that_validate_refuses(capsys, tmp_path):
+    cpath = tmp_path / "cover.json"
+    cpath.write_text(json.dumps(FIXTURES["cherry"]["cover"]))
+    doc = json.loads(json.dumps(FIXTURES["cherry"]["graph"]))
+    doc["legs"][0]["id"] = "qa.0"  # the id of a half-edge of the graph
+    gpath = tmp_path / "cherry.json"
+    gpath.write_text(json.dumps(doc))
+    code = main(["cover", "--cover", str(cpath), "--graph", str(gpath)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "leg-id-is-half-edge-id" in json.loads(captured.err)["error"]
+
+
 def test_fixtures_check(capsys):
     code, doc = run(capsys, "fixtures", "--check")
     assert code == 0
@@ -460,6 +473,33 @@ def test_levels_max_levels_bounds_depth(capsys, dollar_files):
     gpath, _ = dollar_files
     code, doc = run(capsys, "levels", "--graph", gpath, "--max-levels", "1")
     assert code == 0 and doc["count"] == 1
+
+
+# sha256 of the `levels` output of each bundled graph, without and with --max-levels 2
+LEVELS_SHA256 = {
+    "cherry": ("91fd8daf0483e0073c23d882fb47a50d0df32bc3d539a9488bae02dca00a382c",
+               "76ebd8c9d1c6cd20ff6eb5561f09bbde8522224c9887ceedc28acb72858a46da"),
+    "dollar_cover": ("d9585fd10bf44e58904a0a5855e8e4c428d4427d7cc6780bcd76336c7c6d9016",) * 2,
+    "dollar_matching": ("d9585fd10bf44e58904a0a5855e8e4c428d4427d7cc6780bcd76336c7c6d9016",) * 2,
+    "dollar_unmarked_zeros": ("d9585fd10bf44e58904a0a5855e8e4c428d4427d7cc6780bcd76336c7c6d9016",) * 2,
+    "horizontal_nodes": ("dfe6104e76e5296dcaddacb4622205101c4a68076426d1b9caef08aee6b76593",
+                         "08642dca7542a652ef83f6f112549a75a19e52165ef262fb92f9383c6aca5663"),
+    "level_dependence": ("acc2477a3ba798ce5413654fea3dee0add290fe61163be2a9eda9e6f21014874",
+                         "37dfada9d9505f43ea74609703d6d0800c0935c861b5690406014bc55092b87e"),
+    "partial_order": ("dfe6104e76e5296dcaddacb4622205101c4a68076426d1b9caef08aee6b76593",
+                      "08642dca7542a652ef83f6f112549a75a19e52165ef262fb92f9383c6aca5663"),
+    "theta": ("27127425265422add3b85ed7dbab73016a0c6e6b395ddcebcb6bc74944cd8cf1",) * 2,
+}
+
+
+def test_levels_bytes_are_pinned(capsys, tmp_path):
+    assert sorted(LEVELS_SHA256) == sorted(name for name, fx in FIXTURES.items() if "graph" in fx)
+    for name, pins in LEVELS_SHA256.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(FIXTURES[name]["graph"]))
+        for extra, pin in zip(([], ["--max-levels", "2"]), pins):
+            assert main(["levels", "--graph", str(path), *extra]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pin, name
 
 
 def test_level_cap_counts_the_structures_the_search_walks(capsys, tmp_path):

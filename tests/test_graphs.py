@@ -235,3 +235,18 @@ def test_stabilize_graph_never_merges_onto_an_existing_edge(names, merged):
     assert st.edges == ((kept, ("a", "b")), (merged, ("a", "b")))
     assert st.total_genus == g.total_genus == 3
     assert rec.edge_map[first] == (merged, 1)
+
+
+def test_a_pole_carrying_walk_may_reach_256_levels():
+    # one candidate, the path levelled from its pole leg down; a depth is
+    # one byte of a candidate, so a deeper walk is refused, not wrapped
+    for n in (256, 257):
+        g = MarkedDualGraph.build(
+            [(f"v{i}", 1) for i in range(n)], [(f"e{i}", (f"v{i}", f"v{i + 1}")) for i in range(n - 1)],
+            [("p", "v0", -2), ("z", "v1", 2)])
+        if n == 256:
+            [levels] = enumerate_level_structures(g, pole_carrying=True)
+            assert levels.of == {f"v{i}": -i for i in range(n)}
+        else:
+            with pytest.raises(ValueError):
+                enumerate_level_structures(g, pole_carrying=True)

@@ -5,13 +5,17 @@ enumeration in plain_levels, and against a Burnside count.
 enumeration returns, in the same order: ``search`` walks it, so its order
 decides which certificate is kept per isomorphism class.  Where the plain
 enumeration raises ``TypeError`` (keys of mixed nesting depth), the new
-one is checked against the Burnside count alone.
+one is checked against the Burnside count alone, and everywhere against
+``plain_levels.orbit_walk``, which walks the candidates one tuple at a
+time and keys every orbit representative.
 """
 
+import importlib.util
 import itertools
 import random
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,11 @@ import plain_levels
 from randgen import random_connected_graph
 
 GRAPH_FIXTURES = sorted(name for name, fx in FIXTURES.items() if "graph" in fx)
+
+SCALE_TIMES = Path(__file__).resolve().parents[1] / "scripts" / "scale_times.py"
+_spec = importlib.util.spec_from_file_location("scale_times", SCALE_TIMES)
+scale_times = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scale_times)
 
 
 def ordered_partitions(n: int, limit: int) -> int:
@@ -93,9 +102,25 @@ def assert_same_enumeration(graph, **kwargs):
     return want is not None
 
 
+def assert_same_as_orbit_walk(graph, **kwargs) -> int:
+    """The orbit walk's list, or its cap error; returns the structure count."""
+    try:
+        want = plain_levels.orbit_walk(graph, **kwargs)
+    except EnumerationCapExceeded:
+        with pytest.raises(EnumerationCapExceeded):
+            enumerate_level_structures(graph, **kwargs)
+        return 0
+    assert enumerate_level_structures(graph, **kwargs) == want
+    return len(want)
+
+
 @pytest.mark.parametrize("name", GRAPH_FIXTURES)
 def test_same_structures_on_fixtures(name):
     assert assert_same_enumeration(load_graph(name))
+    for max_levels in (None, 1, 2, 3):
+        for pole in (False, True):
+            assert_same_as_orbit_walk(load_graph(name), max_levels=max_levels,
+                                      pole_carrying=pole)
 
 
 def test_same_structures_on_random_graphs():
@@ -144,8 +169,8 @@ def test_cap_counts_every_candidate(graph):
             assert enumerate_level_structures(graph, cap=cap) == want
 
 
-def test_one_canonical_key_per_structure(monkeypatch):
-    # enumeration keys level tuples with the graph's labeller directly
+def counted_keys(monkeypatch) -> list:
+    """Records the arguments of every ``_Labeller.key`` call from now on."""
     calls = []
     key = graphs._Labeller.key
 
@@ -154,11 +179,27 @@ def test_one_canonical_key_per_structure(monkeypatch):
         return key(self, *args, **kwargs)
 
     monkeypatch.setattr(graphs._Labeller, "key", counting_key)
+    return calls
+
+
+def test_one_canonical_key_per_structure(monkeypatch):
+    # a candidate is keyed only when a round-0 colour class holds two
+    # vertices, or to break a tie of its colour multiset: at most once
+    calls = counted_keys(monkeypatch)
     shapes = [complete(5), load_graph("level_dependence"), load_graph("theta"), star(6)]
-    for graph in shapes + random_graphs(14, 20, 5) + [distinct_colour6(0), distinct_colour6(1)]:
+    shapes += [chain(n, cycle=cycle) for n in (5, 6) for cycle in (True, False)]
+    keyed = 0
+    for graph in shapes + random_graphs(14, 20, 5):
         calls.clear()
         found = enumerate_level_structures(graph)
-        assert len(calls) == len(found)
+        assert len(calls) <= len(found)
+        keyed += len(calls)
+    assert keyed > 1000
+    # every round-0 class of these is a single vertex, and the colours fix the levels
+    for graph in (distinct_colour6(0), distinct_colour6(1)):
+        calls.clear()
+        assert len(enumerate_level_structures(graph)) == 4683
+        assert calls == []
 
 
 def distinct_colour6(seed: int) -> MarkedDualGraph:
@@ -175,19 +216,29 @@ def distinct_colour6(seed: int) -> MarkedDualGraph:
 
 
 def assert_level_keys_order_as_canonical_keys(graph) -> Counter:
-    """Over every normalized level tuple, the keys enumeration sorts by fall
-    in the order of ``canonical_key`` and are equal exactly where it is;
-    returns how many keys of each round count were compared."""
-    tuples = list(level_tuples(len(graph.vertices)))
-    mine = [graph._labeller.key(t, codes=True) for t in tuples]
+    """Over every normalized level tuple, the order enumeration sorts by is
+    that of ``canonical_key``.  With V the sum over vertices of
+    B**(K-1-code), the labeller's code of the vertex colour at its level,
+    for a base B above n: descending V, then the key, orders the round-0
+    keys, which sort before all others; equal V is equal vertex rows; and
+    V digits of 0 or 1 alone mean a round-0 key.  The enumerated structures
+    come in key order.  Returns how many keys of each round count were
+    compared."""
+    lab, n = graph._labeller, len(graph.vertices)
+    tuples = list(level_tuples(n))
     theirs = [canonical_key(graph, LevelStructure.build(dict(zip(graph.vertex_ids, t))))
               for t in tuples]
-    order = sorted(range(len(tuples)), key=mine.__getitem__)
-    assert order == sorted(range(len(tuples)), key=theirs.__getitem__)
-    pairs = list(zip(order, order[1:]))
-    assert [mine[i] == mine[j] for i, j in pairs] == [theirs[i] == theirs[j] for i, j in pairs]
-    assert [k[0] for k in mine] == [k[0] for k in theirs]
-    return Counter(k[0] > 0 for k in mine)
+    top = max(c for row in lab.code for c in row.values())
+    counts = [Counter(row[lv] for row, lv in zip(lab.code, t)) for t in tuples]
+    v = [sum(m * (n + 1) ** (top - c) for c, m in cnt.items()) for cnt in counts]
+    round0 = [i for i, k in enumerate(theirs) if k[0] == 0]
+    assert sorted(round0, key=lambda i: (-v[i], theirs[i])) == sorted(round0, key=theirs.__getitem__)
+    rows = {(v[i], theirs[i][1]) for i in round0}
+    assert len(rows) == len({v for v, _ in rows}) == len({row for _, row in rows})
+    assert all(theirs[i][0] == 0 for i, cnt in enumerate(counts) if max(cnt.values()) == 1)
+    keys = [canonical_key(graph, ls) for ls in enumerate_level_structures(graph)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    return Counter(k[0] > 0 for k in theirs)
 
 
 def test_level_keys_order_as_canonical_keys():
@@ -341,3 +392,51 @@ def test_level_cap_counts_the_pole_carrying_walk():
         enumerate_level_structures(graph, cap=128, pole_carrying=True)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_level_structures(graph)
+
+
+def test_level_cap_is_a_count_not_a_walk(monkeypatch):
+    # the full walk of the genus-1 8-path has 545 835 candidates: over the
+    # cap, which is decided before a single candidate is keyed
+    calls = counted_keys(monkeypatch)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_level_structures(chain(8, 1, legs=[("z", "v0", 2), ("p", "v4", -2)]))
+    assert calls == []
+
+
+@pytest.mark.parametrize("cycle", [True, False], ids=["cycle", "path"])
+@pytest.mark.parametrize("genus", [0, 1])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_same_as_orbit_walk_on_cycles_and_paths(n, genus, cycle):
+    # round-0 keys and keys of rounds >= 1 mix here; the 8-vertex walks are
+    # bounded by max_levels, as the full ones exceed the cap
+    graph = chain(n, genus, cycle)
+    for max_levels in ((None, 2) if n < 8 else (2, 3)):
+        assert assert_same_as_orbit_walk(graph, max_levels=max_levels)
+
+
+@pytest.mark.parametrize("name", scale_times.GRAPHS)
+def test_same_as_orbit_walk_on_scale_graphs(name):
+    graph = scale_times.build(name)
+    assert assert_same_as_orbit_walk(graph, pole_carrying=True)
+    assert_same_as_orbit_walk(graph)
+
+
+def test_same_as_orbit_walk_on_random_graphs():
+    graphs_ = random_graphs(18, 40, 5) + [g for g in random_graphs(19, 60, 6)
+                                         if len(g.vertices) == 6][:8]
+    found = 0
+    for graph in graphs_:
+        for max_levels in (None, 1, 2, 3):
+            for pole in (False, True):
+                found += assert_same_as_orbit_walk(graph, max_levels=max_levels,
+                                                   pole_carrying=pole)
+    assert found > 1000
+
+
+def test_same_as_orbit_walk_on_one_vertex():
+    for legs in ((), [("z", "v0", 2), ("p", "v0", -2)]):
+        graph = chain(1, 1, legs=legs)
+        for max_levels in (None, 1, 2):
+            for pole in (False, True):
+                assert_same_as_orbit_walk(graph, max_levels=max_levels, pole_carrying=pole)
+        assert enumerate_level_structures(graph) == [LevelStructure.build({"v0": 0})]

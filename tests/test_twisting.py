@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -88,6 +90,51 @@ def test_twist_of_every_fixture_decoration_is_a_valid_graph():
             bridged += [(name, key)] * (len(tw.graph.vertices) > len(g.vertices))
     assert bridged == [("horizontal_nodes", "levels"), ("partial_order", "levels_1"),
                        ("partial_order", "levels_2")]
+
+
+# sha256 of the sorted-key JSON of each bundled twist
+TWIST_SHA256 = {
+    ("cherry", "levels_1"): "fda91dda81b17e034ffb9f98800143e2eb31d6541b0a9f8361db762e89702320",
+    ("cherry", "levels_2"): "b1cb91ab2c5f8082357b3a4c169fa24982ef2222bb5227b75a3b3f3cd16d9dff",
+    ("dollar_unmarked_zeros", "levels"):
+        "9f874e0173520fe20e81d817331a01a81a54c1720790603fe50b979b13e18d7f",
+    ("horizontal_nodes", "levels"):
+        "1ece464dcec0f16c1d9d32a2ee806dc3b0b109ad989464e4009e395ce1279c5e",
+    ("partial_order", "levels_1"):
+        "a95f871d0f25ef4e532d0920bb5a59e552b4817806267c810f71771e4486ef65",
+    ("partial_order", "levels_2"):
+        "5c361fa8f93b7d27ef619dfc6be045ea2dc6c68c7b2bf751111e84df2ff5bf5a",
+}
+
+
+def test_twist_bytes_of_every_fixture_decoration_are_pinned():
+    twisted = {}
+    for name, fx in FIXTURES.items():
+        for key in (k for k in fx if k.startswith("levels") and "decoration" in fx):
+            g, lv, dec = load_graph(name), load_levels(name, key), load_decoration(name)
+            if validate_twr(g, lv, dec).ok:
+                text = json.dumps(twist(g, lv, dec).to_json(), sort_keys=True)
+                twisted[name, key] = hashlib.sha256(text.encode()).hexdigest()
+    assert twisted == TWIST_SHA256
+
+
+def test_twist_names_bridge_edges_the_graph_does_not_use():
+    # the bridge of e cannot take e:a, an edge of the graph; a leg named like
+    # a half-edge of a bridge's edge blocks that name too
+    for leg in ("z", "tw:e:a.1"):
+        g = MarkedDualGraph.build([("a", 1), ("b", 1)], [("e", ("a", "b")), ("e:a", ("a", "b"))],
+                                  [(leg, "a", 2), ("p", "a", -2)])
+        lv = LevelStructure.build({"a": 0, "b": -1})
+        dec = TwrDecoration.build({"e.0": (1, False), "e.1": (-2, True),
+                                   "e:a.0": (1, False), "e:a.1": (-3, True)})
+        tw = twist(g, lv, dec)
+        assert validate(tw.graph).ok
+        bridge = {"z": ["tw:e:a", "tw:e:b"], "tw:e:a.1": ["tw:tw:e:a", "tw:tw:e:b"]}[leg]
+        assert [e for e, _ in tw.graph.edges] == [*bridge, "e:a"]
+        # stabilization names the merged edge e again
+        back, back_levels, back_dec, _ = stabilize(tw.graph, tw.levels, tw.decoration,
+                                                   tw.shared_levels)
+        assert back == g and back_levels == lv and back_dec.order_of == dec.order_of
 
 
 def test_twist_rejects_invalid_input():
