@@ -15,8 +15,7 @@ from .decorations import (TwdrDecoration, TwrDecoration, validate_twdr,
                           validate_twr)
 from .graphs import (LevelStructure, MarkedDualGraph,
                      enumerate_level_structures, isomorphic, validate)
-from .homology import (evaluate, evaluation_system, level_filtration,
-                       relative_h1, restrict_to_level)
+from .homology import evaluate, evaluation_system, level_filtration, relative_h1
 from .hurwitz import (HurwitzProblem, component_problem, exists,
                       realize_genus0, rh_check)
 from .partitions import associated_partition, check_extension, ord_df
@@ -31,7 +30,7 @@ __all__ = [
     "check_local_max", "closure_via_covers", "component_problem",
     "enumerate_level_structures", "evaluate", "evaluation_system", "exists",
     "isomorphic", "level_filtration", "ord_df", "realize_genus0",
-    "relative_h1", "restrict_to_level", "rh_check", "search", "stabilize",
+    "relative_h1", "rh_check", "search", "stabilize",
     "twist", "validate", "validate_cover", "validate_twdr", "validate_twr",
     "verify_certificate",
 ]

@@ -74,7 +74,8 @@ def check_fixture(name: str) -> dict:
         dec = load_decoration(name)
         tw = twist(graph, levels, dec)
         conds["twist_levels"] = tw.levels.depth + 1 == exp["twist_levels"]
-        g2, lv2, dec2, _ = stabilize(tw.graph, tw.levels, tw.decoration, tw.shared_levels)
+        g2, lv2, dec2, _ = stabilize(tw.graph, tw.levels, tw.decoration,
+                                     tw.contraction.shared_levels_src)
         conds["round_trip"] = (g2, lv2, dec2) == (graph, levels, dec)
         horiz = sum(1 for e, _ in g2.edges if lv2.is_horizontal(g2, e))
         if "stabilized_horizontal_edges" in exp:

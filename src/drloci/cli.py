@@ -16,7 +16,8 @@ environment variable; an explicit `hurwitz --cap` overrides it.
 hurwitz_cap, level_cap); `--bounds hurwitz_cap=N` overrides the
 environment variable.  Every bound, cap and `levels --max-levels` must
 be a positive integer.  `check-closure` and `cover` read mu from the
-graph's legs.
+graph's legs.  `hurwitz` takes a degree >= 1, a genus >= 0 and profile
+parts >= 1; profiles not summing to the degree are a negative verdict.
 """
 
 from __future__ import annotations
@@ -206,22 +207,28 @@ def cmd_stabilize(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """The argparse type of the integers >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
 def _profile(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
+        return tuple(map(_positive_int, text.split(",")))
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
-            f"malformed profile {text!r}: expected comma-separated integers") from None
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+            f"malformed profile {text!r}: expected comma-separated positive integers") from None
 
 
 class _CountAction(argparse.Action):
@@ -339,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hurwitz", help="Hurwitz existence by a memoized search "
                                        "over permutation factorizations")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--degree", type=_positive_int, required=True)
+    p.add_argument("--genus", type=_int_at_least(0), required=True)
     p.add_argument("--profile", action="append", type=_profile, default=None,
                    help="comma-separated partition of the degree; repeatable")
     p.add_argument("--count", action=_CountAction, type=_positive_int,

@@ -243,16 +243,32 @@ class Contraction:
     moved_legs: dict[str, str]
 
 
+def bridge_source(stem: str) -> str:
+    """The edge that a bridge pair ``<stem>:a``/``<stem>:b`` stands for:
+    ``stem`` less one escape prefix ``tw:``, ``tw2:``, ``tw3:``, ... when it
+    has one, else ``stem``."""
+    head, sep, rest = stem.partition(":")
+    return rest if sep and head.rstrip("0123456789") == "tw" else stem
+
+
+def bridge_stem(e: str, taken: set[str]) -> str:
+    """The stem of the bridge pair ``twist`` inserts on the edge ``e``: the
+    first of ``e``, ``tw:e``, ``tw2:e``, ... that ``bridge_source`` reads
+    back as ``e`` and whose pair names are not ``taken``."""
+    escaped = (f"tw{k if k > 1 else ''}:{e}" for k in itertools.count(1))
+    return next(stem for stem in itertools.chain([e], escaped)
+                if bridge_source(stem) == e and not {f"{stem}:a", f"{stem}:b"} & taken)
+
+
 def stabilize_graph(graph: MarkedDualGraph) -> tuple[MarkedDualGraph, Contraction]:
     """Contract the unstable rational components of ``graph``.
 
     Rational tails (one node, at most one leg) go first, cascading, and a
     tail's leg moves to its anchor.  Then each legless rational vertex on
     two distinct nodes is contracted, one at a time, merging its nodes
-    into one that starts at the outer end of the least edge: a twist pair
-    ``e:a``/``e:b`` becomes ``e`` (less the ``tw:`` prefixes ``twist`` adds
-    to a name in use, while the shorter name is free), any other pair
-    ``ctr:<least edge>``.  A rational vertex on a lone self-loop is kept.
+    into one that starts at the outer end of the least edge: a bridge pair
+    ``<stem>:a``/``<stem>:b`` becomes ``bridge_source(stem)``, any other
+    pair ``ctr:<least edge>``.  A rational vertex on a lone self-loop is kept.
     The image keeps the source order of vertices and legs; edges follow
     their first source preimage.
     """
@@ -286,9 +302,7 @@ def stabilize_graph(graph: MarkedDualGraph) -> tuple[MarkedDualGraph, Contractio
         # the least edge f1 is traversed outer -> mid and carries the image; f2 collapses
         (f1, t1), (f2, t2) = sorted(at)
         twist_pair = len(f1) > 2 and f1.endswith(":a") and f2 == f1[:-1] + "b"
-        new_id = f1[:-2] if twist_pair else f"ctr:{f1}"
-        while twist_pair and new_id.startswith("tw:") and new_id[3:] not in edges:
-            new_id = new_id[3:]
+        new_id = bridge_source(f1[:-2]) if twist_pair else f"ctr:{f1}"
         while new_id in edges:  # the graph already has an edge of that name
             new_id = f"ctr:{new_id}"
         edges[new_id] = (edges.pop(f1)[1 - t1], edges.pop(f2)[1 - t2])

@@ -6,12 +6,15 @@ Relative cycles are integer chains whose boundary lies on the zero
 endpoints; for a 1-complex these chains represent their classes uniquely,
 so lattice membership questions reduce to support checks.
 
-Evaluating a cycle at a level sums, over the edge-ends lying on that
-level, the signed value of the function at the corresponding node
-preimage.  This is the per-vertex-segment reading of "evaluate at the
-endpoints of the restriction": a segment crossing a horizontal node picks
-up the two one-sided values, and the upper halves of descending edges end
-at the cut points q_e^+.  Each node preimage is the unknown named by its
+Evaluating a cycle at a level (``evaluate``) sums, over the edge-ends
+lying on that level, the signed value of the function at the
+corresponding node preimage: +c at the side-0 end and -c at the side-1
+end of an edge the cycle crosses with coefficient c.  This is the
+per-vertex-segment reading of "evaluate at the endpoints of the
+restriction", done without building the restriction: a segment crossing
+a horizontal node picks up the two one-sided values, the upper halves of
+descending edges end at the cut points q_e^+, and zero legs end where
+the function vanishes.  Each node preimage is the unknown named by its
 site key, and a decoration's exact or symbolic values are substituted
 into that form, so a system of evaluations is a rational linear system.
 
@@ -25,7 +28,7 @@ too, but other ones, so with it the evaluation rows, and the bytes of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .decorations import TwrDecoration, site_key
@@ -118,61 +121,16 @@ def level_filtration(graph: MarkedDualGraph, levels: LevelStructure) -> LevelFil
     return LevelFiltration(levels.attained(), gen)
 
 
-@dataclass(frozen=True)
-class LevelChain:
-    """Restriction of a chain to a level slice.
-
-    ``edges``: horizontal cells at the level, with their chain coefficient.
-    ``half``: upper halves of descending edges; the stored coefficient is
-    signed so that the cell's evaluation is coeff * f(q_e^+).
-    ``legs``: zero legs at the level (evaluation 0 at marked zeros).
-    """
-
-    level: int
-    edges: tuple[tuple[str, int], ...]
-    half: tuple[tuple[str, int], ...]  # half-edge id of q_e^+, signed coeff
-    legs: tuple[tuple[str, int], ...]
-
-
-def restrict_to_level(chain: Chain, graph: MarkedDualGraph,
-                      levels: LevelStructure, i: int) -> LevelChain:
-    """Cut the chain down to the level-i slice.
-
-    Requires support on the down-set of i.  Horizontal cells survive
-    whole; an edge descending from level i contributes its upper half up
-    to the cut point, with sign +coeff when the chain traverses the edge
-    out of the upper vertex (tail side) and -coeff into it (head side).
-    """
-    top = chain_support_top_level(chain, graph, levels)
-    if top is not None and top > i:
-        raise ValueError(f"chain has top level {top}, not supported on levels <= {i}")
-    edges: dict[str, int] = {}
-    half: dict[str, int] = {}
-    legs: dict[str, int] = {}
-    for (kind, cid), c in chain.items():
-        if c == 0:
-            continue
-        if kind == "leg":
-            if levels.of[graph.leg_info[cid][0]] == i:
-                legs[cid] = c
-            continue
-        a, b = graph.edge_ends[cid]
-        la, lb = levels.of[a], levels.of[b]
-        if la == i and lb == i:
-            edges[cid] = c
-        elif la == i and lb < i:
-            half[half_edge_id(cid, 0)] = half.get(half_edge_id(cid, 0), 0) + c
-        elif lb == i and la < i:
-            half[half_edge_id(cid, 1)] = half.get(half_edge_id(cid, 1), 0) - c
-    return LevelChain(i, tuple(sorted(edges.items())), tuple(sorted(half.items())),
-                      tuple(sorted(legs.items())))
-
-
-def evaluate(level_chain: LevelChain, graph: MarkedDualGraph,
-             dec: TwrDecoration | None) -> LinearForm:
+def evaluate(chain: Chain, graph: MarkedDualGraph, levels: LevelStructure,
+             level: int, dec: TwrDecoration | None = None) -> LinearForm:
     """Signed sum of function values at the segment endpoints of the
-    restricted chain: per horizontal cell f(tail side) - f(head side),
-    per cut half coeff * f(q_e^+); legs contribute f = 0.
+    chain's slice at ``level``.  The chain must be supported on the
+    down-set of ``level`` (else ``ValueError``), so an edge cell with
+    coefficient c adds +c at the site of its side 0 and -c at the site of
+    its side 1, each only when that side's vertex sits on ``level``: a
+    horizontal edge gives f(tail side) - f(head side), an edge descending
+    from the level its upper half up to the cut point q_e^+.  Legs end at
+    marked zeros, where f = 0.
 
     Each node preimage is the unknown named by its site key; ``dec``'s
     values are then substituted, a rational as a constant and "?name" as
@@ -180,11 +138,16 @@ def evaluate(level_chain: LevelChain, graph: MarkedDualGraph,
     ``constraints`` reject a decoration with a pole on an evaluated site
     (the level-compatibility clause of ``validate_twr``).
     """
+    top = chain_support_top_level(chain, graph, levels)
+    if top is not None and top > level:
+        raise ValueError(f"chain has top level {top}, not supported on levels <= {level}")
     coeffs: dict[str, Fraction] = {}
-    ends = [(half_edge_id(e, s), -c if s else c) for e, c in level_chain.edges for s in (0, 1)]
-    for h, c in ends + list(level_chain.half):
-        key = site_key(graph.half_edge_vertex(h), h)
-        coeffs[key] = coeffs.get(key, 0) + Fraction(c)
+    for (kind, cid), c in chain.items():
+        if kind == "edge":
+            for side, v in enumerate(graph.edge_ends[cid]):
+                if levels.of[v] == level:
+                    key = site_key(v, half_edge_id(cid, side))
+                    coeffs[key] = coeffs.get(key, 0) + Fraction(-c if side else c)
     form = LinearForm.build(coeffs)
     return form if dec is None else form.substitute(
         {k: v.lstrip("?") if isinstance(v, str) else v for k, v in dec.values})
@@ -212,9 +175,7 @@ class LevelBlock:
 class EvaluationSystem:
     """Per-level evaluation forms over the unknown node values."""
 
-    graph: MarkedDualGraph
-    levels: LevelStructure
-    blocks: list[LevelBlock] = field(default_factory=list)
+    blocks: list[LevelBlock]
 
     def block(self, level: int) -> LevelBlock:
         for b in self.blocks:
@@ -256,10 +217,8 @@ def evaluation_system(graph: MarkedDualGraph, levels: LevelStructure,
     blocks = []
     for i in filt.levels:
         gens = filt.generators[i]
-        rows = [evaluate(restrict_to_level(g, graph, levels, i), graph, dec)
-                for g in gens]
-        blocks.append(LevelBlock(i, gens, rows))
-    return EvaluationSystem(graph, levels, blocks)
+        blocks.append(LevelBlock(i, gens, [evaluate(g, graph, levels, i, dec) for g in gens]))
+    return EvaluationSystem(blocks)
 
 
 def level_rows(graph: MarkedDualGraph, levels: LevelStructure) -> list[LinearForm]:

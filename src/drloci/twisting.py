@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 from .decorations import (DecorationReport, TwdrDecoration, TwrDecoration,
                           site_key, validate_twdr, validate_twr)
-from .graphs import LevelStructure, MarkedDualGraph, half_edge_id, stabilize_graph
+from .graphs import (LevelStructure, MarkedDualGraph, bridge_stem, half_edge_id,
+                     stabilize_graph)
 
 
 class TwistError(ValueError):
@@ -59,7 +60,6 @@ class TwistResult:
     levels: LevelStructure
     decoration: TwdrDecoration
     contraction: ContractionMap
-    shared_levels: dict[str, int]
     extended_partition: tuple[int, ...]
 
     def to_json(self) -> dict:
@@ -78,7 +78,9 @@ def twist(graph: MarkedDualGraph, levels: LevelStructure,
 
     Implements the one construction recipe: simple extra-critical legs
     close every vertex deficit, a bridge is inserted exactly at the edges
-    with order sum > -2, and bridge levels follow the pole-side rule.
+    with order sum > -2, and bridge levels follow the pole-side rule.  The
+    twist is checked by ``stabilize``, which must give back the input
+    exactly, and its contraction record is the one ``stabilize`` returns.
     """
     report = validate_twr(graph, levels, dec)
     if not report.ok:
@@ -89,16 +91,14 @@ def twist(graph: MarkedDualGraph, levels: LevelStructure,
     new_vertices: list[tuple[str, int]] = list(graph.vertices)
     orders: dict[str, tuple[int, bool]] = {}
     extra_legs: list[tuple[str, str, int]] = []
-    site_map: dict[str, str] = {}
-    contracted: dict[str, tuple[str, str]] = {}
-    edge_map: dict[str, tuple[str, int] | None] = {}
+    rename: dict[str, str] = {}  # the end sites of a bridged edge move onto its bridge
 
     for v, g in graph.vertices:
         for k in range(report.deficits[v]):
             extra_legs.append((f"c:{v}:{k}", v, 1))
     # bridges are named tw0, tw1, ... in edge order, skipping the graph's vertex ids
     bridge_ids = (w for k in itertools.count() if (w := f"tw{k}") not in graph.genus_of)
-    # bridge edges <e>:a, <e>:b, <e> prefixed "tw:" while an edge (or leg, as a half-edge) has one
+    # bridge edges <stem>:a, <stem>:b avoid the edges and the legs read as half-edges
     taken = {*graph.edge_ends, *(l.rsplit(".", 1)[0] for l in graph.leg_info)}
 
     for e, (a, b) in graph.edges:
@@ -108,15 +108,10 @@ def twist(graph: MarkedDualGraph, levels: LevelStructure,
             new_edges.append((e, (a, b)))
             orders[h0] = (o0, p0)
             orders[h1] = (o1, p1)
-            site_map[site_key(a, h0)] = site_key(a, h0)
-            site_map[site_key(b, h1)] = site_key(b, h1)
-            edge_map[e] = (e, 1)
             continue
         w = next(bridge_ids)
         new_vertices.append((w, 0))
-        stem = e
-        while {f"{stem}:a", f"{stem}:b"} & taken:
-            stem = f"tw:{stem}"
+        stem = bridge_stem(e, taken)
         ea, eb = f"{stem}:a", f"{stem}:b"
         taken |= {ea, eb}
         new_edges.append((ea, (a, w)))
@@ -135,33 +130,21 @@ def twist(graph: MarkedDualGraph, levels: LevelStructure,
             shared[w] = 2 * lv_b + 1
         else:
             shared[w] = 2 * min(lv_a, lv_b) - 1
-        site_map[site_key(a, half_edge_id(ea, 0))] = site_key(a, h0)
-        site_map[site_key(b, half_edge_id(eb, 1))] = site_key(b, h1)
-        contracted[w] = ("bridge", e)
-        edge_map[ea] = (e, 1)
-        edge_map[eb] = ("", 0)
+        rename[site_key(a, h0)] = site_key(a, half_edge_id(ea, 0))
+        rename[site_key(b, h1)] = site_key(b, half_edge_id(eb, 1))
 
-    rename_to_new = {old: new for new, old in site_map.items()}
-    values = {rename_to_new.get(k, k): v for k, v in dec.value_of.items()}
+    values = {rename.get(k, k): v for k, v in dec.value_of.items()}
 
     new_graph = MarkedDualGraph.build(new_vertices, new_edges, graph.legs)
-    new_levels = LevelStructure.normalize({v: shared[v] for v, _ in new_vertices})
+    new_levels = LevelStructure.normalize(shared)
     base = TwrDecoration.build(orders, values, dec.marked_zero_vertices)
     twdr = TwdrDecoration.build(base, extra_legs)
-    contraction = ContractionMap(
-        contracted_vertices=contracted,
-        edge_map=edge_map,
-        site_map=site_map,
-        shared_levels_src={v: shared[v] for v, _ in new_vertices},
-        shared_levels_dst={v: shared[v] for v in graph.vertex_ids},
-    )
+    back_graph, back_levels, back_dec, contraction = stabilize(
+        new_graph, new_levels, twdr, shared)
+    if (back_graph, back_levels, back_dec) != (graph, levels, dec):
+        raise TwistError("the stabilization of the twist is not its input")
     mu_hat = tuple(m - 1 for m in graph.mu) + tuple(sorted(o for _, _, o in extra_legs))
-    result = TwistResult(new_graph, new_levels, twdr, contraction,
-                         {v: shared[v] for v, _ in new_vertices}, mu_hat)
-    check = validate_twdr(new_graph, new_levels, twdr)
-    if not check.ok:
-        raise TwistError(f"twist produced an invalid decoration: {check.violations}")
-    return result
+    return TwistResult(new_graph, new_levels, twdr, contraction, mu_hat)
 
 
 def check_local_max(graph: MarkedDualGraph, levels: LevelStructure,

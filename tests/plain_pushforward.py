@@ -16,8 +16,7 @@ from fractions import Fraction
 from drloci.decorations import TwdrDecoration, TwrDecoration
 from drloci.exact import LinearForm, solve_forms
 from drloci.graphs import LevelStructure, MarkedDualGraph
-from drloci.homology import (Chain, chain_support_top_level, evaluate,
-                             level_filtration, restrict_to_level)
+from drloci.homology import Chain, chain_support_top_level, evaluate, level_filtration
 from drloci.twisting import ContractionMap
 
 from plain_exact import same_space
@@ -98,11 +97,9 @@ def pushforward_check(src_graph: MarkedDualGraph, src_levels_shared: dict[str, i
                 inclusion_ok = False
                 details.append(f"pushforward raised top level at shared level {j}")
                 continue
-            lhs = evaluate(restrict_to_level(gamma, src_graph, src_ls, j),
-                           src_graph, src_dec.base)
+            lhs = evaluate(gamma, src_graph, src_ls, j, src_dec.base)
             lhs_t = _translate_form(lhs, rename)
-            rhs = evaluate(restrict_to_level(pushed, dst_graph, dst_ls, j),
-                           dst_graph, dst_dec) if pushed else LinearForm()
+            rhs = evaluate(pushed, dst_graph, dst_ls, j, dst_dec) if pushed else LinearForm()
             src_rows.append(lhs)
             dst_rows.append(rhs)
             if lhs_t is None:

@@ -19,7 +19,7 @@ from drloci.exact import LinearForm, solve_forms
 from drloci.fixtures import load_cover, load_decoration, load_graph, load_levels
 from drloci.graphs import LevelStructure, enumerate_level_structures, isomorphic
 from drloci.homology import default_zero_legs, evaluate, evaluation_system, \
-    level_filtration, relative_h1, restrict_to_level
+    level_filtration, relative_h1
 from drloci.hurwitz import HurwitzProblem, exists, rh_check
 from drloci.twisting import stabilize, twist
 from plain_exact import same_space
@@ -122,7 +122,8 @@ def test_criterion_3_horizontal_nodes_example():
     # stabilization data of a three-level fully marked model
     tw = twist(g, lv, dec)
     assert tw.levels.depth + 1 == 3
-    g2, lv2, dec2, _ = stabilize(tw.graph, tw.levels, tw.decoration, tw.shared_levels)
+    g2, lv2, dec2, _ = stabilize(tw.graph, tw.levels, tw.decoration,
+                                 tw.contraction.shared_levels_src)
     horiz = [e for e, _ in g2.edges if lv2.is_horizontal(g2, e)]
     assert horiz == ["q3"] and lv2.depth + 1 == 2
     print(PASS.format(3, "forced divisor identity, horizontal matching, and 2-level stabilization"))
@@ -170,7 +171,7 @@ def test_criterion_5_round_trip_500_random_twrs():
         from drloci.decorations import validate_twdr
         assert validate_twdr(tw.graph, tw.levels, tw.decoration).ok
         g2, lv2, dec2, cm = stabilize(tw.graph, tw.levels, tw.decoration,
-                                      tw.shared_levels)
+                                      tw.contraction.shared_levels_src)
         assert (g2, lv2, dec2) == (graph, levels, dec)
         pf = pushforward_check(tw.graph, cm.shared_levels_src, tw.decoration,
                                g2, cm.shared_levels_dst, dec2, cm)
@@ -196,8 +197,8 @@ def test_criterion_6_well_definedness_and_rank_formula():
                     moved = dict(gamma)
                     for cell, x in c.items():
                         moved[cell] = moved.get(cell, 0) + 2 * x
-                    lhs = evaluate(restrict_to_level(gamma, g, lv, i), g, None)
-                    rhs = evaluate(restrict_to_level(moved, g, lv, i), g, None)
+                    lhs = evaluate(gamma, g, lv, i)
+                    rhs = evaluate(moved, g, lv, i)
                     assert lhs == rhs
                     reroutes += 1
         graphs += 1

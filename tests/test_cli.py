@@ -124,6 +124,28 @@ def test_hurwitz_malformed_profile_or_count_exit_2(capsys, extra):
     assert json.loads(captured.err)["version"] == 1
 
 
+@pytest.mark.parametrize("problem", [
+    "--degree 0 --genus 0 --profile 1",
+    "--degree -2 --genus 0 --profile 1",
+    "--degree 3 --genus -1 --profile 3 --profile 3",
+    "--degree 3 --genus 0 --profile 0,3 --profile 3",
+    "--degree 3 --genus 0 --profile 4,-1 --profile 3",
+])
+def test_hurwitz_malformed_problem_exits_2(capsys, problem):
+    # each once printed rh: false, exists: false and exited 1, a negative verdict
+    with pytest.raises(SystemExit) as exc:
+        main(["hurwitz", *problem.split()])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["version"] == 1
+
+
+def test_hurwitz_profile_summing_to_another_degree_is_a_verdict(capsys):
+    code, doc = run(capsys, "hurwitz", "--degree", "4", "--genus", "0",
+                    "--profile", "2,1", "--profile", "2,2")
+    assert code == 1 and doc["rh"] is False and doc["exists"] is False
+
+
 def test_hurwitz_cap_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "2")
     argv = ["hurwitz", "--degree", "3", "--genus", "0", "--profile", "3", "--profile", "3"]

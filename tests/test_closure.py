@@ -163,7 +163,7 @@ def test_certificates_twist_with_equivalent_systems():
         for cert in search(g, g.mu):
             tw = twist(g, cert.levels, cert.decoration)
             g2, lv2, dec2, cm = stabilize(tw.graph, tw.levels, tw.decoration,
-                                          tw.shared_levels)
+                                          tw.contraction.shared_levels_src)
             assert (g2, lv2, dec2) == (g, cert.levels, cert.decoration)
             pf = pushforward_check(tw.graph, cm.shared_levels_src, tw.decoration,
                                    g2, cm.shared_levels_dst, dec2, cm)

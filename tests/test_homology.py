@@ -8,7 +8,7 @@ from drloci.fixtures import FIXTURES, fixture_names, load_decoration, load_graph
 from drloci.graphs import LevelStructure, MarkedDualGraph, enumerate_level_structures
 from drloci.homology import (chain_support_top_level, default_zero_legs,
                              evaluate, evaluation_system, level_filtration,
-                             relative_h1, restrict_to_level)
+                             relative_h1)
 from randgen import random_connected_graph, random_levels
 
 
@@ -86,10 +86,9 @@ def test_restrict_dollar_loop():
     g = dollar()
     lv = load_levels("dollar_unmarked_zeros")
     chain = {("edge", "q1"): 1, ("edge", "q2"): -1}
-    res = restrict_to_level(chain, g, lv, 0)
-    assert res.edges == ()
-    assert dict(res.half) == {"q1.0": 1, "q2.0": -1}
-    form = evaluate(res, g, load_decoration("dollar_unmarked_zeros"))
+    # no horizontal cell: the two upper halves, cut at q1+ and q2+
+    assert evaluate(chain, g, lv, 0).coeff_map() == {"v1:q1.0": 1, "v1:q2.0": -1}
+    form = evaluate(chain, g, lv, 0, load_decoration("dollar_unmarked_zeros"))
     assert form.coeff_map() == {"v1:q1.0": 1, "v1:q2.0": -1}
 
 
@@ -97,7 +96,7 @@ def test_restrict_rejects_unsupported_chain():
     g = dollar()
     lv = load_levels("dollar_unmarked_zeros")
     with pytest.raises(ValueError):
-        restrict_to_level({("edge", "q1"): 1, ("edge", "q2"): -1}, g, lv, -1)
+        evaluate({("edge", "q1"): 1, ("edge", "q2"): -1}, g, lv, -1)
 
 
 def test_restrict_cycle_below_level_is_empty():
@@ -105,17 +104,14 @@ def test_restrict_cycle_below_level_is_empty():
     lv = LevelStructure.from_json({"v1": 0, "v2": -1, "v3": -1, "v4": -2, "v5": -2})
     square = {("edge", "q3"): 1, ("edge", "q4"): -1,
               ("edge", "q6"): 1, ("edge", "q5"): -1}
-    res = restrict_to_level(square, g, lv, 0)
-    assert not res.edges and not res.half and not res.legs
-    assert evaluate(res, g, None).is_zero
+    assert evaluate(square, g, lv, 0).is_zero
 
 
 def test_zero_to_zero_path_evaluates_to_zero():
     g = dollar()
     lv = load_levels("dollar_unmarked_zeros")
     chain = {("leg", "z1"): 1, ("leg", "z2"): -1}
-    res = restrict_to_level(chain, g, lv, -1)
-    assert evaluate(res, g, load_decoration("dollar_unmarked_zeros")).is_zero
+    assert evaluate(chain, g, lv, -1, load_decoration("dollar_unmarked_zeros")).is_zero
 
 
 def test_horizontal_crossing_two_sided_values():
@@ -123,7 +119,7 @@ def test_horizontal_crossing_two_sided_values():
     lv = load_levels("horizontal_nodes")
     dec = load_decoration("horizontal_nodes")
     chain = {("leg", "z2"): -1, ("edge", "q3"): 1, ("leg", "z3"): 1}
-    form = evaluate(restrict_to_level(chain, g, lv, -1), g, dec)
+    form = evaluate(chain, g, lv, -1, dec)
     assert form.coeff_map() == {"v2:q3.0": 1, "v3:q3.1": -1}
 
 
@@ -147,7 +143,7 @@ def test_ev_vanishes_on_lower_filtration():
         for i in filt.levels:
             below = [c for c in filt.generators.get(i - 1, [])]
             for c in below:
-                form = evaluate(restrict_to_level(c, g, lv, i), g, None)
+                form = evaluate(c, g, lv, i)
                 assert form.is_zero
 
 
@@ -171,8 +167,8 @@ def test_well_definedness_under_lower_rerouting():
             moved = dict(gamma)
             for cell, x in c.items():
                 moved[cell] = moved.get(cell, 0) + k * x
-            lhs = evaluate(restrict_to_level(gamma, g, lv, i), g, None)
-            rhs = evaluate(restrict_to_level(moved, g, lv, i), g, None)
+            lhs = evaluate(gamma, g, lv, i)
+            rhs = evaluate(moved, g, lv, i)
             assert lhs == rhs
             checked += 1
     assert checked > 100
@@ -218,7 +214,7 @@ def test_mu_zero_legs_join_relative_homology():
     assert len(relative_h1(g)) == 2
     chain = {("leg", "z"): 1, ("leg", "x"): -1}
     lv = LevelStructure.build({"v": 0})
-    form = evaluate(restrict_to_level(chain, g, lv, 0), g, None)
+    form = evaluate(chain, g, lv, 0)
     assert form.is_zero  # both endpoints carry the value 0 by convention
 
 

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from drloci.decorations import TwdrDecoration, TwrDecoration, validate_twdr, validate_twr
+from drloci.decorations import (TwdrDecoration, TwrDecoration, site_key, validate_twdr,
+                                validate_twr)
 from drloci.fixtures import FIXTURES, load_decoration, load_graph, load_levels
-from drloci.graphs import LevelStructure, MarkedDualGraph, half_edge_id, validate
+from drloci.graphs import (LevelStructure, MarkedDualGraph, half_edge_id, split_half_edge,
+                           validate)
 from drloci.partitions import check_extension
 from drloci.twisting import TwistError, check_local_max, stabilize, twist
 from plain_pushforward import pushforward_check
@@ -35,7 +37,7 @@ def test_bridge_at_double_zero_edge():
     hb = tw.decoration.base.order_of[half_edge_id("e:b", 0)]
     assert ha == (-2, True) and hb == (-2, True)
     assert len(tw.decoration.extra_at(w)) == 2
-    assert tw.shared_levels[w] == 2 * lv.of["b"] - 1
+    assert tw.contraction.shared_levels_src[w] == 2 * lv.of["b"] - 1
 
 
 def test_bridge_at_mixed_edge_orders():
@@ -46,7 +48,7 @@ def test_bridge_at_mixed_edge_orders():
     assert tw.decoration.base.order_of[half_edge_id("e:a", 1)] == (-3, True)
     assert tw.decoration.base.order_of[half_edge_id("e:b", 0)] == (0, False)
     assert len(tw.decoration.extra_at("tw0")) == 1
-    assert tw.shared_levels["tw0"] == 2 * lv.of["b"] + 1
+    assert tw.contraction.shared_levels_src["tw0"] == 2 * lv.of["b"] + 1
     assert validate_twdr(tw.graph, tw.levels, tw.decoration).ok
 
 
@@ -72,7 +74,8 @@ def test_bridge_ids_are_vertex_ids_without_a_colon():
     assert tw.contraction.contracted_vertices == {"tw1": ("bridge", "e:a"),
                                                   "tw2": ("bridge", "ctr:e1")}
     assert validate(tw.graph).ok
-    assert stabilize(tw.graph, tw.levels, tw.decoration, tw.shared_levels)[:3] == (g, lv, dec)
+    assert stabilize(tw.graph, tw.levels, tw.decoration,
+                     tw.contraction.shared_levels_src)[:3] == (g, lv, dec)
 
 
 def test_twist_of_every_fixture_decoration_is_a_valid_graph():
@@ -129,12 +132,70 @@ def test_twist_names_bridge_edges_the_graph_does_not_use():
                                    "e:a.0": (1, False), "e:a.1": (-3, True)})
         tw = twist(g, lv, dec)
         assert validate(tw.graph).ok
-        bridge = {"z": ["tw:e:a", "tw:e:b"], "tw:e:a.1": ["tw:tw:e:a", "tw:tw:e:b"]}[leg]
+        bridge = {"z": ["tw:e:a", "tw:e:b"], "tw:e:a.1": ["tw2:e:a", "tw2:e:b"]}[leg]
         assert [e for e, _ in tw.graph.edges] == [*bridge, "e:a"]
         # stabilization names the merged edge e again
         back, back_levels, back_dec, _ = stabilize(tw.graph, tw.levels, tw.decoration,
-                                                   tw.shared_levels)
+                                                   tw.contraction.shared_levels_src)
         assert back == g and back_levels == lv and back_dec.order_of == dec.order_of
+
+
+def test_twist_of_an_edge_named_like_an_escaped_bridge_round_trips():
+    # tw:x once became the bridge pair tw:x:a/tw:x:b, which stabilization
+    # read back as the edge x
+    g = MarkedDualGraph.build([("a", 1), ("b", 1)], [("tw:x", ("a", "b"))],
+                              [("z", "a", 2), ("p", "a", -2)])
+    lv = LevelStructure.build({"a": 0, "b": -1})
+    dec = TwrDecoration.build({"tw:x.0": (1, False), "tw:x.1": (-2, True)})
+    tw = twist(g, lv, dec)
+    assert [e for e, _ in tw.graph.edges] == ["tw:tw:x:a", "tw:tw:x:b"]
+    assert tw.contraction.contracted_vertices == {"tw0": ("bridge", "tw:x")}
+    assert tw.contraction.edge_map == {"tw:tw:x:a": ("tw:x", 1), "tw:tw:x:b": ("", 0)}
+    assert stabilize(tw.graph, tw.levels, tw.decoration,
+                     tw.contraction.shared_levels_src)[:3] == (g, lv, dec)
+
+
+def test_twist_refuses_a_twist_that_stabilizes_to_another_graph():
+    # the bridge pair :a/:b of the edge "" is not read back as a bridge pair,
+    # so its stabilization names the merged edge ctr::a
+    g = MarkedDualGraph.build([("a", 1), ("b", 1)], [("", ("a", "b"))],
+                              [("z", "a", 2), ("p", "a", -2)])
+    lv = LevelStructure.build({"a": 0, "b": -1})
+    dec = TwrDecoration.build({".0": (1, False), ".1": (-2, True)})
+    with pytest.raises(TwistError, match="^the stabilization of the twist is not its input$"):
+        twist(g, lv, dec)
+
+
+def with_edge_ids(g, dec, ids):
+    """The graph and decoration with the edges renamed to ``ids``, in order."""
+    new = dict(zip((e for e, _ in g.edges), ids))
+
+    def renamed(hid):
+        e, side = split_half_edge(hid)
+        return half_edge_id(new[e], side)
+
+    values = {}
+    for key, value in dec.values:
+        v, point = key.split(":", 1)
+        values[site_key(v, renamed(point))] = value
+    return (MarkedDualGraph.build(g.vertices, [(new[e], ends) for e, ends in g.edges], g.legs),
+            TwrDecoration.build({renamed(h): o for h, o in dec.orders}, values,
+                                dec.marked_zero_vertices))
+
+
+def test_twist_round_trips_with_edge_ids_like_bridge_names():
+    pool = ["x", "y", "tw:x", "tw:y:a", "tw:tw:x", "x:a", "x:b", "tw:x:a"]
+    bridged = 0
+    for seed in range(3000):
+        rng = random.Random(seed)
+        g, lv, dec = random_twr(rng)
+        g, dec = with_edge_ids(g, dec, rng.sample(pool, len(g.edges)))
+        tw = twist(g, lv, dec)
+        *back, cm = stabilize(tw.graph, tw.levels, tw.decoration,
+                              tw.contraction.shared_levels_src)
+        assert back == [g, lv, dec] and cm == tw.contraction, seed
+        bridged += len(tw.graph.vertices) > len(g.vertices)
+    assert bridged > 2000
 
 
 def test_twist_rejects_invalid_input():
@@ -156,7 +217,8 @@ def test_contracted_bridge_recovers_order_sum():
     # one extra-critical leg of order 1 between orders summing to -1
     g, lv, dec = two_vertex_twr({"e.0": (1, False), "e.1": (-2, True)})
     tw = twist(g, lv, dec)
-    g2, lv2, dec2, _ = stabilize(tw.graph, tw.levels, tw.decoration, tw.shared_levels)
+    g2, lv2, dec2, _ = stabilize(tw.graph, tw.levels, tw.decoration,
+                                 tw.contraction.shared_levels_src)
     o0, _ = dec2.order_of["e.0"]
     o1, _ = dec2.order_of["e.1"]
     assert o0 + o1 == -1 > -2
@@ -168,7 +230,8 @@ def test_round_trip_on_fixture():
     dec = load_decoration("horizontal_nodes")
     tw = twist(g, lv, dec)
     assert tw.levels.depth + 1 == 3
-    g2, lv2, dec2, cm = stabilize(tw.graph, tw.levels, tw.decoration, tw.shared_levels)
+    g2, lv2, dec2, cm = stabilize(tw.graph, tw.levels, tw.decoration,
+                                  tw.contraction.shared_levels_src)
     assert (g2, lv2, dec2) == (g, lv, dec)
     assert sum(1 for e, _ in g2.edges if lv2.is_horizontal(g2, e)) == 1
 
@@ -227,7 +290,7 @@ def test_pushforward_checks_on_random_twrs():
         g, lv, dec = random_twr(rng)
         tw = twist(g, lv, dec)
         g2, lv2, dec2, cm = stabilize(tw.graph, tw.levels, tw.decoration,
-                                      tw.shared_levels)
+                                      tw.contraction.shared_levels_src)
         assert (g2, lv2, dec2) == (g, lv, dec)
         pf = pushforward_check(tw.graph, cm.shared_levels_src, tw.decoration,
                                g2, cm.shared_levels_dst, dec2, cm)
