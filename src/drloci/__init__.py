@@ -18,7 +18,6 @@ from .graphs import (LevelStructure, MarkedDualGraph,
 from .homology import evaluate, evaluation_system, level_filtration, relative_h1
 from .hurwitz import (HurwitzProblem, component_problem, exists,
                       realize_genus0, rh_check)
-from .partitions import associated_partition, check_extension, ord_df
 from .twisting import check_local_max, stabilize, twist
 
 __version__ = "0.1.0"
@@ -26,11 +25,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ClosureCertificate", "CombinatorialCover", "HurwitzProblem",
     "LevelStructure", "MarkedDualGraph", "SearchBounds", "TwdrDecoration",
-    "TwrDecoration", "associated_partition", "check_extension",
-    "check_local_max", "closure_via_covers", "component_problem",
-    "enumerate_level_structures", "evaluate", "evaluation_system", "exists",
-    "isomorphic", "level_filtration", "ord_df", "realize_genus0",
-    "relative_h1", "rh_check", "search", "stabilize",
+    "TwrDecoration", "check_local_max", "closure_via_covers",
+    "component_problem", "enumerate_level_structures", "evaluate",
+    "evaluation_system", "exists", "isomorphic", "level_filtration",
+    "realize_genus0", "relative_h1", "rh_check", "search", "stabilize",
     "twist", "validate", "validate_cover", "validate_twdr", "validate_twr",
     "verify_certificate",
 ]

@@ -198,12 +198,12 @@ def cmd_stabilize(args) -> int:
     graph, levels = _load_valid_graph(args.graph)
     levels = _require_levels(graph, levels, args)
     dec = _load_document(args.decoration, TwdrDecoration)
-    new_graph, new_levels, new_dec, cm = stabilize(graph, levels, dec)
+    new_graph, new_levels, new_dec, contraction = stabilize(graph, levels, dec)
     _emit({"command": "stabilize",
            "graph": new_graph.to_json(),
            "levels": new_levels.to_json(),
            "decoration": new_dec.to_json(),
-           "contraction": cm.to_json()}, args)
+           "contraction": contraction.to_json(graph.vertex_ids)}, args)
     return 0
 
 

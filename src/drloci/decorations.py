@@ -22,7 +22,6 @@ from functools import cached_property
 
 from .exact import format_rational, parse_rational
 from .graphs import LevelStructure, MarkedDualGraph, half_edge_id, json_int, split_half_edge
-from .partitions import check_extension
 
 
 def site_key(vertex: str, point: str) -> str:
@@ -321,11 +320,12 @@ def validate_twdr(graph: MarkedDualGraph, levels: LevelStructure,
             report.add("level-compatibility", e, "vertical edge without a pole on the lower side")
         if upper_pole:
             report.add("level-compatibility", e, "pole on the upper side of a vertical edge")
-    # typing against an extension of mu, when the graph is of type mu
+    # typing against an extension of mu: the leg orders mu - 1 and positive extras total 2g - 2
     mu = graph.mu
     if mu and sum(mu) == 0:
-        mu_hat = tuple(m - 1 for m in mu) + tuple(sorted(o for _, _, o in dec.extra_legs))
-        if not check_extension(mu_hat, mu, graph.total_genus):
+        extras = sorted(o for _, _, o in dec.extra_legs)
+        if any(o < 1 for o in extras) or sum(extras) - len(mu) != 2 * graph.total_genus - 2:
+            mu_hat = tuple(m - 1 for m in mu) + tuple(extras)
             report.add("extension-typing", "mu",
                        f"orders {mu_hat} do not extend mu for genus {graph.total_genus}")
     return report

@@ -225,7 +225,8 @@ def validate(graph: MarkedDualGraph) -> GraphReport:
 
 @dataclass
 class Contraction:
-    """What ``stabilize_graph`` did to the source graph.
+    """What ``stabilize_graph`` did to the source graph, and the record
+    that ``twisting.stabilize`` and ``twisting.twist`` return.
 
     ``edge_map`` sends every source edge to (image edge, +-1) when it
     survives into the image, to ("", 0) when the cellular contraction
@@ -234,13 +235,20 @@ class Contraction:
     removed vertex to ("tail", anchor) or ("bridge", merged edge);
     ``under`` sends each image half-edge to the source half-edge it
     continues; ``moved_legs`` sends each leg slid off a tail to the
-    vertex it first sat on.
+    vertex it first sat on.  No vertex is renamed.
     """
 
     edge_map: dict[str, tuple[str, int] | None]
     contracted: dict[str, tuple[str, str]]
     under: dict[str, str]
     moved_legs: dict[str, str]
+
+    def to_json(self, source_vertex_ids) -> dict:
+        return {
+            "vertices": {v: v for v in source_vertex_ids if v not in self.contracted},
+            "contracted": {v: list(k) for v, k in self.contracted.items()},
+            "edges": {e: (list(im) if im else None) for e, im in self.edge_map.items()},
+        }
 
 
 def bridge_source(stem: str) -> str:
@@ -301,7 +309,7 @@ def stabilize_graph(graph: MarkedDualGraph) -> tuple[MarkedDualGraph, Contractio
                         if (at := rational_on(v, 2, 0)) and at[0][0] != at[1][0]), None)) is not None:
         # the least edge f1 is traversed outer -> mid and carries the image; f2 collapses
         (f1, t1), (f2, t2) = sorted(at)
-        twist_pair = len(f1) > 2 and f1.endswith(":a") and f2 == f1[:-1] + "b"
+        twist_pair = f1.endswith(":a") and f2 == f1[:-1] + "b"
         new_id = bridge_source(f1[:-2]) if twist_pair else f"ctr:{f1}"
         while new_id in edges:  # the graph already has an edge of that name
             new_id = f"ctr:{new_id}"
@@ -312,7 +320,7 @@ def stabilize_graph(graph: MarkedDualGraph) -> tuple[MarkedDualGraph, Contractio
             del record.under[half_edge_id(f, t)]
         sign1 = 1 if t1 == 1 else -1
         for e, im in record.edge_map.items():
-            if im and im[0] in (f1, f2):
+            if im and im[1] and im[0] in (f1, f2):
                 record.edge_map[e] = (new_id, im[1] * sign1) if im[0] == f1 else ("", 0)
         record.contracted[mid] = ("bridge", new_id)
 

@@ -13,7 +13,8 @@ levels coincide the way the construction requires.
 
 Stabilization is the inverse direction: drop the extra-critical legs,
 let ``graphs.stabilize_graph`` delete rational tails and contract
-rational bridges, each merged edge keeping the outer order data.
+rational bridges, each merged edge keeping the outer order data.  Its
+``graphs.Contraction`` is the record both directions return.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 from .decorations import (DecorationReport, TwdrDecoration, TwrDecoration,
                           site_key, validate_twdr, validate_twr)
-from .graphs import (LevelStructure, MarkedDualGraph, bridge_stem, half_edge_id,
-                     stabilize_graph)
+from .graphs import (Contraction, LevelStructure, MarkedDualGraph, bridge_stem,
+                     half_edge_id, stabilize_graph)
 
 
 class TwistError(ValueError):
@@ -32,34 +33,11 @@ class TwistError(ValueError):
 
 
 @dataclass
-class ContractionMap:
-    """Bookkeeping of a stabilization Gamma' -> Gamma.
-
-    ``contracted_vertices`` and ``edge_map`` are as ``graphs.Contraction``
-    records them; no relative cycle may cross a deleted tail edge.
-    ``site_map`` renames surviving value sites.  No vertex is renamed.
-    """
-
-    contracted_vertices: dict[str, tuple[str, str]]  # v -> ("bridge", edge) | ("tail", anchor)
-    edge_map: dict[str, tuple[str, int] | None]
-    site_map: dict[str, str]
-    shared_levels_src: dict[str, int]
-    shared_levels_dst: dict[str, int]
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": {v: v for v in self.shared_levels_dst},
-            "contracted": {v: list(k) for v, k in self.contracted_vertices.items()},
-            "edges": {e: (list(im) if im else None) for e, im in self.edge_map.items()},
-        }
-
-
-@dataclass
 class TwistResult:
     graph: MarkedDualGraph
     levels: LevelStructure
     decoration: TwdrDecoration
-    contraction: ContractionMap
+    contraction: Contraction
     extended_partition: tuple[int, ...]
 
     def to_json(self) -> dict:
@@ -67,7 +45,7 @@ class TwistResult:
             "graph": self.graph.to_json(),
             "levels": self.levels.to_json(),
             "decoration": self.decoration.to_json(),
-            "contraction": self.contraction.to_json(),
+            "contraction": self.contraction.to_json(self.graph.vertex_ids),
             "extended_partition": list(self.extended_partition),
         }
 
@@ -139,8 +117,7 @@ def twist(graph: MarkedDualGraph, levels: LevelStructure,
     new_levels = LevelStructure.normalize(shared)
     base = TwrDecoration.build(orders, values, dec.marked_zero_vertices)
     twdr = TwdrDecoration.build(base, extra_legs)
-    back_graph, back_levels, back_dec, contraction = stabilize(
-        new_graph, new_levels, twdr, shared)
+    back_graph, back_levels, back_dec, contraction = stabilize(new_graph, new_levels, twdr)
     if (back_graph, back_levels, back_dec) != (graph, levels, dec):
         raise TwistError("the stabilization of the twist is not its input")
     mu_hat = tuple(m - 1 for m in graph.mu) + tuple(sorted(o for _, _, o in extra_legs))
@@ -164,10 +141,8 @@ def check_local_max(graph: MarkedDualGraph, levels: LevelStructure,
     return report
 
 
-def stabilize(graph: MarkedDualGraph, levels: LevelStructure,
-              dec: TwdrDecoration,
-              shared_levels: dict[str, int] | None = None
-              ) -> tuple[MarkedDualGraph, LevelStructure, TwrDecoration, ContractionMap]:
+def stabilize(graph: MarkedDualGraph, levels: LevelStructure, dec: TwdrDecoration
+              ) -> tuple[MarkedDualGraph, LevelStructure, TwrDecoration, Contraction]:
     """Drop extra-critical legs and contract unstable chains.
 
     ``graphs.stabilize_graph`` deletes the tails, which carry no marked
@@ -191,26 +166,17 @@ def stabilize(graph: MarkedDualGraph, levels: LevelStructure,
         raise TwistError(f"stabilization leaves marked component {left[0]} unstable")
 
     orders: dict[str, tuple[int, bool]] = {}
-    site_map: dict[str, str] = {}
+    rename: dict[str, str] = {}
     for h, src in record.under.items():
         v = new_graph.half_edge_vertex(h)
         orders[h] = dec.base.order_of[src]
-        site_map[site_key(v, src)] = site_key(v, h)
+        rename[site_key(v, src)] = site_key(v, h)
     # no leg moved, so leg sites keep their keys; other sites not mapped are gone
-    values = {site_map.get(k, k): x for k, x in dec.base.value_of.items()
-              if k in site_map or k.split(":", 1)[1] in graph.leg_info}
-    shared = dict(shared_levels) if shared_levels else {v: levels.of[v] for v, _ in graph.vertices}
-    shared_out = {v: shared[v] for v in new_graph.vertex_ids}
-    new_levels = LevelStructure.normalize(shared_out)
+    values = {rename.get(k, k): x for k, x in dec.base.value_of.items()
+              if k in rename or k.split(":", 1)[1] in graph.leg_info}
+    new_levels = LevelStructure.normalize({v: levels.of[v] for v in new_graph.vertex_ids})
     new_dec = TwrDecoration.build(orders, values, dec.base.marked_zero_vertices)
-    cm = ContractionMap(
-        contracted_vertices=record.contracted,
-        edge_map=record.edge_map,
-        site_map=site_map,
-        shared_levels_src=shared,
-        shared_levels_dst=shared_out,
-    )
     final = validate_twr(new_graph, new_levels, new_dec)
     if not final.ok:
         raise TwistError(f"stabilization produced an invalid decoration: {final.violations}")
-    return new_graph, new_levels, new_dec, cm
+    return new_graph, new_levels, new_dec, record

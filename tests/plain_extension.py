@@ -1,13 +1,18 @@
-"""Order-of-vanishing arithmetic for zero partitions and their extensions.
+"""The extension-typing clause of ``validate_twdr`` as a reference:
+orders of a fully marked decoration typed against an extension of mu,
+spelled out through the associated partition and its extension.
 
 A type is an integer vector mu summing to 0 (orders of the marked
 zeros/poles of the rational function).  Passing to the exact differential
 shifts every entry down by one; an extension appends strictly positive
 entries (the orders at the marked critical points) so that the total
-becomes 2g-2.  Entries mu_k = 0 are classified with the zeros.
+becomes 2g-2.
 """
 
 from __future__ import annotations
+
+from drloci.decorations import TwdrDecoration
+from drloci.graphs import MarkedDualGraph
 
 
 def associated_partition(mu: tuple[int, ...] | list[int]) -> tuple[int, ...]:
@@ -33,14 +38,14 @@ def check_extension(mu_hat: tuple[int, ...] | list[int],
     return sum(mu_hat) == 2 * g - 2
 
 
-def ord_df(mult: int, at_pole: bool) -> int:
-    """Order of df at a point of multiplicity ``mult`` (ramification index
-    mult-1): mult-1 at finite values, -mult-1 over infinity.
-
-    The map (mult, flag) -> order is a bijection onto Z \\ {-1}: exact
-    differentials never acquire simple poles.
-    """
-    if mult < 1:
-        raise ValueError("multiplicity must be >= 1")
-    return -mult - 1 if at_pole else mult - 1
-
+def extension_typing(graph: MarkedDualGraph, dec: TwdrDecoration) -> list[tuple[str, str, str]]:
+    """The violations the clause adds, last, to a ``validate_twdr`` report."""
+    violations = []
+    # typing against an extension of mu, when the graph is of type mu
+    mu = graph.mu
+    if mu and sum(mu) == 0:
+        mu_hat = tuple(m - 1 for m in mu) + tuple(sorted(o for _, _, o in dec.extra_legs))
+        if not check_extension(mu_hat, mu, graph.total_genus):
+            violations.append(("extension-typing", "mu",
+                               f"orders {mu_hat} do not extend mu for genus {graph.total_genus}"))
+    return violations

@@ -5,7 +5,8 @@ against.
 A twist of a decorated level graph followed by its stabilization must
 keep the level filtration ("the top level can only go down") and give,
 on a generating set of every level sublattice, the same evaluation rows
-after renaming sites through the contraction's ``site_map``.
+after renaming each site of a source half-edge to the site of the image
+half-edge that continues it (the contraction's ``under``, read backwards).
 """
 
 from __future__ import annotations
@@ -13,16 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from drloci.decorations import TwdrDecoration, TwrDecoration
+from drloci.decorations import TwdrDecoration, TwrDecoration, site_key
 from drloci.exact import LinearForm, solve_forms
-from drloci.graphs import LevelStructure, MarkedDualGraph
+from drloci.graphs import Contraction, LevelStructure, MarkedDualGraph
 from drloci.homology import Chain, chain_support_top_level, evaluate, level_filtration
-from drloci.twisting import ContractionMap
 
 from plain_exact import same_space
 
 
-def push_chain(contraction: ContractionMap, chain: Chain) -> Chain:
+def push_chain(contraction: Contraction, chain: Chain) -> Chain:
     """Image of a chain under the cellular contraction."""
     out: Chain = {}
     for (kind, cid), c in chain.items():
@@ -66,22 +66,25 @@ def _translate_form(form: LinearForm, site_map: dict[str, str]) -> LinearForm | 
     return LinearForm.build(coeffs, form.const)
 
 
-def pushforward_check(src_graph: MarkedDualGraph, src_levels_shared: dict[str, int],
+def pushforward_check(src_graph: MarkedDualGraph, src_ls: LevelStructure,
                       src_dec: TwdrDecoration,
-                      dst_graph: MarkedDualGraph, dst_levels_shared: dict[str, int],
-                      dst_dec: TwrDecoration,
-                      contraction: ContractionMap) -> PushforwardReport:
+                      dst_graph: MarkedDualGraph, dst_dec: TwrDecoration,
+                      contraction: Contraction) -> PushforwardReport:
     """Compatibility of evaluation across a stabilization.
 
-    Checks, per shared level value: the pushforward keeps the level
-    filtration ("the top level can only go down"), and on a generating
-    set the evaluation of the stabilized decoration equals the source
-    evaluation after renaming sites.  Also reports whether the two full
-    systems have identical solution sets over the shared unknowns.
+    The stabilized graph is read on the source's levels restricted to its
+    vertices, so that the two share one level scale.  Checks, per level:
+    the pushforward keeps the level filtration ("the top level can only go
+    down"), and on a generating set the evaluation of the stabilized
+    decoration equals the source evaluation after renaming sites.  Also
+    reports whether the two full systems have identical solution sets over
+    the shared unknowns.
     """
-    src_ls = LevelStructure.build(src_levels_shared)
-    dst_ls = LevelStructure.build(dst_levels_shared)
-    rename = contraction.site_map
+    dst_ls = LevelStructure.build({v: src_ls.of[v] for v in dst_graph.vertex_ids})
+    rename: dict[str, str] = {}
+    for h, src in contraction.under.items():
+        v = dst_graph.half_edge_vertex(h)
+        rename[site_key(v, src)] = site_key(v, h)
 
     inclusion_ok = True
     rows_match = True

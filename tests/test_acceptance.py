@@ -122,8 +122,7 @@ def test_criterion_3_horizontal_nodes_example():
     # stabilization data of a three-level fully marked model
     tw = twist(g, lv, dec)
     assert tw.levels.depth + 1 == 3
-    g2, lv2, dec2, _ = stabilize(tw.graph, tw.levels, tw.decoration,
-                                 tw.contraction.shared_levels_src)
+    g2, lv2, dec2, _ = stabilize(tw.graph, tw.levels, tw.decoration)
     horiz = [e for e, _ in g2.edges if lv2.is_horizontal(g2, e)]
     assert horiz == ["q3"] and lv2.depth + 1 == 2
     print(PASS.format(3, "forced divisor identity, horizontal matching, and 2-level stabilization"))
@@ -170,11 +169,9 @@ def test_criterion_5_round_trip_500_random_twrs():
         tw = twist(graph, levels, dec)
         from drloci.decorations import validate_twdr
         assert validate_twdr(tw.graph, tw.levels, tw.decoration).ok
-        g2, lv2, dec2, cm = stabilize(tw.graph, tw.levels, tw.decoration,
-                                      tw.contraction.shared_levels_src)
+        g2, lv2, dec2, cm = stabilize(tw.graph, tw.levels, tw.decoration)
         assert (g2, lv2, dec2) == (graph, levels, dec)
-        pf = pushforward_check(tw.graph, cm.shared_levels_src, tw.decoration,
-                               g2, cm.shared_levels_dst, dec2, cm)
+        pf = pushforward_check(tw.graph, tw.levels, tw.decoration, g2, dec2, cm)
         assert pf.ok, pf.details
         count += 1
     print(PASS.format(5, f"{count} random round trips bit-exact with agreeing systems"))

@@ -232,6 +232,28 @@ def test_twist_stabilize_round_trip_via_cli(capsys, dollar_files, tmp_path):
     assert stab["levels"] == FIXTURES["dollar_unmarked_zeros"]["levels"]
 
 
+def test_twist_and_stabilize_an_edge_named_by_the_empty_string(capsys, tmp_path):
+    # twist once exited 2 here: stabilization did not read the bridge pair
+    # :a/:b back as the edge ""
+    graph = {"vertices": [{"id": "a", "genus": 1}, {"id": "b", "genus": 1}],
+             "edges": [{"id": "", "ends": ["a", "b"]}],
+             "legs": [{"id": "z", "vertex": "a", "mu": 2}, {"id": "p", "vertex": "a", "mu": -2}],
+             "levels": {"a": 0, "b": -1}}
+    dec = {"orders": {".0": {"ord_df": 1, "pole": False}, ".1": {"ord_df": -2, "pole": True}}}
+    gpath, dpath = tmp_path / "graph.json", tmp_path / "dec.json"
+    gpath.write_text(json.dumps(graph))
+    dpath.write_text(json.dumps(dec))
+    code, twisted = run(capsys, "twist", "--graph", str(gpath), "--decoration", str(dpath))
+    assert code == 0
+    assert twisted["contraction"]["edges"] == {":a": ["", 1], ":b": ["", 0]}
+    gpath.write_text(json.dumps({**twisted["graph"], "levels": twisted["levels"]}))
+    dpath.write_text(json.dumps(twisted["decoration"]))
+    code, stab = run(capsys, "stabilize", "--graph", str(gpath), "--decoration", str(dpath))
+    assert code == 0
+    assert {**stab["graph"], "levels": stab["levels"]} == graph
+    assert stab["decoration"]["orders"] == dec["orders"]
+
+
 def test_stabilize_rejects_a_decoration_that_is_not_fully_marked(capsys, dollar_files):
     # the inequality-form decoration lacks the extra critical legs; the one
     # check, in ``twisting.stabilize``, reports it
@@ -810,3 +832,36 @@ def test_ev_and_constraints_bytes_are_pinned(capsys, monkeypatch, tmp_path, name
     for argv, want in zip((["ev", "--all"], ["constraints"]), EV_PINS[name, key]):
         assert main([*argv, *files]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
+# sha256 of the stdout of `stabilize` on the twist of every fixture
+# decoration under each fixture level map it is valid for, as printed
+# before stabilization returned `graphs.Contraction` as its record
+STABILIZE_SHA256 = {
+    ("cherry", "levels_1"): "42bcb5e52bfe683a855f863ea74a1f22dabbe528179fa118803e20f29d278078",
+    ("cherry", "levels_2"): "7fbd00ae4ac1e53572f61cf4ea1e1fc85b77eb13b17bcaa82c24ff1038cf6a3c",
+    ("dollar_unmarked_zeros", "levels"):
+        "6a9b14990adc99c0fe60cbced7c2da11ca581bc431a60a8d7b98c39e77be96aa",
+    ("horizontal_nodes", "levels"):
+        "3db3153e5e4b33f208b927ca764edea90c196217eacaff9c80c09b976a5608da",
+    ("partial_order", "levels_1"):
+        "6becec2dc8c61c9529201ef2fcb8b4fac68a5c7278b24d441beafffc17286347",
+    ("partial_order", "levels_2"):
+        "7f847fb0f881426e3ee1e6963d994d3b254a7d3f914a8a19694aa86d38537a6b",
+}
+
+
+def test_stabilize_bytes_of_every_fixture_twist_are_pinned(capsys, tmp_path):
+    gpath, dpath = tmp_path / "graph.json", tmp_path / "dec.json"
+    stabilized = {}
+    for name, fx in FIXTURES.items():
+        for key in (k for k in fx if k.startswith("levels") and "decoration" in fx):
+            g, lv, dec = load_graph(name), load_levels(name, key), load_decoration(name)
+            if not validate_twr(g, lv, dec).ok:  # level_dependence: v5 is unstable
+                continue
+            twisted = twist(g, lv, dec).to_json()
+            gpath.write_text(json.dumps({**twisted["graph"], "levels": twisted["levels"]}))
+            dpath.write_text(json.dumps(twisted["decoration"]))
+            assert main(["stabilize", "--graph", str(gpath), "--decoration", str(dpath)]) == 0
+            stabilized[name, key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert stabilized == STABILIZE_SHA256

@@ -220,6 +220,17 @@ def test_stabilize_graph_names_a_twist_pair_after_its_edge():
     assert rec.under == {"ctr:ctr:x.0": "x.1", "ctr:ctr:x.1": "w.1"}
 
 
+def test_stabilize_graph_keeps_collapsed_edges_beside_an_edge_named_by_the_empty_string():
+    # y collapses into ("", 0) when m1 goes; merging the edge "" at m2 once
+    # took that sentinel for an image of "" and sent y to ("ctr:", 0)
+    chain = MarkedDualGraph.build(
+        [("a", 1), ("m1", 0), ("m2", 0), ("b", 1)],
+        [("x", ("a", "m1")), ("y", ("m1", "m2")), ("", ("m2", "b"))])
+    st, rec = stabilize_graph(chain)
+    assert st.edges == (("ctr:", ("b", "a")),)
+    assert rec.edge_map == {"x": ("", 0), "y": ("", 0), "": ("ctr:", -1)}
+
+
 @pytest.mark.parametrize("names, merged", [
     (("x", "x:a", "x:b"), "ctr:x"),
     (("ctr:e1", "e1", "e2"), "ctr:ctr:e1"),
