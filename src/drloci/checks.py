@@ -8,7 +8,8 @@ from .decorations import component_divisor, validate_twr
 from .fixtures import (FIXTURES, load_cover, load_decoration, load_graph,
                        load_levels)
 from .graphs import enumerate_level_structures, isomorphic, validate
-from .homology import evaluation_system, relative_h1
+from .exact import solve_forms
+from .homology import evaluation_system, normalized_rows, relative_h1, vanishes
 from .hurwitz import HurwitzProblem, component_problem, exists, rh_check
 from .twisting import twist
 
@@ -18,21 +19,22 @@ def _check(conditions: dict[str, bool]) -> dict:
             "failed": sorted(k for k, v in conditions.items() if not v)}
 
 
+def _symbols(*systems) -> list[str]:
+    return sorted({k for system in systems for rows in system.values()
+                   for r in rows for k, _ in r.coeffs})
+
+
 def _ev_block_ok(system, level: str, expected: dict) -> bool:
-    block = system.block(int(level))
-    if block.verdict() != expected["vanishes"]:
+    rows = system[int(level)]
+    if vanishes(rows) != expected["vanishes"]:
         return False
     if "solution_dim" in expected:
-        from .exact import solve_forms
-        syms = sorted({k for r in block.rows for k, _ in r.coeffs})
-        space = solve_forms(block.rows, syms)
+        space = solve_forms(rows)
         if space is None or space.dim != expected["solution_dim"]:
             return False
     for group in expected.get("forced_equal", []):
-        space = system.solution_space()
-        if space is None:
-            return False
-        if len({space.column(s) for s in group}) != 1:
+        space = solve_forms([r for block in system.values() for r in block])
+        if space is None or len({space.column(s) for s in group}) != 1:
             return False
     return True
 
@@ -100,9 +102,8 @@ def check_fixture(name: str) -> dict:
         conds["twr_valid_2"] = validate_twr(graph, l2, dec).ok
         s1 = evaluation_system(graph, l1, dec)
         s2 = evaluation_system(graph, l2, dec)
-        syms = sorted(set(s1.symbols) | set(s2.symbols))
-        conds["identical_top"] = (
-            s1.block(0).normalized_rows(syms) == s2.block(0).normalized_rows(syms))
+        syms = _symbols(s1, s2)
+        conds["identical_top"] = normalized_rows(s1[0], syms) == normalized_rows(s2[0], syms)
 
     if "level_minus_1_rows_1" in exp:
         dec = load_decoration(name)
@@ -110,18 +111,18 @@ def check_fixture(name: str) -> dict:
                           ("level_minus_1_rows_2", "levels_2")):
             levels = load_levels(name, lkey)
             system = evaluation_system(graph, levels, dec)
-            syms = system.symbols
+            syms = _symbols(system)
             want = []
             for row in exp[key]:
                 vec = [row.get(s, 0) for s in syms] + [0]
                 want.append(tuple(vec))
-            got = system.block(-1).normalized_rows(syms)
+            got = normalized_rows(system[-1], syms)
             conds[key] = sorted(want) == got
         levels = load_levels(name, "levels_1")
         system = evaluation_system(graph, levels, dec)
-        syms = system.symbols
+        syms = _symbols(system)
         vec = tuple([exp["level_0_row"].get(s, 0) for s in syms] + [0])
-        conds["level_0_row"] = system.block(0).normalized_rows(syms) == [vec]
+        conds["level_0_row"] = normalized_rows(system[0], syms) == [vec]
 
     if exp.get("member") is not None and "member" in exp:
         certs = search(graph, graph.mu)

@@ -10,21 +10,19 @@ verdict, 2 for malformed input or internal errors.
 Usage errors that argparse detects print the same JSON error document
 on stderr as other malformed input.
 
-The Hurwitz degree cap can be set with the DRLOCI_HURWITZ_CAP
-environment variable; an explicit `hurwitz --cap` overrides it.
-`check-closure` also accepts `--bounds key=value` (max_degree,
-hurwitz_cap, level_cap); `--bounds hurwitz_cap=N` overrides the
-environment variable.  Every bound, cap and `levels --max-levels` must
-be a positive integer.  `check-closure` and `cover` read mu from the
-graph's legs.  `hurwitz` takes a degree >= 1, a genus >= 0 and profile
-parts >= 1; profiles not summing to the degree are a negative verdict.
+The Hurwitz degree cap is `hurwitz --cap` for `hurwitz` and
+`--bounds hurwitz_cap=N` for `check-closure`, whose `--bounds key=value`
+also sets max_degree and level_cap.  Every bound, cap and `levels
+--max-levels` must be a positive integer.  `check-closure` and `cover`
+read mu from the graph's legs.  `hurwitz` takes a degree >= 1, a genus
+>= 0 and profile parts >= 1; profiles not summing to the degree are a
+negative verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .checks import check_all
@@ -34,7 +32,8 @@ from .decorations import TwdrDecoration, TwrDecoration, validate_twr
 from .fixtures import fixture_names
 from .graphs import (EnumerationCapExceeded, LevelStructure, MarkedDualGraph,
                      enumerate_level_structures, validate)
-from .homology import evaluation_system
+from .exact import format_rational, solve_forms
+from .homology import evaluation_system, vanishes
 from .hurwitz import (DEFAULT_DEGREE_CAP, DegreeCapExceeded, HurwitzProblem,
                       exists, rh_check)
 from .twisting import TwistError, stabilize, twist
@@ -103,9 +102,12 @@ def _load_document(path: str, kind=TwrDecoration, what: str = "decoration"):
 def _require_levels(graph: MarkedDualGraph, levels: LevelStructure | None,
                     args) -> LevelStructure:
     if getattr(args, "levels", None):
-        doc = json.loads(args.levels)
+        try:
+            doc = json.loads(args.levels)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"malformed levels {args.levels!r}: {exc}") from None
         if not isinstance(doc, dict):
-            raise CliError(f"malformed levels {args.levels}: expected a JSON object")
+            raise CliError(f"malformed levels {args.levels!r}: expected a JSON object")
         levels = LevelStructure.from_json(doc)
     if levels is None:
         raise CliError("no level structure: inline 'levels' or --levels required")
@@ -156,24 +158,25 @@ def _evaluation_system(args):
 
 def cmd_ev(args) -> int:
     system = _evaluation_system(args)
-    blocks = system.to_json()
     if not args.all:
-        key = str(args.level)
-        if key not in blocks:
-            raise CliError(f"level {key} not attained")
-        blocks = {key: blocks[key]}
+        if args.level not in system:
+            raise CliError(f"level {args.level} not attained")
+        system = {args.level: system[args.level]}
+    blocks = {str(i): {"vanishes": vanishes(rows),
+                       "constraints": [r.render() for r in rows if not r.is_zero],
+                       "solution_dim": -1 if (space := solve_forms(rows)) is None else space.dim}
+              for i, rows in system.items()}
     _emit({"command": "ev", "levels": blocks}, args)
     return 0
 
 
 def cmd_constraints(args) -> int:
-    system = _evaluation_system(args)
-    space = system.solution_space()
-    from .exact import format_rational
+    rows = [r for block in _evaluation_system(args).values() for r in block]
+    space = solve_forms(rows)
     payload = {
         "command": "constraints",
         "consistent": space is not None,
-        "constraints": [r.render() for r in system.all_rows() if not r.is_zero],
+        "constraints": [r.render() for r in rows if not r.is_zero],
     }
     if space is not None:
         payload["solution_dim"] = space.dim
@@ -240,23 +243,12 @@ class _CountAction(argparse.Action):
         setattr(namespace, "profile", items)
 
 
-def _env_hurwitz_cap() -> int:
-    """The cap DRLOCI_HURWITZ_CAP sets, else the default."""
-    text = os.environ.get("DRLOCI_HURWITZ_CAP", str(DEFAULT_DEGREE_CAP))
-    try:
-        return _positive_int(text)
-    except argparse.ArgumentTypeError:
-        raise CliError("DRLOCI_HURWITZ_CAP: hurwitz_cap must be a positive integer, "
-                       f"got {text!r}") from None
-
-
 def cmd_hurwitz(args) -> int:
     problem = HurwitzProblem.build(args.degree, args.genus, args.profile or [])
-    cap = args.cap or _env_hurwitz_cap()  # the environment is read only without --cap
     payload = {"command": "hurwitz", "problem": problem.to_json(),
                "rh": rh_check(problem), "cap_hit": False}
     try:
-        payload["exists"] = exists(problem, cap)
+        payload["exists"] = exists(problem, args.cap)
     except DegreeCapExceeded:
         payload["exists"] = None
         payload["cap_hit"] = True
@@ -282,8 +274,7 @@ def cmd_cover(args) -> int:
 
 def cmd_check_closure(args) -> int:
     graph, _ = _load_graph(args.graph)
-    # later items win: the environment (or the default), then --bounds
-    bounds = SearchBounds.from_strings([f"hurwitz_cap={_env_hurwitz_cap()}", *args.bounds])
+    bounds = SearchBounds.from_strings(args.bounds)
     certs = search(graph, graph.mu, bounds)
     verdicts = [verify_certificate(graph, graph.mu, c, bounds.hurwitz_cap) for c in certs]
     payload = {
@@ -352,9 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated partition of the degree; repeatable")
     p.add_argument("--count", action=_CountAction, type=_positive_int,
                    help="repeat the preceding --profile this many times total")
-    p.add_argument("--cap", type=_positive_int, default=None,
-                   help=f"degree cap; overrides DRLOCI_HURWITZ_CAP "
-                        f"(default {DEFAULT_DEGREE_CAP})")
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_DEGREE_CAP,
+                   help=f"degree cap (default {DEFAULT_DEGREE_CAP})")
     p.set_defaults(func=cmd_hurwitz)
 
     p = sub.add_parser("cover", help="validate an admissible cover")

@@ -69,7 +69,7 @@ from .decorations import TwrDecoration, component_divisor, site_key, validate_tw
 from .exact import AffineSubspace, format_rational
 from .graphs import (LevelStructure, MarkedDualGraph, canonical_key,
                      enumerate_level_structures, half_edge_id, validate)
-from .homology import level_rows, solved_rows
+from .homology import evaluation_system, solved_rows
 from .hurwitz import (DEFAULT_DEGREE_CAP, Genus0Realization, InfeasibleComponent,
                       component_problem, exists, rh_check)
 from .witnesses import ComponentShape, realize_component
@@ -576,9 +576,11 @@ def search(graph: MarkedDualGraph, mu: tuple[int, ...] | None = None,
     structures = enumerate_level_structures(graph, cap=bounds.level_cap, pole_carrying=True)
     compiled: dict[tuple, dict | None] = {}  # component verdicts of this search, by input
     for li, levels in enumerate(structures):
-        # the sites the rows mention, read once the first pattern builds the rows
-        mentioned = functools.cache(lambda: {s for r in level_rows(graph, levels)
-                                             for s, _ in r.coeffs})
+        # the sites the rows mention, read once the first pattern builds the rows;
+        # the decoration None is positional because perfbench's tracer reads it there
+        mentioned = functools.cache(lambda: {
+            s for rows in evaluation_system(graph, levels, None).values()
+            for r in rows for s, _ in r.coeffs})
 
         @functools.cache
         def solved(constrained: frozenset[str]):

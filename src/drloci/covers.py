@@ -20,57 +20,25 @@ infinity; ``graphs.stabilize_graph``) is the given stable graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graphs import MarkedDualGraph, half_edge_id, isomorphic, json_int, stabilize_graph
 
 
-@dataclass(frozen=True)
+@dataclass
 class CombinatorialCover:
     source: MarkedDualGraph
     target: MarkedDualGraph
-    vertex_map: tuple[tuple[str, str], ...]
-    edge_map: tuple[tuple[str, str], ...]
-    leg_map: tuple[tuple[str, str], ...]
-    mults: tuple[tuple[str, int], ...]  # source half-edge or leg id -> multiplicity
-    degrees: tuple[tuple[str, int], ...]  # source vertex -> local degree
-
-    @staticmethod
-    def build(source, target, vertex_map, edge_map, leg_map, mults, degrees):
-        return CombinatorialCover(
-            source, target,
-            tuple(sorted(vertex_map.items())),
-            tuple(sorted(edge_map.items())),
-            tuple(sorted(leg_map.items())),
-            tuple(sorted(mults.items())),
-            tuple(sorted(degrees.items())),
-        )
-
-    @cached_property
-    def vmap(self) -> dict[str, str]:
-        return dict(self.vertex_map)
-
-    @cached_property
-    def emap(self) -> dict[str, str]:
-        return dict(self.edge_map)
-
-    @cached_property
-    def lmap(self) -> dict[str, str]:
-        return dict(self.leg_map)
-
-    @cached_property
-    def mult_of(self) -> dict[str, int]:
-        return dict(self.mults)
-
-    @cached_property
-    def degree_of(self) -> dict[str, int]:
-        return dict(self.degrees)
+    vertex_map: dict[str, str]
+    edge_map: dict[str, str]
+    leg_map: dict[str, str]
+    mults: dict[str, int]  # source half-edge or leg id -> multiplicity
+    degrees: dict[str, int]  # source vertex -> local degree
 
     def to_json(self) -> dict:
         return {
             "source": self.source.to_json(),
             "target": self.target.to_json(),
-            "map": dict(self.vertex_map) | dict(self.edge_map) | dict(self.leg_map),
+            "map": self.vertex_map | self.edge_map | self.leg_map,
             "mults": dict(self.mults),
             "degrees": dict(self.degrees),
         }
@@ -80,11 +48,11 @@ class CombinatorialCover:
         source = MarkedDualGraph.from_json(doc["source"])
         target = MarkedDualGraph.from_json(doc["target"])
         mapping = doc.get("map", {})
-        vmap = {v: mapping[v] for v, _ in source.vertices if v in mapping}
-        emap = {e: mapping[e] for e, _ in source.edges if e in mapping}
-        lmap = {l: mapping[l] for l, _, _ in source.legs if l in mapping}
-        return CombinatorialCover.build(
-            source, target, vmap, emap, lmap,
+        return CombinatorialCover(
+            source, target,
+            {v: mapping[v] for v, _ in source.vertices if v in mapping},
+            {e: mapping[e] for e, _ in source.edges if e in mapping},
+            {l: mapping[l] for l, _, _ in source.legs if l in mapping},
             {k: json_int(v, f"mult of {k}") for k, v in doc.get("mults", {}).items()},
             {k: json_int(v, f"degree of {k}") for k, v in doc.get("degrees", {}).items()},
         )
@@ -116,7 +84,7 @@ def _edge_side_correspondence(cover: CombinatorialCover, e: str,
     do not respect the incidences."""
     a, b = cover.source.edge_ends[e]
     ta, tb = cover.target.edge_ends[te]
-    va, vb = cover.vmap.get(a), cover.vmap.get(b)
+    va, vb = cover.vertex_map.get(a), cover.vertex_map.get(b)
     if va == ta and vb == tb:
         return {0: 0, 1: 1}
     if va == tb and vb == ta:
@@ -129,8 +97,8 @@ def validate_cover(cover: CombinatorialCover) -> CoverReport:
     (the multiplicity profile over every marked target point)."""
     errs: list[tuple[str, str, str]] = []
     src, tgt = cover.source, cover.target
-    vmap, emap, lmap = cover.vmap, cover.emap, cover.lmap
-    mult, degs = cover.mult_of, cover.degree_of
+    vmap, emap, lmap = cover.vertex_map, cover.edge_map, cover.leg_map
+    mult, degs = cover.mults, cover.degrees
 
     if any(g != 0 for _, g in tgt.vertices):
         errs.append(("target", "genus", "target vertices must be rational"))
@@ -251,12 +219,11 @@ def closure_via_covers(stable_graph: MarkedDualGraph, mu: tuple[int, ...],
         if report.type_profiles[bl] != simple:
             out["reasons"].append(f"branch point {bl} not simple: {report.type_profiles[bl]}")
     # source legs over 0/infinity must carry the matching mu labels
-    lmap = cover.lmap
     for l, v, m in cover.source.legs:
-        img = lmap[l]
-        if img == zero_legs[0] and m != cover.mult_of[l]:
-            out["reasons"].append(f"leg {l} over 0 carries mu {m} != mult {cover.mult_of[l]}")
-        elif img == inf_legs[0] and m != -cover.mult_of[l]:
+        img = cover.leg_map[l]
+        if img == zero_legs[0] and m != cover.mults[l]:
+            out["reasons"].append(f"leg {l} over 0 carries mu {m} != mult {cover.mults[l]}")
+        elif img == inf_legs[0] and m != -cover.mults[l]:
             out["reasons"].append(f"leg {l} over infinity carries mu {m} != -mult")
         elif img in branch_legs and m != 0:
             out["reasons"].append(f"branch preimage {l} must carry mu 0")

@@ -28,7 +28,6 @@ too, but other ones, so with it the evaluation rows, and the bytes of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .decorations import TwrDecoration, site_key
@@ -98,19 +97,12 @@ def relative_h1(graph: MarkedDualGraph) -> list[Chain]:
     return _kernel_chains(graph, [e for e, _ in graph.edges], list(default_zero_legs(graph)))
 
 
-@dataclass
-class LevelFiltration:
-    """Generating chains of the level sublattices, keyed by level."""
-
-    levels: list[int]
-    generators: dict[int, list[Chain]]
-
-
-def level_filtration(graph: MarkedDualGraph, levels: LevelStructure) -> LevelFiltration:
-    """For each attained level i, generators of the image of the homology
-    of the down-set of i (the vertices of level <= i, the edges among them
-    and their zero legs) inside the relative homology.  The down-set of the
-    top level is the whole graph, so its generators are ``relative_h1``."""
+def level_filtration(graph: MarkedDualGraph, levels: LevelStructure) -> dict[int, list[Chain]]:
+    """For each attained level i, top first, generators of the image of the
+    homology of the down-set of i (the vertices of level <= i, the edges
+    among them and their zero legs) inside the relative homology.  The
+    down-set of the top level is the whole graph, so its generators are
+    ``relative_h1``."""
     zlegs = default_zero_legs(graph)
     gen: dict[int, list[Chain]] = {}
     for i in levels.attained():
@@ -118,7 +110,13 @@ def level_filtration(graph: MarkedDualGraph, levels: LevelStructure) -> LevelFil
         sub_edges = [e for e, (a, b) in graph.edges if a in vset and b in vset]
         sub_legs = [l for l in zlegs if graph.leg_info[l][0] in vset]
         gen[i] = _kernel_chains(graph, sub_edges, sub_legs)
-    return LevelFiltration(levels.attained(), gen)
+    return gen
+
+
+def _node_values(dec: TwrDecoration) -> dict[str, Fraction | str]:
+    """``dec``'s values as ``LinearForm.substitute`` takes them: a rational
+    is a constant and "?name" the shared unknown ``name``."""
+    return {k: v.lstrip("?") if isinstance(v, str) else v for k, v in dec.values}
 
 
 def evaluate(chain: Chain, graph: MarkedDualGraph, levels: LevelStructure,
@@ -149,90 +147,42 @@ def evaluate(chain: Chain, graph: MarkedDualGraph, levels: LevelStructure,
                     key = site_key(v, half_edge_id(cid, side))
                     coeffs[key] = coeffs.get(key, 0) + Fraction(-c if side else c)
     form = LinearForm.build(coeffs)
-    return form if dec is None else form.substitute(
-        {k: v.lstrip("?") if isinstance(v, str) else v for k, v in dec.values})
-
-
-@dataclass
-class LevelBlock:
-    level: int
-    generators: list[Chain]
-    rows: list[LinearForm]
-
-    def verdict(self) -> bool | str:
-        if all(r.is_zero for r in self.rows):
-            return True
-        if all(r.is_constant for r in self.rows):
-            return False
-        return "conditional"
-
-    def normalized_rows(self, symbols: list[str]) -> list[tuple[int, ...]]:
-        out = {r.normalized_vector(symbols) for r in self.rows if not r.is_zero}
-        return sorted(out)
-
-
-@dataclass
-class EvaluationSystem:
-    """Per-level evaluation forms over the unknown node values."""
-
-    blocks: list[LevelBlock]
-
-    def block(self, level: int) -> LevelBlock:
-        for b in self.blocks:
-            if b.level == level:
-                return b
-        raise KeyError(level)
-
-    @property
-    def symbols(self) -> list[str]:
-        syms: set[str] = set()
-        for b in self.blocks:
-            for r in b.rows:
-                syms.update(k for k, _ in r.coeffs)
-        return sorted(syms)
-
-    def all_rows(self) -> list[LinearForm]:
-        return [r for b in self.blocks for r in b.rows]
-
-    def solution_space(self) -> AffineSubspace | None:
-        return solve_forms(self.all_rows(), self.symbols)
-
-    def to_json(self) -> dict:
-        out = {}
-        for b in self.blocks:
-            syms = sorted({k for r in b.rows for k, _ in r.coeffs})
-            space = solve_forms(b.rows, syms)
-            out[str(b.level)] = {
-                "vanishes": b.verdict(),
-                "constraints": [r.render() for r in b.rows if not r.is_zero],
-                "solution_dim": -1 if space is None else space.dim,
-            }
-        return out
+    return form if dec is None else form.substitute(_node_values(dec))
 
 
 def evaluation_system(graph: MarkedDualGraph, levels: LevelStructure,
-                      dec: TwrDecoration | None) -> EvaluationSystem:
-    """Evaluation forms of a generating set of every level sublattice."""
-    filt = level_filtration(graph, levels)
-    blocks = []
-    for i in filt.levels:
-        gens = filt.generators[i]
-        blocks.append(LevelBlock(i, gens, [evaluate(g, graph, levels, i, dec) for g in gens]))
-    return EvaluationSystem(blocks)
-
-
-def level_rows(graph: MarkedDualGraph, levels: LevelStructure) -> list[LinearForm]:
-    """The undecorated evaluation rows, memoized per graph by level structure."""
+                      dec: TwrDecoration | None = None) -> dict[int, list[LinearForm]]:
+    """The evaluation forms of the generators of every level sublattice, by
+    attained level, top first.  The rows with every node preimage an
+    unknown are memoized per graph by level structure; ``dec``'s values are
+    substituted into them."""
     memo = graph.memos["level_rows"]
     if levels not in memo:
-        memo[levels] = evaluation_system(graph, levels, None).all_rows()
-    return memo[levels]
+        memo[levels] = {i: [evaluate(g, graph, levels, i) for g in gens]
+                        for i, gens in level_filtration(graph, levels).items()}
+    if dec is None:
+        return memo[levels]
+    values = _node_values(dec)
+    return {i: [r.substitute(values) for r in rows] for i, rows in memo[levels].items()}
+
+
+def vanishes(rows: list[LinearForm]) -> bool | str:
+    """True when every row is zero, False when every row is constant and
+    one is not zero, else "conditional" (on the unknowns)."""
+    if all(r.is_zero for r in rows):
+        return True
+    return False if all(r.is_constant for r in rows) else "conditional"
+
+
+def normalized_rows(rows: list[LinearForm], symbols: list[str]) -> list[tuple[int, ...]]:
+    """The distinct nonzero rows as primitive integer vectors in ``symbols``, sorted."""
+    return sorted({r.normalized_vector(symbols) for r in rows if not r.is_zero})
 
 
 def solved_rows(graph: MarkedDualGraph, levels: LevelStructure,
                 values: dict[str, Fraction]) -> tuple[list[LinearForm], AffineSubspace | None]:
     """Rows and solution space of the evaluation system under exact node
-    ``values``: the ``level_rows`` with the values substituted (pole sites
-    are never evaluated)."""
-    rows = [r.substitute(values) for r in level_rows(graph, levels)]
+    ``values``, all levels in one list (pole sites are never evaluated)."""
+    rows = [r.substitute(values) for block in evaluation_system(graph, levels).values()
+            for r in block]
     return rows, solve_forms(rows)

@@ -1,10 +1,16 @@
-"""The two-step evaluation of a chain at a level, as it stood before
-``homology.evaluate`` did it in one step: a reference that the one-step
-form must reproduce.
+"""References for ``homology``, as it stood before two simplifications.
 
-``restrict_to_level`` cuts the chain down to a ``LevelChain`` of sorted
-tuples (horizontal cells, cut halves and legs), and ``evaluate`` turns
-that slice into a ``LinearForm``, dropping the legs.
+The two-step evaluation of a chain at a level, as it stood before
+``homology.evaluate`` did it in one step: ``restrict_to_level`` cuts the
+chain down to a ``LevelChain`` of sorted tuples (horizontal cells, cut
+halves and legs), and ``evaluate`` turns that slice into a
+``LinearForm``, dropping the legs.
+
+The evaluation system as classes, as it stood before
+``homology.evaluation_system`` returned plain rows by level:
+``EvaluationSystem`` holds one ``LevelBlock`` per attained level, each
+generator evaluated with the decoration's values substituted, and its
+``to_json`` is the ``levels`` payload of ``drloci ev --all``.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from drloci.decorations import TwrDecoration, site_key
-from drloci.exact import LinearForm
+from drloci.exact import AffineSubspace, LinearForm, solve_forms
 from drloci.graphs import LevelStructure, MarkedDualGraph, half_edge_id
-from drloci.homology import Chain, chain_support_top_level
+from drloci.homology import Chain, chain_support_top_level, level_filtration
 
 
 @dataclass(frozen=True)
@@ -88,3 +94,71 @@ def evaluate(level_chain: LevelChain, graph: MarkedDualGraph,
     form = LinearForm.build(coeffs)
     return form if dec is None else form.substitute(
         {k: v.lstrip("?") if isinstance(v, str) else v for k, v in dec.values})
+
+
+@dataclass
+class LevelBlock:
+    level: int
+    generators: list[Chain]
+    rows: list[LinearForm]
+
+    def verdict(self) -> bool | str:
+        if all(r.is_zero for r in self.rows):
+            return True
+        if all(r.is_constant for r in self.rows):
+            return False
+        return "conditional"
+
+    def normalized_rows(self, symbols: list[str]) -> list[tuple[int, ...]]:
+        out = {r.normalized_vector(symbols) for r in self.rows if not r.is_zero}
+        return sorted(out)
+
+
+@dataclass
+class EvaluationSystem:
+    """Per-level evaluation forms over the unknown node values."""
+
+    blocks: list[LevelBlock]
+
+    def block(self, level: int) -> LevelBlock:
+        for b in self.blocks:
+            if b.level == level:
+                return b
+        raise KeyError(level)
+
+    @property
+    def symbols(self) -> list[str]:
+        syms: set[str] = set()
+        for b in self.blocks:
+            for r in b.rows:
+                syms.update(k for k, _ in r.coeffs)
+        return sorted(syms)
+
+    def all_rows(self) -> list[LinearForm]:
+        return [r for b in self.blocks for r in b.rows]
+
+    def solution_space(self) -> AffineSubspace | None:
+        return solve_forms(self.all_rows(), self.symbols)
+
+    def to_json(self) -> dict:
+        out = {}
+        for b in self.blocks:
+            syms = sorted({k for r in b.rows for k, _ in r.coeffs})
+            space = solve_forms(b.rows, syms)
+            out[str(b.level)] = {
+                "vanishes": b.verdict(),
+                "constraints": [r.render() for r in b.rows if not r.is_zero],
+                "solution_dim": -1 if space is None else space.dim,
+            }
+        return out
+
+
+def evaluation_system(graph: MarkedDualGraph, levels: LevelStructure,
+                      dec: TwrDecoration | None) -> EvaluationSystem:
+    """Evaluation forms of a generating set of every level sublattice, each
+    generator restricted and evaluated on its own, with ``dec``'s values."""
+    blocks = []
+    for i, gens in level_filtration(graph, levels).items():
+        blocks.append(LevelBlock(i, gens, [evaluate(restrict_to_level(g, graph, levels, i),
+                                                    graph, dec) for g in gens]))
+    return EvaluationSystem(blocks)

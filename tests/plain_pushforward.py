@@ -92,8 +92,8 @@ def pushforward_check(src_graph: MarkedDualGraph, src_ls: LevelStructure,
     src_rows: list[LinearForm] = []
     dst_rows: list[LinearForm] = []
     filt = level_filtration(src_graph, src_ls)
-    for j in filt.levels:
-        for gamma in filt.generators[j]:
+    for j, gens in filt.items():
+        for gamma in gens:
             pushed = push_chain(contraction, gamma)
             top = chain_support_top_level(pushed, dst_graph, dst_ls)
             if top is not None and top > j:

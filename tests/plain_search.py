@@ -17,11 +17,11 @@ from fractions import Fraction
 from drloci.closure import ClosureCertificate, SearchBounds, _attempt_witnesses, _sample_point
 from drloci.decorations import TwrDecoration, component_divisor, site_key
 from drloci.graphs import enumerate_level_structures, validate
-from drloci.homology import evaluation_system
 from drloci.hurwitz import (DegreeCapExceeded, InfeasibleComponent, component_problem,
                             exists, rh_check)
 
 from plain_decorations import plain_decorations
+from plain_homology import evaluation_system
 
 
 def plain_forced_groups(free_sites, space):

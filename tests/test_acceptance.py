@@ -19,7 +19,7 @@ from drloci.exact import LinearForm, solve_forms
 from drloci.fixtures import load_cover, load_decoration, load_graph, load_levels
 from drloci.graphs import LevelStructure, enumerate_level_structures, isomorphic
 from drloci.homology import default_zero_legs, evaluate, evaluation_system, \
-    level_filtration, relative_h1
+    level_filtration, normalized_rows, relative_h1
 from drloci.hurwitz import HurwitzProblem, exists, rh_check
 from drloci.twisting import stabilize, twist
 from plain_exact import same_space
@@ -40,6 +40,17 @@ def _pairs_space(pairs, symbols):
                         for a, b in pairs], symbols)
 
 
+def _space(graph, levels, dec):
+    """The solution space of the evaluation system, all levels together."""
+    return solve_forms([r for rows in evaluation_system(graph, levels, dec).values()
+                        for r in rows])
+
+
+def _symbols(*systems):
+    return sorted({k for system in systems for rows in system.values()
+                   for r in rows for k, _ in r.coeffs})
+
+
 def test_criterion_1_dollar_theorem_reproduction():
     # alternative 1 on the zeros|pole split: the q+ values all equal
     g1 = load_graph("dollar_unmarked_zeros")
@@ -48,7 +59,7 @@ def test_criterion_1_dollar_theorem_reproduction():
     syms = ["v1:q1.0", "v1:q2.0", "v1:q3.0"]
     line = [c for c in certs1 if c.solution_dim == 1]
     assert len(line) == 1
-    space = evaluation_system(g1, line[0].levels, line[0].decoration).solution_space()
+    space = _space(g1, line[0].levels, line[0].decoration)
     assert same_space(space, _all_equal_space(syms))
 
     # alternative 2 on the all-on-one-vertex dollar: the top-component
@@ -58,7 +69,7 @@ def test_criterion_1_dollar_theorem_reproduction():
     assert certs2 and all(c.levels.of == {"v1": -1, "v2": 0} for c in certs2)
     syms2 = ["v2:q1.1", "v2:q2.1", "v2:q3.1"]
     for c in certs2:
-        sp = evaluation_system(g2, c.levels, c.decoration).solution_space()
+        sp = _space(g2, c.levels, c.decoration)
         expected = _all_equal_space(sorted(set(syms2) | set(sp.symbols)))
         assert all(sp.column(a) == sp.column(b) for a, b in
                    itertools.combinations([s for s in syms2 if s in sp.symbols], 2))
@@ -66,7 +77,7 @@ def test_criterion_1_dollar_theorem_reproduction():
                if all(o == (0, False) or o == (-2, True)
                       for _, o in c.decoration.orders) and not c.decoration.values]
     assert minimal
-    sp = evaluation_system(g2, minimal[0].levels, minimal[0].decoration).solution_space()
+    sp = _space(g2, minimal[0].levels, minimal[0].decoration)
     assert same_space(sp, _all_equal_space(syms2))
 
     # alternative 3 on the zero-sum split: values match across every node
@@ -75,7 +86,7 @@ def test_criterion_1_dollar_theorem_reproduction():
     assert len(certs3) == 1
     c3 = certs3[0]
     assert c3.levels.of == {"v1": 0, "v2": 0}
-    sp3 = evaluation_system(g3, c3.levels, c3.decoration).solution_space()
+    sp3 = _space(g3, c3.levels, c3.decoration)
     pairs = [("v1:q1.0", "v2:q1.1"), ("v1:q2.0", "v2:q2.1"), ("v1:q3.0", "v2:q3.1")]
     assert same_space(sp3, _pairs_space(pairs, sorted(sp3.symbols)))
 
@@ -93,10 +104,9 @@ def test_criterion_2_unmarked_zeros_example():
     g = load_graph("dollar_unmarked_zeros")
     system = evaluation_system(g, load_levels("dollar_unmarked_zeros"),
                                load_decoration("dollar_unmarked_zeros"))
-    space = solve_forms(system.block(0).rows, sorted(
-        {k for r in system.block(0).rows for k, _ in r.coeffs}))
+    space = solve_forms(system[0])
     assert same_space(space, _all_equal_space(["v1:q1.0", "v1:q2.0", "v1:q3.0"]))
-    assert all(r.is_zero for r in system.block(-1).rows)
+    assert all(r.is_zero for r in system[-1])
     print(PASS.format(2, "level-0 space is the equal-values line; level -1 vanishes identically"))
 
 
@@ -107,14 +117,15 @@ def test_criterion_3_horizontal_nodes_example():
     # with the node values left unknown the top level forces both to zero
     unknowns = TwrDecoration.build(dict(dec.order_of))
     system = evaluation_system(g, lv, unknowns)
-    space = system.solution_space()
+    space = solve_forms([r for rows in system.values() for r in rows])
     assert space.forces_value("v1:q1.0") == 0
     assert space.forces_value("v1:q2.0") == 0
     # the level -1 condition matches the two-sided horizontal evaluation
     assert space.column("v2:q3.0") == space.column("v3:q3.1")
-    rows = system.block(-1).normalized_rows(system.symbols)
-    idx = {s: i for i, s in enumerate(system.symbols)}
-    expected = [0] * (len(system.symbols) + 1)
+    syms = _symbols(system)
+    rows = normalized_rows(system[-1], syms)
+    idx = {s: i for i, s in enumerate(syms)}
+    expected = [0] * (len(syms) + 1)
     expected[idx["v2:q3.0"]] = 1
     expected[idx["v3:q3.1"]] = -1
     assert rows == [tuple(expected)]
@@ -133,15 +144,15 @@ def test_criterion_4_partial_order_and_level_dependence():
     dec = load_decoration("partial_order")
     s1 = evaluation_system(g, load_levels("partial_order", "levels_1"), dec)
     s2 = evaluation_system(g, load_levels("partial_order", "levels_2"), dec)
-    syms = sorted(set(s1.symbols) | set(s2.symbols))
-    assert s1.block(0).normalized_rows(syms) == s2.block(0).normalized_rows(syms)
-    assert s1.block(0).normalized_rows(syms)  # nonempty comparison
+    syms = _symbols(s1, s2)
+    assert normalized_rows(s1[0], syms) == normalized_rows(s2[0], syms)
+    assert normalized_rows(s1[0], syms)  # nonempty comparison
 
     g = load_graph("level_dependence")
     dec = load_decoration("level_dependence")
     sys1 = evaluation_system(g, load_levels("level_dependence", "levels_1"), dec)
     sys2 = evaluation_system(g, load_levels("level_dependence", "levels_2"), dec)
-    syms = sorted(set(sys1.symbols) | set(sys2.symbols))
+    syms = _symbols(sys1, sys2)
     idx = {s: i for i, s in enumerate(syms)}
 
     def vec(coeffs):
@@ -153,11 +164,11 @@ def test_criterion_4_partial_order_and_level_dependence():
     four_term = vec({"v2:q3.0": 1, "v2:q5.0": -1, "v3:q4.0": -1, "v3:q6.0": 1})
     two_term = vec({"v2:q3.0": 1, "v2:q5.0": -1})
     top_term = vec({"v1:q1.0": 1, "v1:q2.0": -1})
-    assert sys1.block(-1).normalized_rows(syms) == [four_term]
-    assert sys2.block(-1).normalized_rows(syms) == [two_term]
-    assert sys1.block(0).normalized_rows(syms) == [top_term]
-    assert sys2.block(0).normalized_rows(syms) == [top_term]
-    assert sys2.block(-2).normalized_rows(syms) == []
+    assert normalized_rows(sys1[-1], syms) == [four_term]
+    assert normalized_rows(sys2[-1], syms) == [two_term]
+    assert normalized_rows(sys1[0], syms) == [top_term]
+    assert normalized_rows(sys2[0], syms) == [top_term]
+    assert normalized_rows(sys2[-2], syms) == []
     print(PASS.format(4, "identical top systems; 4-term vs 2-term rows verbatim"))
 
 
@@ -187,9 +198,9 @@ def test_criterion_6_well_definedness_and_rank_formula():
         assert len(relative_h1(g)) == len(g.edges) - len(g.vertices) + 1 + max(len(z) - 1, 0)
         lv = random_levels(rng, g)
         filt = level_filtration(g, lv)
-        for i in filt.levels:
-            lower = filt.generators.get(i - 1, [])
-            for gamma in filt.generators[i][:3]:
+        for i in filt:
+            lower = filt.get(i - 1, [])
+            for gamma in filt[i][:3]:
                 for c in lower[:3]:
                     moved = dict(gamma)
                     for cell, x in c.items():

@@ -146,10 +146,10 @@ def test_hurwitz_profile_summing_to_another_degree_is_a_verdict(capsys):
     assert code == 1 and doc["rh"] is False and doc["exists"] is False
 
 
-def test_hurwitz_cap_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "2")
+def test_hurwitz_cap_flag_overrides_env(capsys):
+    # named when an environment variable could also set the cap
     argv = ["hurwitz", "--degree", "3", "--genus", "0", "--profile", "3", "--profile", "3"]
-    code, doc = run(capsys, *argv)
+    code, doc = run(capsys, *argv, "--cap", "2")
     assert code == 2 and doc["cap_hit"] is True and doc["exists"] is None
     code, doc = run(capsys, *argv, "--cap", "3")
     assert code == 0 and doc["cap_hit"] is False and doc["exists"] is True
@@ -164,14 +164,6 @@ def test_hurwitz_cap_flag_must_be_positive(capsys, value):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--cap" in json.loads(captured.err)["error"]
-
-
-def test_hurwitz_env_cap_must_be_positive(capsys, monkeypatch):
-    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "0")
-    code = main(["hurwitz", "--degree", "3", "--genus", "0", "--profile", "3", "--profile", "3"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "DRLOCI_HURWITZ_CAP" in json.loads(captured.err)["error"]
 
 
 def test_check_closure_member(capsys, dollar_files):
@@ -328,9 +320,9 @@ def test_check_closure_on_stable_4_cycle_is_a_verdict(capsys, tmp_path):
     assert out["member"] == ("yes" if code == 0 else "no-within-bounds")
 
 
-def test_check_closure_bounds_cap_overrides_env(capsys, dollar_files, monkeypatch):
+def test_check_closure_bounds_cap_overrides_env(capsys, dollar_files):
+    # named when an environment variable could also set the cap
     gpath, _ = dollar_files
-    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "6")
     code, doc = run(capsys, "check-closure", "--graph", gpath, "--bounds", "hurwitz_cap=2")
     comps = [c for cert in doc["certificates"] for c in cert["components"].values()]
     assert comps and all(c["cap_hit"] is True for c in comps)
@@ -572,15 +564,6 @@ def test_check_closure_bounds_must_be_positive(capsys, dollar_files, bound):
     assert json.loads(captured.err)["version"] == 1
 
 
-def test_check_closure_env_cap_must_be_positive(capsys, dollar_files, monkeypatch):
-    gpath, _ = dollar_files
-    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "0")
-    code = main(["check-closure", "--graph", gpath])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "hurwitz_cap" in json.loads(captured.err)["error"]
-
-
 @pytest.mark.parametrize("text", ["[]", "3", '"graph"', "null"])
 @pytest.mark.parametrize("argv", [["validate"], ["levels"], ["check-closure"]])
 def test_graph_file_that_is_not_an_object_exits_2(capsys, tmp_path, text, argv):
@@ -697,6 +680,18 @@ def test_level_map_not_keyed_by_the_vertices_exits_2(capsys, dollar_files, tmp_p
     assert json.loads(captured.err)["error"].startswith("malformed levels")
 
 
+@pytest.mark.parametrize("command", [["ev", "--all"], ["constraints"], ["twist"], ["stabilize"]],
+                         ids=["ev", "constraints", "twist", "stabilize"])
+def test_levels_that_are_not_json_name_the_levels(capsys, dollar_files, command):
+    # the error once read only "Expecting value: line 1 column 1 (char 0)"
+    gpath, dpath = dollar_files
+    code = main([*command, "--graph", gpath, "--decoration", dpath, "--levels", "nope"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        "malformed levels 'nope': Expecting value: line 1 column 1 (char 0)")
+
+
 def test_unexpected_exception_is_a_json_internal_error(capsys, dollar_files, monkeypatch):
     from drloci import cli
 
@@ -709,27 +704,6 @@ def test_unexpected_exception_is_a_json_internal_error(capsys, dollar_files, mon
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert json.loads(captured.err)["error"] == "internal error: ZeroDivisionError: boom"
-
-
-def test_hurwitz_env_cap_not_an_integer_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "abc")
-    code = main(["hurwitz", "--degree", "3", "--genus", "0", "--profile", "3", "--profile", "3"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    error = json.loads(captured.err)["error"]
-    assert "DRLOCI_HURWITZ_CAP" in error and "'abc'" in error
-
-
-def test_check_closure_env_cap_not_an_integer_names_the_variable(capsys, dollar_files,
-                                                                 monkeypatch):
-    # the error once read "bound hurwitz_cap must be ...", without the variable
-    gpath, _ = dollar_files
-    monkeypatch.setenv("DRLOCI_HURWITZ_CAP", "abc")
-    code = main(["check-closure", "--graph", gpath])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    error = json.loads(captured.err)["error"]
-    assert "DRLOCI_HURWITZ_CAP" in error and "hurwitz_cap" in error and "'abc'" in error
 
 
 @pytest.mark.parametrize("bound", ["hurwitz_cap=x", "max_degree=1.5", "level_cap="])
@@ -865,3 +839,22 @@ def test_stabilize_bytes_of_every_fixture_twist_are_pinned(capsys, tmp_path):
             assert main(["stabilize", "--graph", str(gpath), "--decoration", str(dpath)]) == 0
             stabilized[name, key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert stabilized == STABILIZE_SHA256
+
+
+# sha256 of the stdout of `cover --graph` on every fixture cover, as printed
+# while the cover held its maps as sorted tuples
+COVER_SHA256 = {
+    "cherry": "8ebcd4d15a4ba90f6877fa943ac9e633cccf217176e4b36d8964be56caa65327",
+    "dollar_cover": "4d1da86a14c4163e71c9a429db2f1df1ad6e84cfeeb70a37213b22d4db7a1f56",
+}
+
+
+def test_cover_bytes_of_every_fixture_cover_are_pinned(capsys, tmp_path):
+    cpath, gpath = tmp_path / "cover.json", tmp_path / "graph.json"
+    printed = {}
+    for name in (n for n, fx in FIXTURES.items() if "cover" in fx):
+        cpath.write_text(json.dumps(FIXTURES[name]["cover"]))
+        gpath.write_text(json.dumps(FIXTURES[name]["graph"]))
+        assert main(["cover", "--cover", str(cpath), "--graph", str(gpath)]) == 0
+        printed[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert printed == COVER_SHA256

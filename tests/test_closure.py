@@ -174,7 +174,8 @@ def test_rescaling_gauge_freedom():
     g = load_graph("dollar_matching")
     cert = search(g, g.mu)[0]
     from drloci.homology import evaluation_system
-    space = evaluation_system(g, cert.levels, cert.decoration).solution_space()
+    space = solve_forms([r for rows in evaluation_system(g, cert.levels, cert.decoration).values()
+                         for r in rows])
     pinned = space.pinned("v2:q1.1", Fraction(7))
     assert pinned is not None
     assert pinned.forces_value("v1:q1.0") == 7

@@ -18,7 +18,7 @@ def degree2_cover(mults=(2, 2)):
         [("D1", 0), ("D2", 0)], [("t", ("D1", "D2"))],
         [("t0", "D1", 1), ("tinf", "D1", -1), ("tb0", "D1", 0),
          ("tb1", "D2", 0), ("tb2", "D2", 0), ("tb3", "D2", 0)])
-    return CombinatorialCover.build(
+    return CombinatorialCover(
         source, target,
         {"c1": "D1", "c2": "D2"}, {"e": "t"},
         {"z1": "t0", "z2": "t0", "p1": "tinf", "p2": "tinf",
@@ -47,9 +47,9 @@ def test_cover_validation_invariant_under_target_relabeling():
         [("X", 0), ("Y", 0)], [("tt", ("X", "Y"))],
         [("t0", "X", 1), ("tinf", "X", -1), ("tb0", "X", 0),
          ("tb1", "Y", 0), ("tb2", "Y", 0), ("tb3", "Y", 0)])
-    c2 = CombinatorialCover.build(
+    c2 = CombinatorialCover(
         c.source, relabeled_target,
-        {"c1": "X", "c2": "Y"}, {"e": "tt"}, c.lmap, c.mult_of, c.degree_of)
+        {"c1": "X", "c2": "Y"}, {"e": "tt"}, c.leg_map, c.mults, c.degrees)
     assert validate_cover(c2).ok == validate_cover(c).ok is True
 
 
@@ -96,7 +96,7 @@ def test_unstable_source_components_allowed():
         [("D1", 0), ("D2", 0)], [("t", ("D1", "D2"))],
         [("t0", "D1", 1), ("tinf", "D1", -1),
          ("b2", "D1", 0), ("b3", "D1", 0), ("b4", "D1", 0), ("bu", "D2", 0)])
-    cover = CombinatorialCover.build(
+    cover = CombinatorialCover(
         source, target,
         {"x": "D1", "u": "D2"}, {"e": "t"},
         {"z": "t0", "p": "tinf", "w2": "b2", "w3": "b3", "w4": "b4", "cu": "bu"},

@@ -36,7 +36,7 @@ def assert_same_evaluations(graph, levels, dec, counts):
     """Compare on every chain and attained level, counting the forms
     compared and the chains both refused."""
     filt = level_filtration(graph, levels)
-    chains = relative_h1(graph) + [c for i in filt.levels for c in filt.generators[i]]
+    chains = relative_h1(graph) + [c for gens in filt.values() for c in gens]
     # a zero coefficient on every other edge changes neither form
     chains += [{**{("edge", e): 0 for e, _ in graph.edges}, **c} for c in chains]
     for chain in chains:

@@ -4,8 +4,8 @@
 structure, memoized per graph, and substitutes a decoration's values: a
 zero site drops out, a rational becomes a constant, and pole sites never
 appear.  The rows, and the symbols, particular solution and basis of the
-solution space, must equal those of ``evaluation_system`` on the
-decoration itself.
+solution space, must equal those of ``plain_homology.evaluation_system``,
+which evaluates every generator with the decoration's values.
 """
 
 import random
@@ -17,8 +17,8 @@ from drloci.closure import _solved_system, search
 from drloci.decorations import TwrDecoration, component_divisor
 from drloci.fixtures import FIXTURES, load_decoration, load_graph, load_levels
 from drloci.graphs import validate
-from drloci.homology import evaluation_system
 
+from plain_homology import evaluation_system
 from randgen import random_twr
 from test_scale_times import scale_times
 

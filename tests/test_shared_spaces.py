@@ -32,7 +32,7 @@ def shared_spaces_checked():
     walk, counts = closure._decorations, {"judged": 0, "kept": 0, "unmentioned": 0}
 
     def checking(graph, levels, max_deg, judge_of):
-        rows = evaluation_system(graph, levels, None).all_rows()
+        rows = [r for block in evaluation_system(graph, levels, None).values() for r in block]
         mentioned = {s for r in rows for s, _ in r.coeffs}
 
         def checked_judge_of(zero_marks):
