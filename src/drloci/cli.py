@@ -99,9 +99,11 @@ def _load_document(path: str, kind=TwrDecoration, what: str = "decoration"):
         raise CliError(f"malformed {what} document {path}: {exc}") from exc
 
 
-def _require_levels(graph: MarkedDualGraph, levels: LevelStructure | None,
-                    args) -> LevelStructure:
-    if getattr(args, "levels", None):
+def _load_leveled_graph(args) -> tuple[MarkedDualGraph, LevelStructure]:
+    """``args``' graph, refused as by ``_load_valid_graph``, and its levels:
+    ``--levels`` when given, else the graph document's inline levels."""
+    graph, levels = _load_valid_graph(args.graph)
+    if args.levels:
         try:
             doc = json.loads(args.levels)
         except json.JSONDecodeError as exc:
@@ -114,7 +116,7 @@ def _require_levels(graph: MarkedDualGraph, levels: LevelStructure | None,
     if set(levels.of) != set(graph.vertex_ids):
         raise CliError(f"malformed levels {sorted(levels.of)}: the keys must be exactly "
                        f"the vertex ids {sorted(graph.vertex_ids)}")
-    return levels
+    return graph, levels
 
 
 def _emit(payload: dict, args) -> None:
@@ -145,8 +147,7 @@ def _evaluation_system(args):
     decoration must pass the structure, values and level-compatibility
     clauses that ``twist`` applies; only the order of the levels matters
     to them, so the levels need not be normalized."""
-    graph, levels = _load_valid_graph(args.graph)
-    levels = _require_levels(graph, levels, args)
+    graph, levels = _load_leveled_graph(args)
     dec = _load_document(args.decoration) if args.decoration else None
     if dec is not None:
         report = validate_twr(graph, LevelStructure.normalize(levels.of), dec)
@@ -189,8 +190,7 @@ def cmd_constraints(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    graph, levels = _load_valid_graph(args.graph)
-    levels = _require_levels(graph, levels, args)
+    graph, levels = _load_leveled_graph(args)
     dec = _load_document(args.decoration)
     result = twist(graph, levels, dec)
     _emit({"command": "twist", **result.to_json()}, args)
@@ -198,8 +198,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    graph, levels = _load_valid_graph(args.graph)
-    levels = _require_levels(graph, levels, args)
+    graph, levels = _load_leveled_graph(args)
     dec = _load_document(args.decoration, TwdrDecoration)
     new_graph, new_levels, new_dec, contraction = stabilize(graph, levels, dec)
     _emit({"command": "stabilize",
@@ -323,17 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--all", action="store_true")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("twist", help="canonical twist of a twistable decoration")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--decoration", required=True)
-    p.add_argument("--levels")
-    p.set_defaults(func=cmd_twist)
-
-    p = sub.add_parser("stabilize", help="stabilization of a fully marked decoration")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--decoration", required=True)
-    p.add_argument("--levels")
-    p.set_defaults(func=cmd_stabilize)
+    for name, func, text in (("twist", cmd_twist, "canonical twist of a twistable decoration"),
+                             ("stabilize", cmd_stabilize,
+                              "stabilization of a fully marked decoration")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--graph", required=True)
+        p.add_argument("--decoration", required=True)
+        p.add_argument("--levels")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("hurwitz", help="Hurwitz existence by a memoized search "
                                        "over permutation factorizations")

@@ -63,7 +63,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .decorations import TwrDecoration, component_divisor, site_key, validate_twr
 from .exact import AffineSubspace, format_rational
@@ -144,10 +143,10 @@ class ClosureCertificate:
 @functools.cache
 def _edge_tables(upper: int | None, max_deg: int) -> tuple[dict, dict]:
     """Read-only tables of an edge kind (``upper``: the side of the upper
-    end, None when horizontal).  Per zero-flag pair, the admissible (order,
-    pole, nodal-zero) pairs of the two sides, grouped by their first side
-    and indexed in the kind's option order; per side and its own zero
-    flag, the orders it can take and their (P, Z, O) adds."""
+    end, None when horizontal).  Per zero-flag pair, the admissible pairs of
+    the two sides' (order, pole), grouped by their first side and indexed in
+    the kind's option order; per side and its own zero flag, the orders it
+    can take and their (P, Z, O) adds."""
     def side(opt: tuple[int, bool, bool]):
         o, pole, zmark = opt
         return (o, pole), (-o - 1 if pole else 0, o + 1 if zmark else 0, o)
@@ -162,24 +161,10 @@ def _edge_tables(upper: int | None, max_deg: int) -> tuple[dict, dict]:
     by_flags: dict[tuple[bool, bool], dict] = {}
     own: dict[tuple[int, bool], dict] = {}
     for j, (s0, s1) in enumerate(opts):
-        firsts = by_flags.setdefault((s0[2], s1[2]), {})
-        if s0 not in firsts:
-            firsts[s0] = (side(s0), [])
-        firsts[s0][1].append((j, side(s1)))
+        by_flags.setdefault((s0[2], s1[2]), {}).setdefault(s0[:2], []).append((j, s1[:2]))
         for s, opt in enumerate((s0, s1)):
             own.setdefault((s, opt[2]), {}).setdefault(*side(opt))
-    return {pair: list(firsts.values()) for pair, firsts in by_flags.items()}, own
-
-
-class _Step(NamedTuple):
-    """One edge of the walk: its end vertices and half-edges, and its
-    options per zero-flag pair grouped by first side."""
-
-    a: int
-    b: int
-    h0: str
-    h1: str
-    by_flags: dict[tuple[bool, bool], list]
+    return {pair: list(firsts.items()) for pair, firsts in by_flags.items()}, own
 
 
 def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
@@ -247,6 +232,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
     for slot in slots:
         for t, x in enumerate(slot):
             after[x[:2]] = len(slot) - t - 1, sum(y[2] for y in slot[t + 1:])
+    # per edge, its end vertices, half-edges and options by zero-flag pair
     plan = []
     # per edge, per side and its own zero flag, the orders it can take and their adds
     own: list[dict] = []
@@ -254,7 +240,7 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
         la, lb = levels.of[a], levels.of[b]
         by_flags, sides = _edge_tables(None if la == lb else int(lb > la), max_deg)
         own.append(sides)
-        plan.append(_Step(index[a], index[b], half_edge_id(e, 0), half_edge_id(e, 1), by_flags))
+        plan.append((index[a], index[b], half_edge_id(e, 0), half_edge_id(e, 1), by_flags))
     idle = [v for v, s in zip(vids, slots) if not s]
 
     def viable(i: int, p: int, z: int, o: int, still_open: tuple[int, int]) -> bool:
@@ -331,18 +317,17 @@ def _decorations(graph: MarkedDualGraph, levels: LevelStructure,
                     if all(judge.verdict(v, orders) for v in idle):
                         yield tuple(choice), dict(orders), zero_marks, judge
                     return
-                step = plan[k]
-                a, b = step.a, step.b
+                a, b, h0, h1, by_flags = plan[k]
                 before_a, before_b = prefix[a], prefix[b]
-                for (e0, _), seconds in step.by_flags[flag[k, 0], flag[k, 1]]:
+                for e0, seconds in by_flags[flag[k, 0], flag[k, 1]]:
                     pa = (*before_a, e0)
                     if a != b and not feasible(a, pa):
                         continue
-                    for j, (e1, _) in seconds:
+                    for j, e1 in seconds:
                         pb = (*(pa if a == b else before_b), e1)
                         if feasible(b, pb):
                             prefix[a], prefix[b] = pa, pb
-                            orders[step.h0], orders[step.h1], choice[k] = e0, e1, j
+                            orders[h0], orders[h1], choice[k] = e0, e1, j
                             yield from rec(k + 1)
                 prefix[a], prefix[b] = before_a, before_b
 

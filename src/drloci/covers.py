@@ -45,6 +45,9 @@ class CombinatorialCover:
 
     @staticmethod
     def from_json(doc: dict) -> "CombinatorialCover":
+        for name in ("source", "target", "map", "mults", "degrees"):
+            if not isinstance(doc.get(name, {}), dict):
+                raise ValueError(f"{name} must be a JSON object, got {doc[name]!r}")
         source = MarkedDualGraph.from_json(doc["source"])
         target = MarkedDualGraph.from_json(doc["target"])
         mapping = doc.get("map", {})

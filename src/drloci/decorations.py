@@ -66,12 +66,6 @@ class TwrDecoration:
     def is_zero_site(self, vertex: str, point: str) -> bool:
         return self.value_of.get(site_key(vertex, point)) == 0
 
-    def zero_vertices(self, graph: MarkedDualGraph) -> set[str]:
-        """Vertices carrying a marked zero (a leg with mu > 0)."""
-        if self.marked_zero_vertices is not None:
-            return set(self.marked_zero_vertices)
-        return {v for _, v, m in graph.legs if m > 0}
-
     def to_json(self) -> dict:
         doc: dict = {"orders": {h: {"ord_df": o, "pole": p} for h, (o, p) in self.orders}}
         if self.values:
@@ -177,7 +171,9 @@ def component_divisor(graph: MarkedDualGraph, dec: TwrDecoration, v: str
 def _vertex_accounting(graph: MarkedDualGraph, dec: TwrDecoration,
                        report: DecorationReport,
                        extra: TwdrDecoration | None = None) -> None:
-    zero_vs = dec.zero_vertices(graph)
+    # vertices with a marked zero: the listed ones, else those with a leg of mu > 0
+    zero_vs = set(dec.marked_zero_vertices if dec.marked_zero_vertices is not None
+                  else (v for _, v, m in graph.legs if m > 0))
     for v, g in graph.vertices:
         report.divisors[v] = zeros, poles, free = component_divisor(graph, dec, v)
         degree, zeros_known = sum(poles.values()), sum(zeros.values())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def parse_rational(s: str | int, what: str = "value") -> Fraction:
@@ -34,71 +34,49 @@ def format_rational(x: Fraction) -> str:
 def integer_kernel_basis(rows: list[list[int]]) -> list[list[int]]:
     """Basis of the integer kernel lattice of the matrix with the given rows.
 
-    Column reduction by unimodular operations: the zero columns of the
-    reduced matrix pull back to a Z-basis of ker.  Suitable for the small
-    incidence matrices of dual graphs.
+    Column reduction by unimodular operations on the columns augmented
+    with the identity (Cohen, GTM 138, section 2.4): below its m matrix
+    entries each column records the operations applied to it, so the zero
+    columns of the reduced matrix carry a Z-basis of ker.  Suitable for
+    the small incidence matrices of dual graphs.
     """
     if not rows:
         return []
     m, n = len(rows), len(rows[0])
-    a = [list(r) for r in rows]
-    # transform records the column operations applied to the identity
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_axpy(dst: int, src: int, k: int) -> None:
-        for i in range(m):
-            a[i][dst] += k * a[i][src]
-        for i in range(n):
-            t[i][dst] += k * t[i][src]
-
-    def col_swap(c1: int, c2: int) -> None:
-        for i in range(m):
-            a[i][c1], a[i][c2] = a[i][c2], a[i][c1]
-        for i in range(n):
-            t[i][c1], t[i][c2] = t[i][c2], t[i][c1]
-
+    cols = [[*col, *(int(i == j) for i in range(n))] for j, col in enumerate(zip(*rows))]
     pivot_col = 0
     for r in range(m):
         if pivot_col >= n:
             break
         # euclidean elimination across columns pivot_col..n-1 in row r
         while True:
-            nz = [c for c in range(pivot_col, n) if a[r][c] != 0]
+            nz = [c for c in range(pivot_col, n) if cols[c][r] != 0]
             if not nz:
                 break
-            c0 = min(nz, key=lambda c: abs(a[r][c]))
-            col_swap(pivot_col, c0)
+            c0 = min(nz, key=lambda c: abs(cols[c][r]))
+            cols[pivot_col], cols[c0] = cols[c0], cols[pivot_col]
+            pivot = cols[pivot_col]
             done = True
             for c in range(pivot_col + 1, n):
-                if a[r][c] != 0:
-                    col_axpy(c, pivot_col, -(a[r][c] // a[r][pivot_col]))
-                    if a[r][c] != 0:
+                if cols[c][r] != 0:
+                    k = cols[c][r] // pivot[r]
+                    cols[c] = [x - k * y for x, y in zip(cols[c], pivot)]
+                    if cols[c][r] != 0:
                         done = False
             if done:
                 break
-        if a[r][pivot_col] != 0:
+        if cols[pivot_col][r] != 0:
             pivot_col += 1
-    kernel = []
-    for c in range(pivot_col, n):
-        if all(a[i][c] == 0 for i in range(m)):
-            kernel.append([t[i][c] for i in range(n)])
-    return kernel
+    return [col[m:] for col in cols[pivot_col:] if not any(col[:m])]
 
 
 def primitive(vec: list[int]) -> list[int]:
     """Divide by the content and make the first nonzero entry positive."""
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g == 0:
         return list(vec)
-    out = [x // g for x in vec]
-    for x in out:
-        if x != 0:
-            if x < 0:
-                out = [-y for y in out]
-            break
-    return out
+    sign = -1 if next(x for x in vec if x) < 0 else 1
+    return [x // (sign * g) for x in vec]
 
 
 @dataclass(frozen=True)
@@ -141,9 +119,7 @@ class LinearForm:
         first nonzero entry positive.  Used for verbatim row comparisons."""
         c = self.coeff_map()
         vals = [c.get(s, Fraction(0)) for s in symbols] + [self.const]
-        den = 1
-        for v in vals:
-            den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in vals))
         ints = [int(v * den) for v in vals]
         return tuple(primitive(ints))
 

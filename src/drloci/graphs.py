@@ -26,7 +26,6 @@ class EnumerationCapExceeded(RuntimeError):
 
     def __init__(self, bound: int):
         super().__init__(f"level structure enumeration exceeds cap ({bound} candidates)")
-        self.bound = bound
 
 
 def json_int(value, what: str) -> int:
@@ -41,8 +40,9 @@ def half_edge_id(edge_id: str, side: int) -> str:
 
 
 def split_half_edge(hid: str) -> tuple[str, int]:
+    """(edge id, side) of "<edge id>.<side>"; ValueError unless the side is 0 or 1."""
     edge_id, side = hid.rsplit(".", 1)
-    return edge_id, int(side)
+    return edge_id, ("0", "1").index(side)
 
 
 def incident(edges, v: str) -> list[tuple[str, int]]:
@@ -500,9 +500,6 @@ def isomorphic(a: MarkedDualGraph, b: MarkedDualGraph,
                levels_a: LevelStructure | None = None,
                levels_b: LevelStructure | None = None) -> bool:
     """Bijection of vertices/edges/legs preserving genus, mu, incidence, levels."""
-    if len(a.vertices) != len(b.vertices) or len(a.edges) != len(b.edges) \
-            or len(a.legs) != len(b.legs):
-        return False
     return canonical_key(a, levels_a) == canonical_key(b, levels_b)
 
 

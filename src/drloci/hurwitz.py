@@ -35,8 +35,6 @@ DEFAULT_DEGREE_CAP = 6
 class DegreeCapExceeded(RuntimeError):
     def __init__(self, degree: int, cap: int):
         super().__init__(f"degree {degree} exceeds the oracle cap {cap}")
-        self.degree = degree
-        self.cap = cap
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from .hurwitz import INF, Genus0Realization, realize_genus0
 
@@ -158,15 +159,9 @@ def split_shift_pair(zero_mults: tuple[int, ...], fiber_mults: tuple[int, ...],
     return None
 
 
-def _fresh_coords(n: int, taken: set) -> list[Fraction]:
-    out: list[Fraction] = []
-    x = Fraction(0)
-    while len(out) < n:
-        if x not in taken:
-            out.append(x)
-            taken.add(x)
-        x += 1
-    return out
+def _fresh(taken: set):
+    """The integers 0, 1, 2, ... not in ``taken``, as Fractions."""
+    return (x for x in map(Fraction, count()) if x not in taken)
 
 
 def realize_component(shape: ComponentShape
@@ -194,20 +189,17 @@ def realize_component(shape: ComponentShape
 
 def _untargeted(shape: ComponentShape):
     d = shape.degree
-    taken: set = set()
-    zs: dict = {}
-    for p in sorted(shape.zeros):
-        c = _fresh_coords(1, taken)[0]
-        zs[c] = shape.zeros[p]
+    draw = _fresh(set())
+    zs = {next(draw): shape.zeros[p] for p in sorted(shape.zeros)}
     unmarked = d - sum(shape.zeros.values())
     if unmarked:
-        zs[_fresh_coords(1, taken)[0]] = unmarked
+        zs[next(draw)] = unmarked
     pole_pts = sorted(shape.poles)
     ps: dict = {INF: shape.poles[pole_pts[0]]}
     for p in pole_pts[1:]:
-        ps[_fresh_coords(1, taken)[0]] = shape.poles[p]
+        ps[next(draw)] = shape.poles[p]
     flex_sites = sorted(shape.flexible)
-    coords = _fresh_coords(len(flex_sites), taken)
+    coords = [next(draw) for _ in flex_sites]
     real = realize_genus0(zs, ps, Fraction(1), queries=coords)
     vals = {s: real.values[c] for s, c in zip(flex_sites, coords)}
     # every zero and pole is at a placed coordinate, so fresh coordinates
@@ -226,10 +218,7 @@ def _degree_one(shape: ComponentShape):
         if coord in used:
             return None
         used.add(coord)
-    vals: dict[str, Fraction] = {}
-    for site in sorted(shape.flexible):
-        c = _fresh_coords(1, used)[0]
-        vals[site] = (c - z0) / (c - p0)
+    vals = {site: (c - z0) / (c - p0) for site, c in zip(sorted(shape.flexible), _fresh(used))}
     return Genus0Realization({z0: 1}, {p0: 1}, Fraction(1)), vals
 
 
@@ -245,15 +234,8 @@ def _single_fiber(shape: ComponentShape):
         root_mults = fiber_mults + [1] * filler
         roots = list(range(len(root_mults)))
         coeffs = _expand([r for r, m in zip(roots, root_mults) for _ in range(m)])
-        taken = {Fraction(r) for r in roots}
-        vals: dict[str, Fraction] = {}
-        for site in sorted(shape.flexible):
-            while True:
-                c = _fresh_coords(1, taken)[0]
-                v = w + _eval_poly(coeffs, c)
-                if v != 0 and v != w:
-                    vals[site] = v
-                    break
+        values = (w + _eval_poly(coeffs, c) for c in _fresh({Fraction(r) for r in roots}))
+        vals = dict(zip(sorted(shape.flexible), (v for v in values if v not in (0, w))))
         return Genus0Realization({}, {INF: d}, Fraction(1)), vals
     unmarked = d - sum(shape.zeros.values())
     zero_mults = sorted(shape.zeros.values(), reverse=True) + [1] * unmarked
@@ -264,11 +246,9 @@ def _single_fiber(shape: ComponentShape):
     scale = w / k
     coeffs = _expand([r for r, m in zip(zroots, zero_mults) for _ in range(m)])
     zs = {Fraction(r): m for r, m in zip(zroots, zero_mults)}
-    taken = {Fraction(r) for r in zroots} | {Fraction(r) for r in froots}
+    draw = _fresh({Fraction(r) for r in zroots} | {Fraction(r) for r in froots})
     vals = {}
-    for site in sorted(shape.flexible):
-        c = _fresh_coords(1, taken)[0]
-        v = scale * _eval_poly(coeffs, c)
+    for site, c in zip(sorted(shape.flexible), draw):
+        vals[site] = v = scale * _eval_poly(coeffs, c)
         assert v != 0 and v != w
-        vals[site] = v
     return Genus0Realization(zs, {INF: d}, scale), vals

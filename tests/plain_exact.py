@@ -5,7 +5,10 @@ It finds the particular solution with ``solve_rational``, then reduces
 the coefficient matrix a second time to read off the kernel.
 ``contains`` tests exact membership in a solution space,
 ``solve_rational`` serves as its reference, and ``same_space`` compares
-two solution spaces.
+two solution spaces.  ``plain_integer_kernel_basis`` is the column
+reduction that keeps its transformation matrix beside the matrix, the
+reference that ``exact.integer_kernel_basis`` must reproduce vector by
+vector.
 """
 
 from __future__ import annotations
@@ -13,6 +16,60 @@ from __future__ import annotations
 from fractions import Fraction
 
 from drloci.exact import AffineSubspace, LinearForm, solve_forms
+
+
+def plain_integer_kernel_basis(rows: list[list[int]]) -> list[list[int]]:
+    """Basis of the integer kernel lattice of the matrix with the given rows.
+
+    Column reduction by unimodular operations: the zero columns of the
+    reduced matrix pull back to a Z-basis of ker.  Suitable for the small
+    incidence matrices of dual graphs.
+    """
+    if not rows:
+        return []
+    m, n = len(rows), len(rows[0])
+    a = [list(r) for r in rows]
+    # transform records the column operations applied to the identity
+    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_axpy(dst: int, src: int, k: int) -> None:
+        for i in range(m):
+            a[i][dst] += k * a[i][src]
+        for i in range(n):
+            t[i][dst] += k * t[i][src]
+
+    def col_swap(c1: int, c2: int) -> None:
+        for i in range(m):
+            a[i][c1], a[i][c2] = a[i][c2], a[i][c1]
+        for i in range(n):
+            t[i][c1], t[i][c2] = t[i][c2], t[i][c1]
+
+    pivot_col = 0
+    for r in range(m):
+        if pivot_col >= n:
+            break
+        # euclidean elimination across columns pivot_col..n-1 in row r
+        while True:
+            nz = [c for c in range(pivot_col, n) if a[r][c] != 0]
+            if not nz:
+                break
+            c0 = min(nz, key=lambda c: abs(a[r][c]))
+            col_swap(pivot_col, c0)
+            done = True
+            for c in range(pivot_col + 1, n):
+                if a[r][c] != 0:
+                    col_axpy(c, pivot_col, -(a[r][c] // a[r][pivot_col]))
+                    if a[r][c] != 0:
+                        done = False
+            if done:
+                break
+        if a[r][pivot_col] != 0:
+            pivot_col += 1
+    kernel = []
+    for c in range(pivot_col, n):
+        if all(a[i][c] == 0 for i in range(m)):
+            kernel.append([t[i][c] for i in range(n)])
+    return kernel
 
 
 def solve_rational(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

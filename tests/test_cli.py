@@ -444,6 +444,14 @@ def _marked_zero_vertices_a_string(doc):
     doc["marked_zero_vertices"] = "v1"
 
 
+def _half_edge_side_2(doc):  # once an internal IndexError
+    doc["values"] = {"v1:q1.2": "1"}
+
+
+def _half_edge_side_minus_1(doc):  # once read as side 1, the end at v2
+    doc["values"] = {"v2:q1.-1": "1"}
+
+
 MISFITS = [
     (_unknown_vertex_value, "half-edge not at this vertex"),
     (_unknown_half_edge_order, "order given for unknown half-edge"),
@@ -451,6 +459,8 @@ MISFITS = [
     (_pole_on_an_evaluated_site, "pole at level 0 not strictly below v2"),
     (_marked_zero_vertex_not_a_vertex, "marked zero vertex is not a vertex"),
     (_marked_zero_vertices_a_string, "marked_zero_vertices must be a list of vertex ids"),
+    (_half_edge_side_2, "unknown point id"),
+    (_half_edge_side_minus_1, "unknown point id"),
 ]
 
 
@@ -596,6 +606,20 @@ def test_malformed_cover_exits_2(capsys, tmp_path, cover):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "error" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("source", []), ("target", 3), ("map", []), ("map", "v1"), ("mults", []), ("degrees", 3)],
+    ids=["source", "target", "map_list", "map_string", "mults", "degrees"])
+def test_cover_field_that_is_not_an_object_exits_2(capsys, tmp_path, field, value):
+    # a list map once read as no map (exit 1, a negative verdict), and a list
+    # of mults or a number of degrees named no field
+    p = tmp_path / "cover.json"
+    p.write_text(json.dumps({**FIXTURES["dollar_cover"]["cover"], field: value}))
+    code = main(["cover", "--cover", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{field} must be a JSON object, got {value!r}" in json.loads(captured.err)["error"]
 
 
 def bad_field_documents(field: str):
